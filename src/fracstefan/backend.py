@@ -1,75 +1,13 @@
-"""Backend selection for the hot stepping kernels.
+"""Name of the stepping implementation, echoed in run.txt and benchmark records.
 
-The environment flag FRACSTEFAN_BACKEND picks the implementation:
-
-    auto   (default) compiled kernel when numba imports, numpy otherwise
-    numba  compiled kernel, error if numba is missing
-    numpy  pure-numpy fallback
-
-set_backend()/use() override the flag at runtime, which is how the test
-suite and the benchmark drive both paths in one process.
+The grid route has one stepper, the numpy recursion in scheme.advance_phase.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-from . import _kernels
-from .errors import InvalidInputError
-
-__all__ = ["ENV_VAR", "active", "available", "set_backend", "use"]
-
-ENV_VAR = "FRACSTEFAN_BACKEND"
-
-_active: str | None = None
-
-
-def available() -> tuple[str, ...]:
-    """Backend names usable in this process."""
-    return tuple(sorted(_kernels.ADVANCE_IMPLS))
-
-
-def _resolve(choice: str) -> str:
-    choice = choice.strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise InvalidInputError(
-            f"backend must be one of auto|numba|numpy, got {choice!r}"
-        )
-    if choice == "auto":
-        return "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
-    if choice == "numba" and not _kernels.NUMBA_AVAILABLE:
-        raise InvalidInputError("numba backend requested but numba is not importable")
-    return choice
+__all__ = ["active"]
 
 
 def active() -> str:
-    """Name of the backend advance_phase currently dispatches to."""
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get(ENV_VAR, "auto"))
-    return _active
-
-
-def set_backend(name: str) -> str:
-    """Select a backend for the rest of the process; returns the resolved name."""
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-@contextmanager
-def use(name: str):
-    """Temporarily switch backends (tests, benchmarks)."""
-    global _active
-    previous = active()
-    set_backend(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-def advance_impl():
-    """The advance callable for the active backend."""
-    return _kernels.ADVANCE_IMPLS[active()]
+    """Name of the implementation advance_phase runs."""
+    return "numpy"

@@ -12,11 +12,12 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__, backend
 from .analytic import (
+    DEFAULT_BRACKET,
     ExactSolution,
     PhysicalParams,
     solve_p_exact,
@@ -31,7 +32,13 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fronttrack import bisection_solve, final_time, front_series
+from .fronttrack import (
+    DEFAULT_EPS,
+    DEFAULT_MAX_ITER,
+    bisection_solve,
+    final_time,
+    front_series,
+)
 from .scheme import MeshConfig, advance_phase, make_phase_grid, recover_physical
 
 __all__ = ["RunConfig", "main", "parse_config", "run_convergence", "run_profiles", "run_tables"]
@@ -50,21 +57,12 @@ _FLOAT_KEYS = ("alpha", "lambda1", "lambda2", "kappa1", "kappa2", "theta_inf",
 _INT_KEYS = ("m1", "m2", "n", "max_iter")
 
 _DEFAULTS = {
-    "alpha": 0.5,
-    "lambda1": 1.0,
-    "lambda2": 1.0,
-    "kappa1": 1.0,
-    "kappa2": 1.0,
-    "theta_inf": -0.5,
-    "ratio": 10.0,
-    "m1": 100,
-    "m2": 500,
-    "n": 400,
-    "tau0_factor": 1e-3,
-    "p_min": 0.1,
-    "p_max": 2.0,
-    "epsilon": 1e-3,
-    "max_iter": 60,
+    **asdict(PhysicalParams(alpha=0.5)),
+    **asdict(MeshConfig()),
+    "p_min": DEFAULT_BRACKET[0],
+    "p_max": DEFAULT_BRACKET[1],
+    "epsilon": DEFAULT_EPS,
+    "max_iter": DEFAULT_MAX_ITER,
     "profile_times": None,
     "extra_rows": (),
 }
@@ -562,18 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = ("alpha", "lambda1", "lambda2", "kappa1", "kappa2", "theta_inf",
-                  "ratio", "m1", "m2", "n", "epsilon", "tau0_factor",
-                  "p_min", "p_max", "max_iter")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
+    overrides = {key: getattr(args, key) for key in _FLOAT_KEYS + _INT_KEYS}
     if args.profile_times is not None:
         try:
             overrides["profile_times"] = _parse_value("profile_times", args.profile_times)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import PhysicalParams
+from .analytic import DEFAULT_BRACKET, PhysicalParams
 from .errors import FracStefanError, GridMismatchError, InvalidInputError, NoSignChangeError
 from .fracquad import split_start_weights, trap_weights
 from .scheme import (
@@ -46,7 +46,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BRACKET = (0.1, 2.0)
 DEFAULT_EPS = 1e-3
 DEFAULT_MAX_ITER = 60
 

@@ -23,6 +23,12 @@ half-steps use right-endpoint rules, so level 0 enters only as the initial
 datum, and every later step and the interface balance integrate the first
 interval the same way.  The liquid's level-0 row is zero, the initial
 datum itself, and its first step stays a single product-trapezoidal step.
+
+advance_phase is the one stepper: each step rebuilds the memory history
+from the stored rows (two BLAS mat-vecs) and solves the new level by
+Thomas elimination, so one advance costs O(n**2 * m).  The
+assemble_phase{1,2}_step / thomas_solve pair performs the same arithmetic
+one step at a time and serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, backend
 from .analytic import PhysicalParams
 from .errors import (
     DegenerateInputError,
@@ -249,27 +254,100 @@ def _solid_gq(tau, p, L, alpha):
     return p * tau ** (alpha - 1.0) - L * tau ** (alpha / 2.0 - 1.0)
 
 
+def _system(rhs, r_imp, q_imp, diag_value, left, right):
+    """Implicit tridiagonal rows for one target level, boundary values folded in.
+
+    Returns (sub, diag, sup, rhs, dominance_violations).
+    """
+    sub = -r_imp + q_imp
+    sup = -r_imp - q_imp
+    diag = np.full(rhs.shape[0], diag_value + 2.0 * r_imp)
+    rhs[0] -= sub[0] * left
+    rhs[-1] -= sup[-1] * right
+    violations = int(np.count_nonzero(np.abs(diag) < np.abs(sub) + np.abs(sup)))
+    return sub, diag, sup, rhs, violations
+
+
 def _half_row(grid: PhaseGrid):
     """The solid's row at tau = dtau/2, solved from level 0: (half, gq_half, violations).
 
-    The boundary values are level 0's at the same physical temperature
-    (the boundary data do not change in time), so the half level is a
-    function of level 0 alone.  gq_half is weighted like gq: its rectangle
-    is half a step wide.  The liquid has no half level: an empty row.
+    The half-step is fully implicit: level 0 enters only as the initial
+    datum, never as a sample of the memory or advective integrand.  The
+    boundary values are level 0's at the same physical temperature (the
+    boundary data do not change in time), so the half level is a function
+    of level 0 alone.  gq_half is weighted like gq: its rectangle is half a
+    step wide.  The liquid has no half level: (None, 0.0, 0).
     """
     if grid.phase == 1:
-        return np.empty(0), 0.0, 0
+        return None, 0.0, 0
     _, rfac, qfac_in, _, init_mult = _phase_coeffs(grid)
     a = grid.params.alpha
     L = grid.mesh.ratio
     width = _half_width(grid.p, grid.dtau, L, a)
     gq_half = 0.5 * _solid_gq(grid.dtau / 2.0, grid.p, L, a)
     half = grid.ubar[0] * (init_mult / width ** 2)
-    sub, diag, sup, rhs, violations = _kernels.half_step_system(
-        grid.ubar, width ** 2, rfac, qfac_in, gq_half, init_mult,
-        half_weight(0.5, a, grid.dtau), half[0], half[-1])
-    half[1:-1] = _kernels.thomas(sub, diag, sup, rhs)
+    sub, diag, sup, rhs, violations = _system(
+        grid.ubar[0, 1:-1] * init_mult, rfac * half_weight(0.5, a, grid.dtau),
+        qfac_in * gq_half, width ** 2, half[0], half[-1])
+    half[1:-1] = _thomas(sub, diag, sup, rhs)
     return half, gq_half, violations
+
+
+def _step_system(grid: PhaseGrid, k: int, coeffs, half, gq_half):
+    """Tridiagonal system advancing the grid from levels 0..k to level k+1.
+
+    coeffs is _phase_coeffs(grid); half and gq_half come from _half_row.
+    The memory weights are chosen here, for the stepper and the stepwise
+    assembly alike: the split-start weights when there is a half level
+    (the solid), the product-trapezoidal weights otherwise.  The boundary
+    columns of the grid must already be filled at level k+1.  Returns
+    (sub, diag, sup, rhs, dominance_violations).
+    """
+    tcoef, rfac, qfac_in, gq, init_mult = coeffs
+    ubar = grid.ubar
+    m = ubar.shape[1] - 1
+    if half is None:
+        c = trap_weights(k, grid.params.alpha, grid.dtau).c
+    else:
+        c, w_half = split_start_weights(k, grid.params.alpha, grid.dtau)
+    rows = ubar[:k + 1, :]
+    d2 = rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]
+    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2)
+    if k >= 1:
+        dc = rows[1:, 2:] - rows[1:, :-2]
+        rhs = rhs + qfac_in * (gq[1:k + 1] @ dc)
+    if half is not None:
+        rhs = rhs + rfac * w_half * (half[:-2] - 2.0 * half[1:-1] + half[2:]) \
+            + qfac_in * gq_half * (half[2:] - half[:-2])
+    return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
+                   ubar[k + 1, 0], ubar[k + 1, m])
+
+
+def _thomas(sub, diag, sup, rhs):
+    """Thomas elimination for a tridiagonal system; O(size).
+
+    sub[0] and sup[-1] are ignored.  Raises ZeroPivotError on a vanishing
+    pivot, which signals a non-dominant assembly upstream.
+    """
+    n = diag.shape[0]
+    cp = np.empty(n)
+    xp = np.empty(n)
+    pivot = diag[0]
+    if pivot == 0.0:
+        raise ZeroPivotError("zero pivot at row 0")
+    cp[0] = sup[0] / pivot
+    xp[0] = rhs[0] / pivot
+    for i in range(1, n):
+        pivot = diag[i] - sub[i] * cp[i - 1]
+        if pivot == 0.0:
+            raise ZeroPivotError(f"zero pivot at row {i}")
+        cp[i] = sup[i] / pivot
+        xp[i] = (rhs[i] - sub[i] * xp[i - 1]) / pivot
+    x = np.empty(n)
+    x[n - 1] = xp[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = xp[i] - cp[i] * x[i + 1]
+    return x
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -280,16 +358,9 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
             f"phase {grid.phase} grid holds rows through {grid.filled_through}, "
             f"cannot assemble step targeting level {k + 1}"
         )
-    tcoef, rfac, qfac_in, gq, init_mult = _phase_coeffs(grid)
-    a = grid.params.alpha
     half, gq_half, half_violations = _half_row(grid)
-    if grid.phase == 1:
-        c, w_half, half = trap_weights(k, a, grid.dtau).c, 0.0, None
-    else:
-        c, w_half = split_start_weights(k, a, grid.dtau)
-    sub, diag, sup, rhs, violations = _kernels.step_system(
-        grid.ubar, k, tcoef, rfac, qfac_in, gq, init_mult, c, half, w_half, gq_half
-    )
+    sub, diag, sup, rhs, violations = _step_system(
+        grid, k, _phase_coeffs(grid), half, gq_half)
     if k == 0:  # the half-step is part of the step to level 1
         violations += half_violations
     if violations:
@@ -323,28 +394,29 @@ def thomas_solve(system: TridiagonalSystem):
     """Solve one assembled tridiagonal system in O(size)."""
     if system.size < 1:
         raise InvalidInputError(f"system size must be >= 1, got {system.size}")
-    return _kernels.thomas(system.sub, system.diag, system.sup, system.rhs)
+    return _thomas(system.sub, system.diag, system.sup, system.rhs)
 
 
 def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
     """Populate grid rows 1..through (default: all) in place.
 
-    Dispatches to the active backend kernel; both backends realize the same
-    repeated assemble + Thomas-solve recursion, the solid's half-step
-    included.  Recomputes from level 0, so the result is independent of any
-    previous partial advance.
+    Repeats assemble + Thomas solve level by level, the solid's half-step
+    first, with the arithmetic of assemble_phase{1,2}_step and
+    thomas_solve.  Recomputes from level 0, so the result is independent
+    of any previous partial advance.
     """
     n = grid.mesh.n
     if through is None:
         through = n
     if not 1 <= through <= n:
         raise InvalidInputError(f"through must lie in [1, {n}], got {through}")
-    tcoef, rfac, qfac_in, gq, init_mult = _phase_coeffs(grid)
+    coeffs = _phase_coeffs(grid)
     try:
         half, gq_half, violations = _half_row(grid)
-        violations += backend.advance_impl()(
-            grid.ubar, tcoef, rfac, qfac_in, gq, init_mult, grid.params.alpha,
-            grid.dtau, through, half, gq_half)
+        for k in range(through):
+            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, half, gq_half)
+            violations += v
+            grid.ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:

@@ -16,9 +16,9 @@ is the consistent variant and the one implemented in the test suite.)
 
 Evaluation is by direct summation with a relative truncation test and no
 asymptotic continuation: once |z| is large enough that huge alternating
-terms cancel past the term cap, the evaluator raises NonConvergenceError
-rather than return silently wrong digits.  Callers treat that as "outside
-the validated range".
+terms cancel below their roundoff or past the term cap, the evaluator
+raises NonConvergenceError rather than return silently wrong digits.
+Callers treat that as "outside the validated range".
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ _POLE_TOL = 1e-12
 
 # largest x with exp(x) finite in double precision
 _LOG_MAX = math.log(sys.float_info.max)
+
+# largest roundoff, relative to max(|sum|, 1), that cancellation of large
+# alternating terms may leave in an accepted sum
+_CANCEL_TOL = 1e-6
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -110,9 +114,10 @@ def wright_series(args: WrightArgs) -> WrightResult:
     though their product does not, so terms switch to a log-space product
     once the fast path under- or overflows.
 
-    Raises NonConvergenceError when max_terms is reached first, or when a
-    term overflows double precision: such a sum cannot cancel back to an
-    accurate value.
+    Raises NonConvergenceError when max_terms is reached first, when a
+    term overflows double precision, or when the roundoff of the largest
+    term (eps * max |term|) exceeds _CANCEL_TOL * max(|sum|, 1): such a sum
+    cannot cancel back to an accurate value.
     """
     z, g, d = args.z, args.gamma, args.delta
     if z == 0.0:
@@ -125,6 +130,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
     run = 0
     run_bound = 0.0
     term = 0.0
+    peak = 0.0  # largest |term| so far
     for k in range(args.max_terms + 1):
         if k > 0:
             pw *= z / k
@@ -155,11 +161,23 @@ def wright_series(args: WrightArgs) -> WrightResult:
                     )
                 term = sign * math.exp(log_term)
         total += term
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
         threshold = args.tol * max(abs(total), 1.0)
-        if abs(term) <= threshold:
+        if mag <= threshold:
             run += 1
-            run_bound = max(run_bound, abs(term))
+            run_bound = max(run_bound, mag)
             if run >= _STOP_RUN:
+                if peak * sys.float_info.epsilon > _CANCEL_TOL * max(abs(total), 1.0):
+                    raise NonConvergenceError(
+                        f"Wright series cancels below roundoff at z={z:.6g}, "
+                        f"gamma={g:.6g}, delta={d:.6g} (largest term {peak:.3e}, "
+                        f"sum {total:.3e})",
+                        partial=total,
+                        last_term=term,
+                        terms=k + 1,
+                    )
                 return WrightResult(total, run_bound, k + 1)
         else:
             run = 0

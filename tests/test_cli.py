@@ -129,6 +129,7 @@ class TestRunTables:
         assert "mode=tables" in text
         assert "m1=8" in text
         assert "version=" in text
+        assert "backend=numpy" in text.splitlines()
 
     def test_deterministic_bytes(self, tmp_path):
         outs = []

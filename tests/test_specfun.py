@@ -116,6 +116,14 @@ class TestWright:
         with pytest.raises(errors.NonConvergenceError, match="overflows"):
             specfun.wright(-80.0, -0.475, 1.0)
 
+    @pytest.mark.parametrize("z, gamma", [(-20.0, -0.475), (-12.0, -0.5)])
+    def test_nonconvergence_when_terms_cancel_below_roundoff(self, z, gamma):
+        # alternating terms up to 2.6e32 and 2.7e13 cancel to 1.6e18 and
+        # -0.039, far from the true values (W(-12; -1/2, 1) = erfc(6) ~ 2e-17)
+        with pytest.raises(errors.NonConvergenceError, match="roundoff") as info:
+            specfun.wright(z, gamma, 1.0)
+        assert info.value.partial is not None and info.value.terms > 1
+
     def test_alternating_large_argument_still_converges(self):
         # the log-space fallback territory: |z| large enough that z**k/k!
         # underflows before the series terms become negligible
