@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
 
 from . import specfun
 from .errors import (
@@ -47,6 +47,8 @@ __all__ = [
 DEFAULT_BRACKET = (0.1, 2.0)
 
 _SINGULAR_TOL = 1e-14
+
+_erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,16 @@ class ExactSolution:
 
     p: float
     params: PhysicalParams
+
+    @cached_property
+    def front_values(self) -> tuple:
+        """(liquid, solid) W(-p/sqrt(kappa); -alpha/2, 1), or erfc(p/(2 sqrt(kappa)))
+        at alpha = 1; kept after the first use, unless that use raised."""
+        a = self.params.alpha
+        sq = (math.sqrt(self.params.kappa1), math.sqrt(self.params.kappa2))
+        if a == 1.0:
+            return tuple(specfun.erfc(self.p / (2.0 * s)) for s in sq)
+        return tuple(specfun.wright(-self.p / s, -a / 2.0, 1.0) for s in sq)
 
 
 def nondimensionalize(d: DimensionalInputs) -> PhysicalParams:
@@ -248,14 +260,12 @@ def u1_exact(x: float, tau: float, sol: ExactSolution) -> float:
     if x < 0.0 or x > front * (1.0 + _EDGE_SLACK):
         raise DomainError(f"x={x} outside liquid region [0, {front}] at tau={tau}")
     a = sol.params.alpha
-    sq = math.sqrt(sol.params.kappa1)
+    den = sol.front_values[0] - 1.0
     if a == 1.0:
         num = specfun.erfc(x / (2.0 * math.sqrt(sol.params.kappa1 * tau))) - 1.0
-        den = specfun.erfc(sol.p / (2.0 * sq)) - 1.0
     else:
-        g = -a / 2.0
-        num = specfun.wright(-x / (sq * tau ** (a / 2.0)), g, 1.0) - 1.0
-        den = specfun.wright(-sol.p / sq, g, 1.0) - 1.0
+        sq = math.sqrt(sol.params.kappa1)
+        num = specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0) - 1.0
     return 1.0 - num / den
 
 
@@ -271,14 +281,12 @@ def u2_exact(x: float, tau: float, sol: ExactSolution) -> float:
     if x < front * (1.0 - _EDGE_SLACK):
         raise DomainError(f"x={x} inside liquid region (front {front}) at tau={tau}")
     a = sol.params.alpha
-    sq = math.sqrt(sol.params.kappa2)
+    w_front = sol.front_values[1]
     if a == 1.0:
-        w_front = specfun.erfc(sol.p / (2.0 * sq))
         w_here = specfun.erfc(x / (2.0 * math.sqrt(sol.params.kappa2 * tau)))
     else:
-        g = -a / 2.0
-        w_front = specfun.wright(-sol.p / sq, g, 1.0)
-        w_here = specfun.wright(-x / (sq * tau ** (a / 2.0)), g, 1.0)
+        sq = math.sqrt(sol.params.kappa2)
+        w_here = specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0)
     if abs(w_front) < _SINGULAR_TOL:
         raise DegenerateInputError(f"solid profile degenerate: W front value {w_front:.3e}")
     return sol.params.theta_inf * (w_front - w_here) / w_front

@@ -391,30 +391,18 @@ def run_profiles(config: RunConfig) -> dict:
     except FracStefanError as exc:
         logger.warning("transcendental solution unavailable, exact columns empty: %s", exc)
 
-    def exact_cell(fn, x, tau):
-        if sol_exact is None:
-            return ""
-        try:
-            return _fmt(fn(float(x), float(tau), sol_exact))
-        except (DomainError, NonConvergenceError):
-            return ""
-
     levels = _resolve_profile_levels(config, g1.tau)
     profile_rows = []
     for j in levels:
         tau_j = g1.tau[j]
-        for i in range(config.mesh.m1 + 1):
-            profile_rows.append([_fmt(tau_j), _fmt(f1.x[j, i]), _fmt(f1.u[j, i]),
-                                 "1", "numeric"])
-        for i in range(config.mesh.m2 + 1):
-            profile_rows.append([_fmt(tau_j), _fmt(f2.x[j, i]), _fmt(f2.u[j, i]),
-                                 "2", "numeric"])
-        for i in range(config.mesh.m1 + 1):
-            profile_rows.append([_fmt(tau_j), _fmt(f1.x[j, i]),
-                                 exact_cell(u1_exact, f1.x[j, i], tau_j), "1", "exact"])
-        for i in range(config.mesh.m2 + 1):
-            profile_rows.append([_fmt(tau_j), _fmt(f2.x[j, i]),
-                                 exact_cell(u2_exact, f2.x[j, i], tau_j), "2", "exact"])
+        for f, phase in ((f1, "1"), (f2, "2")):
+            profile_rows += [[_fmt(tau_j), _fmt(x), _fmt(u), phase, "numeric"]
+                             for x, u in zip(f.x[j], f.u[j])]
+        for f, fn, phase in ((f1, u1_exact, "1"), (f2, u2_exact, "2")):
+            for x in f.x[j]:
+                exact = _exact_value(fn, x, tau_j, sol_exact)
+                profile_rows.append([_fmt(tau_j), _fmt(x), "" if exact is None else _fmt(exact),
+                                     phase, "exact"])
 
     series = front_series(g1, g2)
     a = params.alpha
@@ -438,6 +426,17 @@ def run_profiles(config: RunConfig) -> dict:
     return paths
 
 
+def _exact_value(fn, x, tau, sol: ExactSolution | None):
+    """fn(x, tau, sol) for fn = u1_exact/u2_exact; None without sol, outside
+    fn's phase region or where the series stops converging."""
+    if sol is None:
+        return None
+    try:
+        return fn(float(x), float(tau), sol)
+    except (DomainError, NonConvergenceError):
+        return None
+
+
 def _profile_errors(config: RunConfig, mesh: MeshConfig, p_num: float,
                     sol_exact: ExactSolution):
     """Max-abs deviation of the recovered temperatures from the exact route.
@@ -453,23 +452,16 @@ def _profile_errors(config: RunConfig, mesh: MeshConfig, p_num: float,
     n = mesh.n
     stride = max(1, n // 8)
     levels = sorted(set(range(stride, n + 1, stride)) | {n})
-    err1 = 0.0
-    err2 = 0.0
-    for j in levels:
-        tau_j = g1.tau[j]
-        for i in range(mesh.m1 + 1):
-            try:
-                exact = u1_exact(float(f1.x[j, i]), float(tau_j), sol_exact)
-            except (DomainError, NonConvergenceError):
-                continue
-            err1 = max(err1, abs(exact - f1.u[j, i]))
-        for i in range(mesh.m2 + 1):
-            try:
-                exact = u2_exact(float(f2.x[j, i]), float(tau_j), sol_exact)
-            except (DomainError, NonConvergenceError):
-                continue
-            err2 = max(err2, abs(exact - f2.u[j, i]))
-    return err1, err2
+    worst = []
+    for f, fn in ((f1, u1_exact), (f2, u2_exact)):
+        err = 0.0
+        for j in levels:
+            for x, u in zip(f.x[j], f.u[j]):
+                exact = _exact_value(fn, x, g1.tau[j], sol_exact)
+                if exact is not None:
+                    err = max(err, abs(exact - u))
+        worst.append(err)
+    return tuple(worst)
 
 
 def run_convergence(config: RunConfig, levels: int = 2) -> Path:

@@ -30,6 +30,7 @@ from .scheme import (
     PhaseGrid,
     _half_row,
     _half_width,
+    _phase_coeffs,
     advance_phase,
     make_phase_grid,
     recover_physical,
@@ -93,7 +94,7 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
     flux2 = (f2.u[:, 1] - f2.u[:, 0]) / (f2.x[:, 1] - f2.x[:, 0])
     # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
     width = _half_width(g2.p, g2.dtau, g2.mesh.ratio, g2.params.alpha)
-    half = _half_row(g2)[0]
+    half = _half_row(g2, _phase_coeffs(g2))[0]
     flux2_half = (half[1] - half[0]) * width / g2.v[1]
     return flux1, flux2, flux2_half
 

@@ -268,7 +268,7 @@ def _system(rhs, r_imp, q_imp, diag_value, left, right):
     return sub, diag, sup, rhs, violations
 
 
-def _half_row(grid: PhaseGrid):
+def _half_row(grid: PhaseGrid, coeffs):
     """The solid's row at tau = dtau/2, solved from level 0: (half, gq_half, violations).
 
     The half-step is fully implicit: level 0 enters only as the initial
@@ -276,11 +276,12 @@ def _half_row(grid: PhaseGrid):
     boundary values are level 0's at the same physical temperature (the
     boundary data do not change in time), so the half level is a function
     of level 0 alone.  gq_half is weighted like gq: its rectangle is half a
-    step wide.  The liquid has no half level: (None, 0.0, 0).
+    step wide.  coeffs is _phase_coeffs(grid).  The liquid has no half
+    level: (None, 0.0, 0).
     """
     if grid.phase == 1:
         return None, 0.0, 0
-    _, rfac, qfac_in, _, init_mult = _phase_coeffs(grid)
+    _, rfac, qfac_in, _, init_mult = coeffs
     a = grid.params.alpha
     L = grid.mesh.ratio
     width = _half_width(grid.p, grid.dtau, L, a)
@@ -358,9 +359,9 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
             f"phase {grid.phase} grid holds rows through {grid.filled_through}, "
             f"cannot assemble step targeting level {k + 1}"
         )
-    half, gq_half, half_violations = _half_row(grid)
-    sub, diag, sup, rhs, violations = _step_system(
-        grid, k, _phase_coeffs(grid), half, gq_half)
+    coeffs = _phase_coeffs(grid)
+    half, gq_half, half_violations = _half_row(grid, coeffs)
+    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, half, gq_half)
     if k == 0:  # the half-step is part of the step to level 1
         violations += half_violations
     if violations:
@@ -412,7 +413,7 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
         raise InvalidInputError(f"through must lie in [1, {n}], got {through}")
     coeffs = _phase_coeffs(grid)
     try:
-        half, gq_half, violations = _half_row(grid)
+        half, gq_half, violations = _half_row(grid, coeffs)
         for k in range(through):
             sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, half, gq_half)
             violations += v

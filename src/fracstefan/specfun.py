@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.special import gammaln as _gammaln, rgamma as _rgamma
-
 from .errors import InvalidInputError, NonConvergenceError
 
 __all__ = [
@@ -57,8 +55,15 @@ _CANCEL_TOL = 1e-6
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ..."""
-    return float(_rgamma(x))
+    """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ... and where Gamma
+    overflows (x > 171.6); an infinity of Gamma's sign where it underflows."""
+    try:
+        g = math.gamma(x)
+    except (ValueError, OverflowError):  # a pole, or Gamma beyond double range
+        return 0.0
+    if g == 0.0:
+        return math.copysign(math.inf, g)
+    return 1.0 / g
 
 
 def erfc(x: float) -> float:
@@ -140,7 +145,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
         if nearest <= 0 and abs(x - nearest) < _POLE_TOL:
             term = 0.0
         else:
-            rg = float(_rgamma(x))
+            rg = reciprocal_gamma(x)
             if pw != 0.0 and math.isfinite(rg):
                 term = pw * rg
             else:
@@ -150,7 +155,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
                 sign = _gamma_sign(x)
                 if z < 0.0 and k % 2:
                     sign = -sign
-                log_term = lw - float(_gammaln(x))
+                log_term = lw - math.lgamma(x)
                 if log_term > _LOG_MAX:
                     raise NonConvergenceError(
                         f"Wright series term {k} overflows at z={z:.6g}, "

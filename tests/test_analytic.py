@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHAS, P_EXACT_REF, ROWS, params_for
-from fracstefan import analytic, errors
+from fracstefan import analytic, errors, specfun
 
 
 class TestPhysicalParams:
@@ -179,6 +179,37 @@ class TestTemperatures:
         vec = analytic.u1_classical(x, 1.0, sol_classic.p, 1.0)
         for xi, vi in zip(x, vec):
             assert analytic.u1_exact(float(xi), 1.0, sol_classic) == pytest.approx(vi, rel=1e-13)
+
+        x = np.linspace(analytic.front_exact(1.0, sol_classic), 6.0, 7)
+        theta = sol_classic.params.theta_inf
+        vec = analytic.u2_classical(x, 1.0, sol_classic.p, 1.0, theta)
+        for xi, vi in zip(x, vec):
+            assert analytic.u2_exact(float(xi), 1.0, sol_classic) == pytest.approx(vi, rel=1e-13)
+
+    def test_front_values_evaluated_once(self, monkeypatch):
+        calls = []
+        wright = specfun.wright
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wright(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "wright", counted)
+        sol = analytic.ExactSolution(P_EXACT_REF[(0, 0.5)], params_for(0, 0.5))
+        s = analytic.front_exact(1.0, sol)
+        n = 6
+        for i in range(n):
+            analytic.u1_exact(s * i / n, 1.0, sol)
+            analytic.u2_exact(s * (1.0 + i / n), 1.0, sol)
+        # one Wright value per point, plus the two front values once
+        assert len(calls) == 2 * n + 2
+
+    def test_failed_front_value_raises_on_every_call(self):
+        # W(-40; -1/4, 1) does not converge; nothing is kept, so each call raises
+        sol = analytic.ExactSolution(40.0, params_for(0, 0.5))
+        for _ in range(2):
+            with pytest.raises(errors.NonConvergenceError):
+                analytic.u1_exact(0.0, 1.0, sol)
 
 
 class TestFrontExact:

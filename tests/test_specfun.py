@@ -1,6 +1,10 @@
 """Wright series, reciprocal gamma, erfc."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +27,14 @@ class TestReciprocalGamma:
 
     def test_half(self):
         assert specfun.reciprocal_gamma(0.5) == pytest.approx(INV_SQRT_PI, rel=1e-14)
+
+    @pytest.mark.parametrize("x, expected", [
+        (172.0, 0.0), (200.0, 0.0),  # Gamma overflows
+        (-180.5, -math.inf), (-171.5, math.inf),  # Gamma underflows, to -0 and a subnormal
+    ])
+    def test_beyond_double_range(self, x, expected):
+        # the infinite values are what send wright_series to its log-space path
+        assert specfun.reciprocal_gamma(x) == expected
 
     @given(st.floats(min_value=-30.0, max_value=30.0))
     @settings(max_examples=200, deadline=None)
@@ -129,3 +141,12 @@ class TestWright:
         # underflows before the series terms become negligible
         got = specfun.wright(-8.0, -0.5, 1.0)
         assert got == pytest.approx(specfun.erfc(4.0), abs=1e-10)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    src = Path(specfun.__file__).resolve().parents[1]
+    code = "import sys, fracstefan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
