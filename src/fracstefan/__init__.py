@@ -10,18 +10,16 @@ module cross-validates them and exports plot-ready CSV data.
 __version__ = "0.1.0"
 
 from .analytic import (
-    DimensionalInputs,
     ExactSolution,
     PhysicalParams,
     front_exact,
-    nondimensionalize,
     solve_exact,
     solve_p_exact,
     transcendental_residual,
     u1_exact,
     u2_exact,
 )
-from .fracquad import MemoryWeights, history_sum, trap_weights
+from .fracquad import MemoryWeights, trap_weights
 from .fronttrack import (
     FrontSolveResult,
     bisection_solve,
@@ -40,13 +38,10 @@ from .scheme import (
     make_phase_grid,
     recover_physical,
     thomas_solve,
-    transform_v1,
-    transform_v2,
 )
 from .specfun import WrightArgs, WrightResult, erfc, reciprocal_gamma, wright
 
 __all__ = [
-    "DimensionalInputs",
     "ExactSolution",
     "FrontSolveResult",
     "MemoryWeights",
@@ -66,9 +61,7 @@ __all__ = [
     "front_exact",
     "front_residual",
     "front_series",
-    "history_sum",
     "make_phase_grid",
-    "nondimensionalize",
     "reciprocal_gamma",
     "recover_physical",
     "solve_exact",
@@ -76,8 +69,6 @@ __all__ = [
     "stefan_front_value",
     "thomas_solve",
     "transcendental_residual",
-    "transform_v1",
-    "transform_v2",
     "trap_weights",
     "u1_exact",
     "u2_exact",

@@ -28,11 +28,9 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_BRACKET",
-    "DimensionalInputs",
     "ExactSolution",
     "PhysicalParams",
     "front_exact",
-    "nondimensionalize",
     "solve_exact",
     "solve_p_exact",
     "transcendental_residual",
@@ -82,43 +80,6 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class DimensionalInputs:
-    """Dimensional material data feeding the scaling map.
-
-    Conductivities are the modified ones carrying the memory order in their
-    units; U0 is the heat-source temperature, Us the melting point, Uinf the
-    far-field temperature, l1 the reference length.
-    """
-
-    alpha: float
-    K1: float
-    K2: float
-    K0: float
-    c1: float
-    c2: float
-    c0: float
-    rho1: float
-    latent_heat: float
-    U0: float
-    Us: float
-    Uinf: float
-    l1: float
-
-    def __post_init__(self):
-        problems = []
-        if not 0.0 < self.alpha <= 1.0:
-            problems.append(f"alpha must be in (0, 1], got {self.alpha}")
-        positive = ("K1", "K2", "K0", "c1", "c2", "c0", "rho1", "latent_heat", "l1")
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.U0 > self.Us:
-            problems.append(f"U0 must exceed Us, got U0={self.U0}, Us={self.Us}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
-
-
-@dataclass(frozen=True)
 class ExactSolution:
     """A converged front coefficient together with its parameter set."""
 
@@ -134,18 +95,6 @@ class ExactSolution:
         if a == 1.0:
             return tuple(specfun.erfc(self.p / (2.0 * s)) for s in sq)
         return tuple(specfun.wright(-self.p / s, -a / 2.0, 1.0) for s in sq)
-
-
-def nondimensionalize(d: DimensionalInputs) -> PhysicalParams:
-    """Map dimensional material data onto the five dimensionless constants."""
-    return PhysicalParams(
-        alpha=d.alpha,
-        kappa1=(d.K1 / d.K0) * (d.c0 / d.c1),
-        kappa2=(d.K2 / d.K0) * (d.c0 / d.c2),
-        lambda1=(d.U0 - d.Us) * d.K1 * d.c0 / (d.latent_heat * d.K0),
-        lambda2=(d.U0 - d.Us) * d.K2 * d.c0 / (d.latent_heat * d.K0),
-        theta_inf=(d.Uinf - d.Us) / (d.U0 - d.Us),
-    )
 
 
 def _classical_residual(p: float, params: PhysicalParams) -> float:

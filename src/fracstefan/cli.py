@@ -39,7 +39,8 @@ from .fronttrack import (
     final_time,
     front_series,
 )
-from .scheme import MeshConfig, advance_phase, make_phase_grid, recover_physical
+# advance_phase is not called here; perfbench/tracing.py wraps this binding
+from .scheme import MeshConfig, advance_phase, recover_physical  # noqa: F401
 
 __all__ = ["RunConfig", "main", "parse_config", "run_convergence", "run_profiles", "run_tables"]
 
@@ -295,6 +296,9 @@ def run_tables(config: RunConfig) -> dict:
             try:
                 result = bisection_solve(params, config.mesh, config.bracket,
                                          config.eps, config.max_iter)
+                # a table cell needs only p: release the grids, so that a
+                # caller keeping every search result holds no grid pairs
+                result.grids = None
                 if result.converged:
                     tau_n = final_time(result.p, a)
                     # emit-time identity: the time cell must be the exact
@@ -380,8 +384,7 @@ def run_profiles(config: RunConfig) -> dict:
             f"(|1 - S| = {abs(result.residual):.3e}); config: alpha={params.alpha}"
         )
     p_num = result.p
-    g1 = advance_phase(make_phase_grid(1, p_num, config.mesh, params))
-    g2 = advance_phase(make_phase_grid(2, p_num, config.mesh, params))
+    g1, g2 = result.grids
     f1 = recover_physical(g1)
     f2 = recover_physical(g2)
 
@@ -437,19 +440,17 @@ def _exact_value(fn, x, tau, sol: ExactSolution | None):
         return None
 
 
-def _profile_errors(config: RunConfig, mesh: MeshConfig, p_num: float,
-                    sol_exact: ExactSolution):
+def _profile_errors(grids, sol_exact: ExactSolution):
     """Max-abs deviation of the recovered temperatures from the exact route.
 
-    Sampled on up to 8 evenly spaced time levels plus the final one; exact
-    values are skipped where their phase region or series range ends.
+    grids is the converged (liquid, solid) pair of a front search.  Sampled
+    on up to 8 evenly spaced time levels plus the final one; exact values
+    are skipped where their phase region or series range ends.
     """
-    params = config.params
-    g1 = advance_phase(make_phase_grid(1, p_num, mesh, params))
-    g2 = advance_phase(make_phase_grid(2, p_num, mesh, params))
+    g1, g2 = grids
     f1 = recover_physical(g1)
     f2 = recover_physical(g2)
-    n = mesh.n
+    n = g1.mesh.n
     stride = max(1, n // 8)
     levels = sorted(set(range(stride, n + 1, stride)) | {n})
     worst = []
@@ -493,7 +494,7 @@ def run_convergence(config: RunConfig, levels: int = 2) -> Path:
                 raise NonConvergenceError(
                     f"not converged after {result.iterations} iterations"
                 )
-            err1, err2 = _profile_errors(config, mesh, result.p, sol_exact)
+            err1, err2 = _profile_errors(result.grids, sol_exact)
             row += [_fmt(result.p), _fmt(abs(result.p - p_exact)),
                     _fmt(err1), _fmt(err2), "ok"]
         except FracStefanError as exc:

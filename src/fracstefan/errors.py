@@ -35,10 +35,6 @@ class ZeroPivotError(FracStefanError):
     """Tridiagonal elimination met a zero pivot (non-dominant assembly)."""
 
 
-class LengthMismatchError(FracStefanError, ValueError):
-    """A value sequence is shorter than the weight range it must cover."""
-
-
 class InvalidStateError(FracStefanError):
     """A grid is missing history rows or holds non-finite values."""
 

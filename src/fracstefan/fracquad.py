@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, LengthMismatchError
+from .errors import InvalidInputError
 
-__all__ = ["MemoryWeights", "half_weight", "history_sum", "split_start_weights",
-           "trap_weights"]
+__all__ = ["MemoryWeights", "half_weight", "split_start_weights", "trap_weights"]
 
 # Relative cancellation of the naive second difference grows like
 # lag**2 * eps; 1415 is the smallest lag where lag**2 * 5e-16 > 1e-9.
@@ -45,10 +44,6 @@ class MemoryWeights:
     alpha: float
     dtau: float
     c: np.ndarray = field(repr=False)
-
-    @property
-    def target_time(self) -> float:
-        return (self.k + 1) * self.dtau
 
 
 def _interior_factor(lag: np.ndarray, alpha: float) -> np.ndarray:
@@ -145,20 +140,3 @@ def split_start_weights(k: int, alpha: float, dtau: float):
     c[1] += c[0] - w_half
     c[0] = 0.0
     return c, w_half
-
-
-def history_sum(values, weights: MemoryWeights, upto: int | None = None) -> float:
-    """sum_{j=0}^{upto} c[j] * values[j] (upto defaults to k+1)."""
-    c = weights.c
-    if upto is None:
-        upto = len(c) - 1
-    if upto < 0 or upto > len(c) - 1:
-        raise InvalidInputError(f"upto must lie in [0, {len(c) - 1}], got {upto}")
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidInputError(f"values must be one-dimensional, got shape {v.shape}")
-    if v.shape[0] < upto + 1:
-        raise LengthMismatchError(
-            f"need at least {upto + 1} values for upto={upto}, got {v.shape[0]}"
-        )
-    return float(np.dot(c[:upto + 1], v[:upto + 1]))

@@ -23,14 +23,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import DEFAULT_BRACKET, PhysicalParams
-from .errors import FracStefanError, GridMismatchError, InvalidInputError, NoSignChangeError
+from .errors import (
+    FracStefanError,
+    GridMismatchError,
+    InvalidInputError,
+    InvalidStateError,
+    NoSignChangeError,
+)
 from .fracquad import split_start_weights, trap_weights
 from .scheme import (
     MeshConfig,
     PhaseGrid,
-    _half_row,
     _half_width,
-    _phase_coeffs,
     advance_phase,
     make_phase_grid,
     recover_physical,
@@ -61,16 +65,18 @@ class FrontSolveResult:
     iterations: int
     history: list = field(repr=False)  # (candidate p, S(tau_n)) pairs, in order
     converged: bool
+    # the advanced (liquid, solid) grids at p; None when residual_fn replaced the grid solve
+    grids: tuple | None = field(default=None, repr=False)
 
 
 def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
     """One-sided difference quotients of the recovered temperatures.
 
     Returns (flux1, flux2, flux2_half): per time level, plus the solid
-    quotient at the half level tau = dtau/2.  The level-0 liquid quotient
-    is defined as zero: its numerator vanishes identically with empty
-    initial liquid data, and the guard keeps 0 over a near-zero spacing
-    from producing junk.
+    quotient at the half level tau = dtau/2, which advance_phase keeps on
+    the solid grid.  The level-0 liquid quotient is defined as zero: its
+    numerator vanishes identically with empty initial liquid data, and the
+    guard keeps 0 over a near-zero spacing from producing junk.
     """
     if g1.phase != 1 or g2.phase != 2:
         raise GridMismatchError(f"expected phases (1, 2), got ({g1.phase}, {g2.phase})")
@@ -85,6 +91,8 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
             f"grids must be advanced through level {n}, got "
             f"{g1.filled_through} and {g2.filled_through}"
         )
+    if g2.half is None:
+        raise InvalidStateError("solid grid holds no half level; advance it with advance_phase")
     f1 = recover_physical(g1)
     f2 = recover_physical(g2)
     m1 = g1.m
@@ -94,8 +102,7 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
     flux2 = (f2.u[:, 1] - f2.u[:, 0]) / (f2.x[:, 1] - f2.x[:, 0])
     # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
     width = _half_width(g2.p, g2.dtau, g2.mesh.ratio, g2.params.alpha)
-    half = _half_row(g2, _phase_coeffs(g2))[0]
-    flux2_half = (half[1] - half[0]) * width / g2.v[1]
+    flux2_half = (g2.half[1] - g2.half[0]) * width / g2.v[1]
     return flux1, flux2, flux2_half
 
 
@@ -134,19 +141,27 @@ def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
     return series
 
 
-def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
-    """1 - S(tau_n, p): build both grids for candidate p, advance, evaluate.
+def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig):
+    """Build and advance both grids for candidate p: (1 - S(tau_n, p), (g1, g2)).
 
-    Nothing is cached across candidates; each call is an independent solve.
+    Errors carry the candidate in their message.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
     try:
         g1 = advance_phase(make_phase_grid(1, p, mesh, params))
         g2 = advance_phase(make_phase_grid(2, p, mesh, params))
-        return 1.0 - stefan_front_value(g1, g2)
+        return 1.0 - stefan_front_value(g1, g2), (g1, g2)
     except FracStefanError as exc:
         raise type(exc)(f"candidate p={p:.8g}: {exc}") from exc
+
+
+def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
+    """1 - S(tau_n, p): build both grids for candidate p, advance, evaluate.
+
+    Nothing is cached across candidates; each call is an independent solve.
+    """
+    return _solve_candidate(p, params, mesh)[0]
 
 
 def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
@@ -158,7 +173,10 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
     Follows the classic recipe: evaluate both endpoints first (either may
     already satisfy |1 - S| < eps and end the search), require a sign
     change, then halve.  Hitting max_iter returns converged=False rather
-    than raising.  residual_fn replaces the grid solve, for testing.
+    than raising.  The returned p is always the last candidate, so the
+    search keeps only that candidate's grids and returns them as
+    result.grids.  residual_fn replaces the grid solve, for testing; the
+    result then holds no grids.
     """
     p_a, p_b = float(bracket[0]), float(bracket[1])
     if not (0.0 < p_a < p_b):
@@ -167,8 +185,13 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
         raise InvalidInputError(f"eps must be > 0, got {eps}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    grids = None
     if residual_fn is None:
-        residual_fn = lambda p: front_residual(p, params, mesh)
+        def residual_fn(p):
+            nonlocal grids
+            grids = None  # let the previous pair go before advancing the next
+            r, grids = _solve_candidate(p, params, mesh)
+            return r
 
     history = []
 
@@ -180,10 +203,10 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
 
     r_a = evaluate(p_a)
     if abs(r_a) < eps:
-        return FrontSolveResult(p_a, 1.0 - r_a, r_a, 0, history, True)
+        return FrontSolveResult(p_a, 1.0 - r_a, r_a, 0, history, True, grids)
     r_b = evaluate(p_b)
     if abs(r_b) < eps:
-        return FrontSolveResult(p_b, 1.0 - r_b, r_b, 0, history, True)
+        return FrontSolveResult(p_b, 1.0 - r_b, r_b, 0, history, True, grids)
     if r_a * r_b >= 0.0:
         raise NoSignChangeError(
             f"front residual does not change sign on [{p_a}, {p_b}]: "
@@ -195,12 +218,12 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
         p_c = 0.5 * (p_a + p_b)
         r_c = evaluate(p_c)
         if abs(r_c) < eps:
-            return FrontSolveResult(p_c, 1.0 - r_c, r_c, iteration, history, True)
+            return FrontSolveResult(p_c, 1.0 - r_c, r_c, iteration, history, True, grids)
         if r_a * r_c > 0.0:
             p_a, r_a = p_c, r_c
         else:
             p_b, r_b = p_c, r_c
-    return FrontSolveResult(p_c, 1.0 - r_c, r_c, max_iter, history, False)
+    return FrontSolveResult(p_c, 1.0 - r_c, r_c, max_iter, history, False, grids)
 
 
 def final_time(p: float, alpha: float) -> float:

@@ -60,8 +60,6 @@ __all__ = [
     "make_phase_grid",
     "recover_physical",
     "thomas_solve",
-    "transform_v1",
-    "transform_v2",
 ]
 
 logger = logging.getLogger(__name__)
@@ -110,6 +108,8 @@ class PhaseGrid:
     v: np.ndarray = field(repr=False)
     ubar: np.ndarray = field(repr=False)
     filled_through: int = 0
+    # the solid's row at tau = dtau/2, kept by advance_phase; None for the liquid
+    half: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -138,25 +138,6 @@ class TridiagonalSystem:
     rhs: np.ndarray = field(repr=False)
     size: int
     dominance_violations: int = 0
-
-
-def transform_v1(x: float, tau: float, p: float, alpha: float) -> float:
-    """Liquid-phase similarity coordinate x / (p * tau**(alpha/2))."""
-    if tau <= 0.0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    return x / (p * tau ** (alpha / 2.0))
-
-
-def transform_v2(x: float, tau: float, p: float, alpha: float, L: float) -> float:
-    """Solid-phase coordinate (x - S) / (L - S); front at 0, truncation at 1."""
-    if tau <= 0.0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    front = p * tau ** (alpha / 2.0)
-    if L <= front:
-        raise DegenerateInputError(
-            f"front {front:.6g} reached the truncated boundary L={L} at tau={tau}"
-        )
-    return (x - front) / (L - front)
 
 
 def _tau_grid(mesh: MeshConfig, dtau: float) -> np.ndarray:
@@ -403,8 +384,9 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
 
     Repeats assemble + Thomas solve level by level, the solid's half-step
     first, with the arithmetic of assemble_phase{1,2}_step and
-    thomas_solve.  Recomputes from level 0, so the result is independent
-    of any previous partial advance.
+    thomas_solve, and keeps the solid's half level as grid.half for the
+    interface balance.  Recomputes from level 0, so the result is
+    independent of any previous partial advance.
     """
     n = grid.mesh.n
     if through is None:
@@ -429,6 +411,7 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
         raise InvalidStateError(
             f"non-finite values while advancing phase {grid.phase} (p={grid.p:.6g})"
         )
+    grid.half = half
     grid.filled_through = through
     return grid
 

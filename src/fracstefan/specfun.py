@@ -95,7 +95,9 @@ class WrightArgs:
 
 class WrightResult(NamedTuple):
     value: float
-    term_bound: float  # bound on the magnitude of the first omitted term
+    # error estimate: the larger of the first omitted term's magnitude and
+    # the summation roundoff, terms * eps * max(largest |term|, |sum|)
+    term_bound: float
     terms: int  # number of series terms summed
 
 
@@ -122,7 +124,9 @@ def wright_series(args: WrightArgs) -> WrightResult:
     Raises NonConvergenceError when max_terms is reached first, when a
     term overflows double precision, or when the roundoff of the largest
     term (eps * max |term|) exceeds _CANCEL_TOL * max(|sum|, 1): such a sum
-    cannot cancel back to an accurate value.
+    cannot cancel back to an accurate value.  Below that limit the
+    cancellation still costs digits, so term_bound also covers the
+    roundoff of the whole sum.
     """
     z, g, d = args.z, args.gamma, args.delta
     if z == 0.0:
@@ -183,7 +187,8 @@ def wright_series(args: WrightArgs) -> WrightResult:
                         last_term=term,
                         terms=k + 1,
                     )
-                return WrightResult(total, run_bound, k + 1)
+                roundoff = (k + 1) * sys.float_info.epsilon * max(peak, abs(total))
+                return WrightResult(total, max(run_bound, roundoff), k + 1)
         else:
             run = 0
             run_bound = 0.0

@@ -62,13 +62,7 @@ def table2_results():
 
 @pytest.fixture(scope="module")
 def numeric_grids(table2_results):
-    grids = {}
-    for (row, alpha), result in table2_results.items():
-        params = params_for(row, alpha)
-        g1 = scheme.advance_phase(scheme.make_phase_grid(1, result.p, PROD_MESH, params))
-        g2 = scheme.advance_phase(scheme.make_phase_grid(2, result.p, PROD_MESH, params))
-        grids[(row, alpha)] = (g1, g2)
-    return grids
+    return {cell: result.grids for cell, result in table2_results.items()}
 
 
 def test_criterion_1_exact_front_coefficients():

@@ -1,6 +1,4 @@
-"""Similarity solution, scaling map, and the front-coefficient equation."""
-
-import math
+"""Similarity solution and the front-coefficient equation."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,39 +18,6 @@ class TestPhysicalParams:
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(errors.InvalidInputError, match="kappa1"):
             analytic.PhysicalParams(alpha=0.5, kappa1=0.0)
-
-
-class TestNondimensionalize:
-    def _base(self, **kw):
-        defaults = dict(alpha=0.5, K1=1.0, K2=1.0, K0=1.0, c1=1.0, c2=1.0,
-                        c0=1.0, rho1=1.0, latent_heat=1.0, U0=1.0, Us=0.0,
-                        Uinf=0.0, l1=1.0)
-        defaults.update(kw)
-        return analytic.DimensionalInputs(**defaults)
-
-    def test_identity_scaling(self):
-        params = analytic.nondimensionalize(self._base())
-        assert params.kappa1 == 1.0
-
-    def test_far_field_at_melting_point(self):
-        params = analytic.nondimensionalize(self._base(Uinf=0.0, Us=0.0))
-        assert params.theta_inf == 0.0
-
-    def test_direct_substitution(self):
-        # K1 = 2 K0, unit heats, (U0 - Us) c0 / L = 1/2
-        d = self._base(K1=2.0, latent_heat=2.0, Uinf=0.0)
-        params = analytic.nondimensionalize(d)
-        assert (params.kappa1, params.kappa2) == (2.0, 1.0)
-        assert params.lambda1 == pytest.approx(1.0)
-        assert params.lambda2 == pytest.approx(0.5)
-
-    def test_rejects_inverted_temperatures(self):
-        with pytest.raises(errors.InvalidInputError, match="U0"):
-            self._base(U0=-1.0, Us=0.0)
-
-    def test_rejects_nonpositive_material_data(self):
-        with pytest.raises(errors.InvalidInputError, match="K2"):
-            self._base(K2=0.0)
 
 
 class TestTranscendentalResidual:

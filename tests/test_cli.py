@@ -1,11 +1,12 @@
 """Config parsing, CSV emission, and command-line behavior."""
 
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fracstefan import cli, errors
+from fracstefan import cli, errors, fronttrack
 
 TINY = {"m1": 8, "m2": 20, "n": 12}
 
@@ -238,6 +239,40 @@ class TestRunConvergence:
                                   output_dir=tmp_path)
         with pytest.raises(errors.InvalidInputError):
             cli.run_convergence(config, levels=1)
+
+
+class TestAdvanceCount:
+    @pytest.mark.parametrize("mode", ["profiles", "convergence"])
+    def test_each_candidate_advanced_once_per_phase(self, tmp_path, monkeypatch, mode):
+        # the outputs read the search's converged grids; nothing is advanced again
+        advanced = Counter()
+        advance = fronttrack.advance_phase
+
+        def counted(grid, *args, **kwargs):
+            advanced[(grid.phase, grid.p, grid.mesh)] += 1
+            return advance(grid, *args, **kwargs)
+
+        candidates = Counter()
+        solve = cli.bisection_solve
+
+        def recorded(params, mesh, *args, **kwargs):
+            result = solve(params, mesh, *args, **kwargs)
+            for p, _ in result.history:
+                for phase in (1, 2):
+                    candidates[(phase, p, mesh)] += 1
+            return result
+
+        monkeypatch.setattr(fronttrack, "advance_phase", counted)
+        monkeypatch.setattr(cli, "advance_phase", counted)
+        monkeypatch.setattr(cli, "bisection_solve", recorded)
+        config = cli.parse_config(None, tiny_overrides(alpha=1.0), mode=mode,
+                                  output_dir=tmp_path)
+        if mode == "profiles":
+            cli.run_profiles(config)
+        else:
+            cli.run_convergence(config, levels=2)
+        assert candidates
+        assert advanced == candidates
 
 
 class TestMain:

@@ -50,7 +50,6 @@ class TestTrapWeights:
                 w = fracquad.trap_weights(k, alpha, 0.05)
                 tau_target = (k + 1) * 0.05
                 assert float(w.c.sum()) == pytest.approx(tau_target ** alpha / alpha, rel=1e-13)
-                assert w.target_time == pytest.approx(tau_target)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 37, 400, 2000, 10000])
@@ -136,38 +135,3 @@ class TestSplitStartWeights:
     def test_matches_trapezoid_beyond_first_interval(self):
         c, _ = fracquad.split_start_weights(9, 0.5, 0.05)
         np.testing.assert_array_equal(c[2:], fracquad.trap_weights(9, 0.5, 0.05).c[2:])
-
-
-class TestHistorySum:
-    def test_zeros(self):
-        w = fracquad.trap_weights(5, 0.5, 0.1)
-        assert fracquad.history_sum(np.zeros(7), w) == 0.0
-
-    def test_all_ones_gives_weight_sum(self):
-        alpha, dtau, k = 0.75, 0.02, 9
-        w = fracquad.trap_weights(k, alpha, dtau)
-        got = fracquad.history_sum(np.ones(k + 2), w, upto=k + 1)
-        assert got == pytest.approx(((k + 1) * dtau) ** alpha / alpha, rel=1e-13)
-
-    def test_selector(self):
-        w = fracquad.trap_weights(6, 0.3, 0.05)
-        for j in (0, 3, 7):
-            values = np.zeros(8)
-            values[j] = 1.0
-            assert fracquad.history_sum(values, w) == pytest.approx(w.c[j], rel=1e-15)
-
-    def test_partial_upper_limit(self):
-        w = fracquad.trap_weights(4, 0.5, 0.1)
-        values = np.arange(6, dtype=float)
-        assert fracquad.history_sum(values, w, upto=2) == pytest.approx(
-            float(np.dot(w.c[:3], values[:3])))
-
-    def test_length_mismatch(self):
-        w = fracquad.trap_weights(4, 0.5, 0.1)
-        with pytest.raises(errors.LengthMismatchError):
-            fracquad.history_sum(np.ones(3), w)
-
-    def test_bad_upto(self):
-        w = fracquad.trap_weights(4, 0.5, 0.1)
-        with pytest.raises(errors.InvalidInputError):
-            fracquad.history_sum(np.ones(6), w, upto=9)

@@ -25,8 +25,18 @@ class TestStefanFrontValue:
         g2 = scheme.make_phase_grid(2, 0.8, MESH, params)
         g1.ubar[:] = 0.0
         g2.ubar[:] = 0.0
+        g2.half = np.zeros(MESH.m2 + 1)
         g1.filled_through = g2.filled_through = MESH.n
         assert fronttrack.stefan_front_value(g1, g2) == 0.0
+
+    def test_solid_without_half_level_rejected(self):
+        # rows filled by hand, not by advance_phase: no half level to integrate
+        params = params_for(0, 0.5)
+        g1, _ = advanced_pair(0.8, MESH, params)
+        g2 = scheme.make_phase_grid(2, 0.8, MESH, params)
+        g2.filled_through = MESH.n
+        with pytest.raises(errors.InvalidStateError, match="half level"):
+            fronttrack.stefan_front_value(g1, g2)
 
     def test_converged_candidate_lands_within_eps(self):
         params = params_for(0, 0.5)
@@ -64,7 +74,9 @@ class TestStefanFrontValue:
         params = params_for(0, 1.0)
         p = analytic.solve_p_exact(params)
         g1 = scheme.make_phase_grid(1, p, PROD_MESH, params)
-        g2 = scheme.make_phase_grid(2, p, PROD_MESH, params)
+        # one step stores the half level, which depends on level 0 alone;
+        # the injection below overwrites the rows it filled
+        g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, PROD_MESH, params), through=1)
         f1 = scheme.recover_physical(g1)
         f2 = scheme.recover_physical(g2)
         for j in range(1, PROD_MESH.n + 1):
@@ -153,6 +165,25 @@ class TestBisectionSolve:
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, bracket=(2.0, 0.1))
         with pytest.raises(errors.InvalidInputError):
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, eps=0.0)
+
+    def test_returns_grids_of_returned_candidate(self):
+        params = params_for(0, 0.5)
+        result = fronttrack.bisection_solve(params, MESH)
+        g1, g2 = result.grids
+        fresh1, fresh2 = advanced_pair(result.p, MESH, params)
+        for got, fresh in ((g1, fresh1), (g2, fresh2)):
+            assert got.p == result.p
+            assert got.filled_through == MESH.n
+            np.testing.assert_array_equal(got.ubar, fresh.ubar)
+        assert g1.half is None
+        np.testing.assert_array_equal(g2.half, fresh2.half)
+        assert 1.0 - fronttrack.stefan_front_value(g1, g2) == result.residual
+
+    def test_no_grids_when_residual_replaced(self):
+        result = fronttrack.bisection_solve(
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-3,
+            residual_fn=lambda p: 1.0 - p)
+        assert result.converged and result.grids is None
 
     def test_grid_backed_solve_small_mesh(self):
         params = params_for(0, 1.0)

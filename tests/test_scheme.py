@@ -1,6 +1,4 @@
-"""Front-fixing steppers: transforms, assembly, Thomas solve, advance, recovery."""
-
-import math
+"""Front-fixing steppers: assembly, Thomas solve, advance, recovery."""
 
 import numpy as np
 import pytest
@@ -9,34 +7,6 @@ from conftest import params_for
 from fracstefan import analytic, errors, scheme
 
 SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
-
-
-class TestTransforms:
-    def test_v1_pins_interface(self):
-        p, alpha, tau = 0.83, 0.5, 2.7
-        x = p * tau ** (alpha / 2.0)
-        assert scheme.transform_v1(x, tau, p, alpha) == pytest.approx(1.0, rel=1e-15)
-        assert scheme.transform_v1(0.0, tau, p, alpha) == 0.0
-
-    def test_v1_substitution(self):
-        assert scheme.transform_v1(1.0, 4.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_v1_roundtrip(self):
-        p, alpha, tau, x = 0.71, 0.25, 3.3, 0.44
-        v = scheme.transform_v1(x, tau, p, alpha)
-        assert v * p * tau ** (alpha / 2.0) == pytest.approx(x, rel=1e-14)
-
-    def test_v2_endpoints_and_substitution(self):
-        p, alpha, tau, L = 0.75, 1.0, 1.0, 10.0
-        front = p * math.sqrt(tau)
-        assert scheme.transform_v2(front, tau, p, alpha, L) == 0.0
-        assert scheme.transform_v2(L, tau, p, alpha, L) == pytest.approx(1.0, rel=1e-15)
-        assert scheme.transform_v2(5.0, tau, p, alpha, L) == pytest.approx(
-            (5.0 - 0.75) / (10.0 - 0.75), rel=1e-14)
-
-    def test_v2_degenerate_when_front_hits_boundary(self):
-        with pytest.raises(errors.DegenerateInputError):
-            scheme.transform_v2(1.0, 4.0, 1.0, 1.0, L=1.5)
 
 
 class TestMeshConfig:

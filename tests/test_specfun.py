@@ -115,6 +115,19 @@ class TestWright:
         assert result.term_bound <= 1e-13 * max(abs(result.value), 1.0)
         assert 1 < result.terms <= 700
 
+    @pytest.mark.parametrize("z", [-10.0, -8.0])
+    def test_term_bound_covers_cancellation_roundoff(self, z):
+        # accepted sums that cancel terms up to 6.6e8 (z = -10) and 1.3e5
+        # (z = -8): 60-digit oracle, the same series summed to convergence
+        result = specfun.wright_series(specfun.WrightArgs(z, -0.5, 1.0))
+        with mp.workdps(60):
+            exact = mp.mpf(0)
+            for k in range(400):
+                exact += mp.mpf(z) ** k / mp.factorial(k) * mp.rgamma(1 - mp.mpf(k) / 2)
+            error = abs(mp.mpf(result.value) - exact)
+        assert error > 1e-11  # roundoff far above the first omitted term
+        assert error <= result.term_bound
+
     def test_nonconvergence_when_cap_hit(self):
         with pytest.raises(errors.NonConvergenceError):
             specfun.wright(-1.0, -0.5, 1.0, max_terms=4)
