@@ -69,11 +69,13 @@ class PhysicalParams:
         if not 0.0 < self.alpha <= 1.0:
             problems.append(f"alpha must be in (0, 1], got {self.alpha}")
         for name in ("kappa1", "kappa2", "lambda1", "lambda2"):
-            if not getattr(self, name) > 0.0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.theta_inf > 0.0:
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                problems.append(f"{name} must be finite and > 0, got {value}")
+        if not (self.theta_inf <= 0.0 and math.isfinite(self.theta_inf)):
             problems.append(
-                f"theta_inf must be <= 0 for a melting configuration, got {self.theta_inf}"
+                f"theta_inf must be finite and <= 0 for a melting configuration, "
+                f"got {self.theta_inf}"
             )
         if problems:
             raise InvalidInputError("; ".join(problems))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__, backend
@@ -51,11 +52,23 @@ logger = logging.getLogger(__name__)
 TABLE_ROWS = ((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 2.0, 1.0))
 TABLE_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
-MODES = ("exact", "numeric", "tables", "profiles", "convergence")
+#: Subcommands and their help text.
+MODES = {
+    "exact": "front coefficient from the transcendental equation",
+    "numeric": "front coefficient from the grid solver",
+    "tables": "parameter sweep: exact and numeric coefficients plus final times",
+    "profiles": "temperature profiles and front-position export",
+    "convergence": "mesh refinement scan",
+}
 
-_FLOAT_KEYS = ("alpha", "lambda1", "lambda2", "kappa1", "kappa2", "theta_inf",
-               "ratio", "tau0_factor", "p_min", "p_max", "epsilon")
-_INT_KEYS = ("m1", "m2", "n", "max_iter")
+#: The scalar settings, in run.txt order, with their types.  Each is a
+#: config-file key and the flag --key (underscores as dashes; epsilon is --eps).
+_SETTINGS = {
+    "alpha": float, "lambda1": float, "lambda2": float, "kappa1": float,
+    "kappa2": float, "theta_inf": float, "ratio": float, "m1": int, "m2": int,
+    "n": int, "tau0_factor": float, "p_min": float, "p_max": float,
+    "epsilon": float, "max_iter": int,
+}
 
 _DEFAULTS = {
     **asdict(PhysicalParams(alpha=0.5)),
@@ -86,10 +99,8 @@ class RunConfig:
 
 def _parse_value(key: str, text: str):
     text = text.strip()
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _INT_KEYS:
-        return int(text)
+    if key in _SETTINGS:
+        return _SETTINGS[key](text)
     if key == "profile_times":
         return tuple(float(part) for part in text.split(",") if part.strip())
     if key == "extra_rows":
@@ -145,35 +156,15 @@ def parse_config(path=None, overrides=None, *, mode: str = "exact",
             resolved[key] = value
 
     problems = []
-    params = mesh = None
-    try:
-        params = PhysicalParams(
-            alpha=resolved["alpha"],
-            kappa1=resolved["kappa1"],
-            kappa2=resolved["kappa2"],
-            lambda1=resolved["lambda1"],
-            lambda2=resolved["lambda2"],
-            theta_inf=resolved["theta_inf"],
-        )
-    except InvalidInputError as exc:
-        problems.append(str(exc))
-    try:
-        mesh = MeshConfig(
-            m1=resolved["m1"],
-            m2=resolved["m2"],
-            n=resolved["n"],
-            ratio=resolved["ratio"],
-            tau0_factor=resolved["tau0_factor"],
-        )
-    except InvalidInputError as exc:
-        problems.append(str(exc))
-    if not 0.0 < resolved["p_min"] < resolved["p_max"]:
+    params = _record(PhysicalParams, resolved, problems)
+    mesh = _record(MeshConfig, resolved, problems)
+    if not (0.0 < resolved["p_min"] < resolved["p_max"] and math.isfinite(resolved["p_max"])):
         problems.append(
-            f"bracket must satisfy 0 < p_min < p_max, got "
+            f"bracket must satisfy 0 < p_min < p_max < inf, got "
             f"({resolved['p_min']}, {resolved['p_max']})"
         )
-    if not resolved["epsilon"] > 0.0:
-        problems.append(f"epsilon must be > 0, got {resolved['epsilon']}")
+    if not (resolved["epsilon"] > 0.0 and math.isfinite(resolved["epsilon"])):
+        problems.append(f"epsilon must be finite and > 0, got {resolved['epsilon']}")
     if resolved["max_iter"] < 1:
         problems.append(f"max_iter must be >= 1, got {resolved['max_iter']}")
     if resolved["profile_times"] is not None:
@@ -181,10 +172,10 @@ def parse_config(path=None, overrides=None, *, mode: str = "exact",
             if not t > 0.0:
                 problems.append(f"profile_times entries must be > 0, got {t}")
     for row in resolved["extra_rows"]:
-        if any(not v > 0.0 for v in row):
-            problems.append(f"extra_rows entries must be positive, got {row}")
+        if not all(v > 0.0 and math.isfinite(v) for v in row):
+            problems.append(f"extra_rows entries must be finite and positive, got {row}")
     if mode not in MODES:
-        problems.append(f"mode must be one of {MODES}, got {mode!r}")
+        problems.append(f"mode must be one of {tuple(MODES)}, got {mode!r}")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -196,41 +187,35 @@ def parse_config(path=None, overrides=None, *, mode: str = "exact",
         bracket=(resolved["p_min"], resolved["p_max"]),
         eps=resolved["epsilon"],
         max_iter=resolved["max_iter"],
-        profile_times=resolved["profile_times"],
+        # an empty list means unset, as run.txt writes it
+        profile_times=resolved["profile_times"] or None,
         extra_rows=resolved["extra_rows"],
     )
 
 
+def _record(cls, resolved: dict, problems: list):
+    """cls built from the resolved values of its fields; None, with the
+    violations appended to problems, if it rejects them."""
+    try:
+        return cls(**{f.name: resolved[f.name] for f in fields(cls)})
+    except InvalidInputError as exc:
+        problems.append(str(exc))
+        return None
+
+
 def _fmt(value) -> str:
-    return f"{value:.10g}"
+    return str(value) if isinstance(value, int) else f"{value:.10g}"
 
 
 def _write_metadata(config: RunConfig) -> Path:
     path = config.output_dir / "run.txt"
-    p = config.params
-    m = config.mesh
-    pairs = [
-        ("version", __version__),
-        ("backend", backend.active()),
-        ("mode", config.mode),
-        ("alpha", _fmt(p.alpha)),
-        ("lambda1", _fmt(p.lambda1)),
-        ("lambda2", _fmt(p.lambda2)),
-        ("kappa1", _fmt(p.kappa1)),
-        ("kappa2", _fmt(p.kappa2)),
-        ("theta_inf", _fmt(p.theta_inf)),
-        ("ratio", _fmt(m.ratio)),
-        ("m1", str(m.m1)),
-        ("m2", str(m.m2)),
-        ("n", str(m.n)),
-        ("tau0_factor", _fmt(m.tau0_factor)),
-        ("p_min", _fmt(config.bracket[0])),
-        ("p_max", _fmt(config.bracket[1])),
-        ("epsilon", _fmt(config.eps)),
-        ("max_iter", str(config.max_iter)),
-        ("profile_times", "" if config.profile_times is None
-         else ",".join(_fmt(t) for t in config.profile_times)),
-    ]
+    values = {**asdict(config.params), **asdict(config.mesh),
+              "p_min": config.bracket[0], "p_max": config.bracket[1],
+              "epsilon": config.eps, "max_iter": config.max_iter}
+    times = config.profile_times
+    pairs = [("version", __version__), ("backend", backend.active()), ("mode", config.mode)]
+    pairs += [(key, _fmt(values[key])) for key in _SETTINGS]
+    pairs.append(("profile_times", "" if times is None else ",".join(map(_fmt, times))))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for key, value in pairs:
             handle.write(f"{key}={value}\n")
@@ -300,16 +285,8 @@ def run_tables(config: RunConfig) -> dict:
                 # caller keeping every search result holds no grid pairs
                 result.grids = None
                 if result.converged:
-                    tau_n = final_time(result.p, a)
-                    # emit-time identity: the time cell must be the exact
-                    # p**(-2/alpha) image of the coefficient cell
-                    if abs(tau_n - result.p ** (-2.0 / a)) > 1e-12 * tau_n:
-                        raise FracStefanError(
-                            f"internal: time table inconsistent with "
-                            f"p**(-2/alpha) at alpha={a}"
-                        )
                     numeric_cells.append(_fmt(result.p))
-                    time_cells.append(_fmt(tau_n))
+                    time_cells.append(_fmt(final_time(result.p, a)))
                 else:
                     numeric_cells.append("NotConverged")
                     time_cells.append("NotConverged")
@@ -484,8 +461,7 @@ def run_convergence(config: RunConfig, levels: int = 2) -> Path:
     base = config.mesh
     for level in range(levels):
         scale = 2 ** level
-        mesh = MeshConfig(m1=base.m1 * scale, m2=base.m2 * scale, n=base.n * scale,
-                          ratio=base.ratio, tau0_factor=base.tau0_factor)
+        mesh = replace(base, m1=base.m1 * scale, m2=base.m2 * scale, n=base.n * scale)
         row = [str(level), str(mesh.m1), str(mesh.m2), str(mesh.n), _fmt(p_exact)]
         try:
             result = bisection_solve(params, mesh, config.bracket,
@@ -520,30 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("exact", "front coefficient from the transcendental equation"),
-        ("numeric", "front coefficient from the grid solver"),
-        ("tables", "parameter sweep: exact and numeric coefficients plus final times"),
-        ("profiles", "temperature profiles and front-position export"),
-        ("convergence", "mesh refinement scan"),
-    ):
+    for name, text in MODES.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
-        cmd.add_argument("--alpha", type=float, default=None)
-        cmd.add_argument("--lambda1", type=float, default=None)
-        cmd.add_argument("--lambda2", type=float, default=None)
-        cmd.add_argument("--kappa1", type=float, default=None)
-        cmd.add_argument("--kappa2", type=float, default=None)
-        cmd.add_argument("--theta-inf", dest="theta_inf", type=float, default=None)
-        cmd.add_argument("--ratio", type=float, default=None)
-        cmd.add_argument("--m1", type=int, default=None)
-        cmd.add_argument("--m2", type=int, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--eps", dest="epsilon", type=float, default=None)
-        cmd.add_argument("--tau0-factor", dest="tau0_factor", type=float, default=None)
-        cmd.add_argument("--p-min", dest="p_min", type=float, default=None)
-        cmd.add_argument("--p-max", dest="p_max", type=float, default=None)
-        cmd.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        for key, kind in _SETTINGS.items():
+            flag = "--eps" if key == "epsilon" else "--" + key.replace("_", "-")
+            cmd.add_argument(flag, dest=key, type=kind, default=None)
         cmd.add_argument("--profile-times", dest="profile_times", default=None,
                          help="comma-separated sample times")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
@@ -559,7 +517,7 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    overrides = {key: getattr(args, key) for key in _FLOAT_KEYS + _INT_KEYS}
+    overrides = {key: getattr(args, key) for key in _SETTINGS}
     if args.profile_times is not None:
         try:
             overrides["profile_times"] = _parse_value("profile_times", args.profile_times)

@@ -87,8 +87,8 @@ class MeshConfig:
         for name in ("m1", "m2", "n"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.ratio > 1.0:
-            problems.append(f"ratio must be > 1, got {self.ratio}")
+        if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
+            problems.append(f"ratio must be finite and > 1, got {self.ratio}")
         if not 0.0 < self.tau0_factor < 1.0:
             problems.append(f"tau0_factor must be in (0, 1), got {self.tau0_factor}")
         if problems:

@@ -19,6 +19,12 @@ class TestPhysicalParams:
         with pytest.raises(errors.InvalidInputError, match="kappa1"):
             analytic.PhysicalParams(alpha=0.5, kappa1=0.0)
 
+    @pytest.mark.parametrize("key", ["kappa1", "kappa2", "lambda1", "lambda2", "theta_inf"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(errors.InvalidInputError, match=key):
+            analytic.PhysicalParams(alpha=0.5, **{key: value})
+
 
 class TestTranscendentalResidual:
     @pytest.mark.parametrize("row,p", [(0, 0.9397), (1, 0.7555)])

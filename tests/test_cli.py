@@ -9,6 +9,15 @@ import pytest
 from fracstefan import cli, errors, fronttrack
 
 TINY = {"m1": 8, "m2": 20, "n": 12}
+TINY_ARGV = ["--alpha", "1.0", "--m1", "8", "--m2", "20", "--n", "12"]
+
+#: A valid, non-default flag value for each setting, echoed unchanged in run.txt.
+FLAG_VALUES = {
+    "alpha": "0.75", "lambda1": "1.5", "lambda2": "2", "kappa1": "2", "kappa2": "1.5",
+    "theta_inf": "-0.25", "ratio": "12", "m1": "9", "m2": "21", "n": "13",
+    "tau0_factor": "0.002", "p_min": "0.2", "p_max": "1.9", "epsilon": "0.002",
+    "max_iter": "50",
+}
 
 
 def tiny_overrides(**extra):
@@ -84,6 +93,21 @@ class TestParseConfig:
         assert config.profile_times == (0.5, 1.0)
         assert config.extra_rows == ((2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 2.0))
 
+    def test_empty_profile_times_means_unset(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("profile_times=\n")
+        assert cli.parse_config(path, mode="profiles").profile_times is None
+        config = cli.parse_config(None, {"profile_times": ()}, mode="profiles")
+        assert config.profile_times is None
+
+    @pytest.mark.parametrize("key,value", [
+        ("p_max", float("inf")), ("epsilon", float("inf")), ("epsilon", float("nan")),
+        ("extra_rows", ((1.0, 1.0, float("inf"), 1.0),)),
+    ])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(errors.ValidationError, match=key):
+            cli.parse_config(None, {key: value}, mode="tables")
+
 
 @pytest.fixture(scope="module")
 def table_run(tmp_path_factory):
@@ -112,8 +136,8 @@ class TestRunTables:
                     P_EXACT_PRINTED[(ri, alpha)], abs=5e-4)
 
     def test_time_table_is_power_map_of_numeric_table(self, table_run):
-        # the in-memory identity is checked to 1e-12 at emit time; through
-        # the 10-significant-digit CSV round trip the map holds to the
+        # table3 holds final_time(p, alpha) = p**(-2/alpha) of the in-memory p;
+        # through the 10-significant-digit CSV round trip the map holds to the
         # (2/alpha)-amplified formatting precision
         _, paths = table_run
         _, rows2 = read_csv(paths["table2"])
@@ -312,3 +336,41 @@ class TestMain:
         _, rows = read_csv(tmp_path / "profiles.csv")
         taus = sorted({float(r[0]) for r in rows})
         assert len(taus) == 2
+
+    @pytest.mark.parametrize("argv,key", [
+        (["exact", "--theta-inf", "nan"], "theta_inf"),
+        (["exact", "--kappa1", "inf"], "kappa1"),
+        (["exact", "--lambda2", "inf"], "lambda2"),
+        (["numeric", "--ratio", "inf"], "ratio"),
+        (["numeric", "--p-max", "inf"], "p_max"),
+        (["numeric", "--eps", "inf"], "epsilon"),
+    ])
+    def test_non_finite_setting_exit_code(self, capsys, argv, key):
+        assert cli.main(argv) == 2
+        assert key in capsys.readouterr().err
+
+    def test_empty_profile_times_flag_means_defaults(self, tmp_path):
+        argv = ["profiles", *TINY_ARGV, "--profile-times", ",", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        _, rows = read_csv(tmp_path / "profiles.csv")
+        assert len({r[0] for r in rows}) == 4
+        assert "profile_times=" in (tmp_path / "run.txt").read_text().splitlines()
+
+    def test_run_txt_round_trips_as_config(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["profiles", *TINY_ARGV, "--out", str(first)]) == 0
+        lines = (first / "run.txt").read_text().splitlines()
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(line for line in lines
+                                    if line.split("=")[0] not in ("version", "backend", "mode")))
+        assert cli.main(["profiles", "--config", str(config), "--out", str(second)]) == 0
+        for name in ("run.txt", "profiles.csv", "front.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key", list(cli._SETTINGS))
+    def test_every_setting_has_a_flag(self, tmp_path, key):
+        flag = "--eps" if key == "epsilon" else "--" + key.replace("_", "-")
+        argv = ["profiles", *TINY_ARGV, flag, FLAG_VALUES[key], "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "run.txt").read_text().splitlines()
+        assert f"{key}={FLAG_VALUES[key]}" in lines

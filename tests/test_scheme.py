@@ -16,6 +16,12 @@ class TestMeshConfig:
         message = str(excinfo.value)
         assert "m1" in message and "ratio" in message and "tau0_factor" in message
 
+    @pytest.mark.parametrize("key", ["ratio", "tau0_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(errors.InvalidInputError, match=key):
+            scheme.MeshConfig(**{key: value})
+
 
 class TestGridConstruction:
     def test_phase1_rows(self):
