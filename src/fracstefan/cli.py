@@ -216,6 +216,9 @@ def _write_metadata(config: RunConfig) -> Path:
     pairs = [("version", __version__), ("backend", backend.active()), ("mode", config.mode)]
     pairs += [(key, _fmt(values[key])) for key in _SETTINGS]
     pairs.append(("profile_times", "" if times is None else ",".join(map(_fmt, times))))
+    if config.extra_rows:
+        pairs.append(("extra_rows", ";".join(",".join(map(_fmt, row))
+                                             for row in config.extra_rows)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for key, value in pairs:
             handle.write(f"{key}={value}\n")
@@ -489,6 +492,36 @@ def run_convergence(config: RunConfig, levels: int = 2) -> Path:
     return path
 
 
+def _flag(key: str) -> str:
+    return "--eps" if key == "epsilon" else "--" + key.replace("_", "-")
+
+
+def _attach_negative_values(argv) -> list:
+    """argv with each setting flag followed by a negative number joined as --flag=value.
+
+    argparse takes only -<digits> and -<digits>.<digits> for negative
+    numbers and reads any other token that starts with '-' as an option,
+    so '--theta-inf -1e-3' would leave the flag without its value.  A flag
+    abbreviated as argparse allows (a prefix of a setting flag) is joined
+    too; argparse then resolves or rejects the abbreviation as usual.
+    """
+    flags = [_flag(key) for key in _SETTINGS]
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and any(flag.startswith(prev) for flag in flags) \
+                and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracstefan",
@@ -500,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
         for key, kind in _SETTINGS.items():
-            flag = "--eps" if key == "epsilon" else "--" + key.replace("_", "-")
-            cmd.add_argument(flag, dest=key, type=kind, default=None)
+            cmd.add_argument(_flag(key), dest=key, type=kind, default=None)
         cmd.add_argument("--profile-times", dest="profile_times", default=None,
                          help="comma-separated sample times")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
@@ -512,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

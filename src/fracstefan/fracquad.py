@@ -18,6 +18,11 @@ integrated by two implicit half-steps instead: right-endpoint rectangles on
 dtau/2 carries one of its own.  The solid phase starts this way, because
 its level-0 row jumps from the interface value 0 to the far-field value in
 one space step and is no smooth sample of the integrand.
+
+A grid needs the weight row of every step, and the interior weights depend
+only on the lag k - j + 1, so lag_table builds them once for all lags of a
+grid and each step slices its row from that table; trap_weights and
+split_start_weights are that slice for one k.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["MemoryWeights", "half_weight", "split_start_weights", "trap_weights"]
+__all__ = ["LagTable", "MemoryWeights", "half_weight", "lag_table",
+           "split_start_weights", "trap_weights"]
 
 # Relative cancellation of the naive second difference grows like
 # lag**2 * eps; 1415 is the smallest lag where lag**2 * 5e-16 > 1e-9.
@@ -92,22 +98,61 @@ def _first_factor(k: int, alpha: float) -> float:
     return K ** ap1 * acc
 
 
-def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:
-    """Memory weights c[j], j = 0..k+1, for the step targeting level k+1."""
+@dataclass(frozen=True)
+class LagTable:
+    """Interior memory weights of one grid, built once and sliced per step.
+
+    interior[n - lag] = pref * factor(lag) for lag = n, ..., 1, so the
+    interior weights c[1..k] of the step to level k+1 are its last k
+    entries.  trap(k) and split(k) return, bit for bit, what trap_weights(k)
+    and split_start_weights(k) return, for every k in [0, n].
+    """
+
+    alpha: float
+    dtau: float
+    pref: float
+    interior: np.ndarray = field(repr=False)
+
+    def trap(self, k: int) -> np.ndarray:
+        """Product-trapezoidal weights c[j], j = 0..k+1, targeting level k+1."""
+        size = self.interior.shape[0]
+        if not 0 <= k <= size:
+            raise InvalidInputError(f"k must lie in [0, {size}], got {k}")
+        c = np.empty(k + 2)
+        c[0] = self.pref * _first_factor(k, self.alpha)
+        c[1:k + 1] = self.interior[size - k:]
+        c[k + 1] = self.pref
+        return c
+
+    def split(self, k: int):
+        """Split-start weights (c, w_half) targeting level k+1; see split_start_weights."""
+        c = self.trap(k)
+        w_half = half_weight(k + 1.0, self.alpha, self.dtau)
+        # c[0] plus the first-interval share of c[1] is the whole first interval
+        c[1] += c[0] - w_half
+        c[0] = 0.0
+        return c, w_half
+
+
+def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
+    """The weight rows of the steps k = 0..n on a grid with time step dtau."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     if not dtau > 0.0:
         raise InvalidInputError(f"dtau must be > 0, got {dtau}")
+    if n < 0:
+        raise InvalidInputError(f"n must be >= 0, got {n}")
+    pref = dtau ** alpha / (alpha * (alpha + 1.0))
+    lag = np.arange(n, 0, -1, dtype=np.float64)
+    return LagTable(alpha=alpha, dtau=dtau, pref=pref,
+                    interior=pref * _interior_factor(lag, alpha))
+
+
+def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:
+    """Memory weights c[j], j = 0..k+1, for the step targeting level k+1."""
     if k < 0:
         raise InvalidInputError(f"k must be >= 0, got {k}")
-    pref = dtau ** alpha / (alpha * (alpha + 1.0))
-    c = np.empty(k + 2)
-    c[0] = pref * _first_factor(k, alpha)
-    if k >= 1:
-        lag = np.arange(k, 0, -1, dtype=np.float64)  # k - j + 1 for j = 1..k
-        c[1:k + 1] = pref * _interior_factor(lag, alpha)
-    c[k + 1] = pref
-    return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=c)
+    return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=lag_table(k, alpha, dtau).trap(k))
 
 
 def half_weight(target: float, alpha: float, dtau: float) -> float:
@@ -134,9 +179,6 @@ def split_start_weights(k: int, alpha: float, dtau: float):
     exact for f constant on (0, dtau/2] and on (dtau/2, dtau] and piecewise
     linear from dtau on.  c[0] is 0 and c[j >= 2] equal trap_weights.
     """
-    c = trap_weights(k, alpha, dtau).c
-    w_half = half_weight(k + 1.0, alpha, dtau)
-    # c[0] plus the first-interval share of c[1] is the whole first interval
-    c[1] += c[0] - w_half
-    c[0] = 0.0
-    return c, w_half
+    if k < 0:
+        raise InvalidInputError(f"k must be >= 0, got {k}")
+    return lag_table(k, alpha, dtau).split(k)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidStateError,
     NoSignChangeError,
 )
-from .fracquad import split_start_weights, trap_weights
+from .fracquad import LagTable, lag_table
 from .scheme import (
     MeshConfig,
     PhaseGrid,
@@ -106,17 +106,21 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
     return flux1, flux2, flux2_half
 
 
-def _front_value(g1: PhaseGrid, k: int, flux1, flux2, flux2_half) -> float:
-    """Heat-balance front position at level k >= 1."""
+def _front_value(g1: PhaseGrid, table: LagTable, k: int, flux1, flux2, flux2_half) -> float:
+    """Heat-balance front position at level k >= 1; table is _lag_table(g1)."""
     params = g1.params
-    a = params.alpha
-    ga = math.gamma(a)
-    w1 = trap_weights(k - 1, a, g1.dtau).c  # weights targeting level k
-    w2, w_half = split_start_weights(k - 1, a, g1.dtau)
+    ga = math.gamma(params.alpha)
+    w1 = table.trap(k - 1)  # weights targeting level k
+    w2, w_half = table.split(k - 1)
     return float(
         (params.lambda2 / ga) * (np.dot(w2, flux2[:k + 1]) + w_half * flux2_half)
         - (params.lambda1 / ga) * np.dot(w1, flux1[:k + 1])
     )
+
+
+def _lag_table(g1: PhaseGrid) -> LagTable:
+    """The weights of the steps to levels 1..n of the grids' time axis."""
+    return lag_table(g1.mesh.n - 1, g1.params.alpha, g1.dtau)
 
 
 def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
@@ -124,7 +128,7 @@ def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
 
     Both grids must be fully advanced with the same p and time step.
     """
-    return _front_value(g1, g1.mesh.n, *_interface_fluxes(g1, g2))
+    return _front_value(g1, _lag_table(g1), g1.mesh.n, *_interface_fluxes(g1, g2))
 
 
 def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
@@ -134,10 +138,11 @@ def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
     stefan_front_value.
     """
     fluxes = _interface_fluxes(g1, g2)
+    table = _lag_table(g1)
     n = g1.mesh.n
     series = np.zeros(n + 1)
     for k in range(1, n + 1):
-        series[k] = _front_value(g1, k, *fluxes)
+        series[k] = _front_value(g1, table, k, *fluxes)
     return series
 
 

@@ -24,11 +24,16 @@ datum, and every later step and the interface balance integrate the first
 interval the same way.  The liquid's level-0 row is zero, the initial
 datum itself, and its first step stays a single product-trapezoidal step.
 
-advance_phase is the one stepper: each step rebuilds the memory history
-from the stored rows (two BLAS mat-vecs) and solves the new level by
-Thomas elimination, so one advance costs O(n**2 * m).  The
-assemble_phase{1,2}_step / thomas_solve pair performs the same arithmetic
-one step at a time and serves as its stepwise oracle.
+advance_phase is the one stepper.  It stores the second and centred
+differences of each level once, after the level is solved, and builds the
+interior memory weights of all lags once per advance (fracquad.lag_table).
+Each step slices its weight row from that table, sums the memory history
+as two BLAS mat-vecs over the stored differences, and solves the new level
+by Thomas elimination on Python floats.  One advance costs O(n**2 * m), in
+those mat-vecs.  The assemble_phase{1,2}_step / thomas_solve pair performs
+the same arithmetic one step at a time, with the differences rebuilt from
+the grid rows and the weights from trap_weights / split_start_weights, and
+serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .errors import (
     InvalidStateError,
     ZeroPivotError,
 )
-from .fracquad import half_weight, split_start_weights, trap_weights
+from .fracquad import half_weight, lag_table, split_start_weights, trap_weights
 
 __all__ = [
     "MeshConfig",
@@ -249,19 +254,26 @@ def _system(rhs, r_imp, q_imp, diag_value, left, right):
     return sub, diag, sup, rhs, violations
 
 
+def _differences(rows):
+    """(second, centred) differences of rows over the interior nodes, per row."""
+    return (rows[..., :-2] - 2.0 * rows[..., 1:-1] + rows[..., 2:],
+            rows[..., 2:] - rows[..., :-2])
+
+
 def _half_row(grid: PhaseGrid, coeffs):
-    """The solid's row at tau = dtau/2, solved from level 0: (half, gq_half, violations).
+    """The solid's row at tau = dtau/2, solved from level 0: (half, terms, violations).
 
     The half-step is fully implicit: level 0 enters only as the initial
     datum, never as a sample of the memory or advective integrand.  The
     boundary values are level 0's at the same physical temperature (the
     boundary data do not change in time), so the half level is a function
-    of level 0 alone.  gq_half is weighted like gq: its rectangle is half a
-    step wide.  coeffs is _phase_coeffs(grid).  The liquid has no half
-    level: (None, 0.0, 0).
+    of level 0 alone.  terms is (d2, dc, gq_half), the half level's second
+    and centred differences and its advective weight, which is weighted
+    like gq: its rectangle is half a step wide.  coeffs is
+    _phase_coeffs(grid).  The liquid has no half level: (None, None, 0).
     """
     if grid.phase == 1:
-        return None, 0.0, 0
+        return None, None, 0
     _, rfac, qfac_in, _, init_mult = coeffs
     a = grid.params.alpha
     L = grid.mesh.ratio
@@ -272,35 +284,31 @@ def _half_row(grid: PhaseGrid, coeffs):
         grid.ubar[0, 1:-1] * init_mult, rfac * half_weight(0.5, a, grid.dtau),
         qfac_in * gq_half, width ** 2, half[0], half[-1])
     half[1:-1] = _thomas(sub, diag, sup, rhs)
-    return half, gq_half, violations
+    return half, (*_differences(half), gq_half), violations
 
 
-def _step_system(grid: PhaseGrid, k: int, coeffs, half, gq_half):
+def _step_system(grid: PhaseGrid, k: int, coeffs, d2, dc, weights, half_terms):
     """Tridiagonal system advancing the grid from levels 0..k to level k+1.
 
-    coeffs is _phase_coeffs(grid); half and gq_half come from _half_row.
-    The memory weights are chosen here, for the stepper and the stepwise
-    assembly alike: the split-start weights when there is a half level
-    (the solid), the product-trapezoidal weights otherwise.  The boundary
-    columns of the grid must already be filled at level k+1.  Returns
-    (sub, diag, sup, rhs, dominance_violations).
+    coeffs is _phase_coeffs(grid).  Row j of d2 and dc holds the second and
+    centred differences of level j, for j = 0..k at least (dc's row 0 is
+    not read).  weights is (c, w_half), the memory weights of the step:
+    the split-start weights when there is a half level (the solid), the
+    product-trapezoidal weights and w_half None otherwise.  half_terms
+    comes from _half_row.  The boundary columns of the grid must already
+    be filled at level k+1.  Returns (sub, diag, sup, rhs,
+    dominance_violations).
     """
     tcoef, rfac, qfac_in, gq, init_mult = coeffs
     ubar = grid.ubar
     m = ubar.shape[1] - 1
-    if half is None:
-        c = trap_weights(k, grid.params.alpha, grid.dtau).c
-    else:
-        c, w_half = split_start_weights(k, grid.params.alpha, grid.dtau)
-    rows = ubar[:k + 1, :]
-    d2 = rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]
-    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2)
+    c, w_half = weights
+    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2[:k + 1])
     if k >= 1:
-        dc = rows[1:, 2:] - rows[1:, :-2]
-        rhs = rhs + qfac_in * (gq[1:k + 1] @ dc)
-    if half is not None:
-        rhs = rhs + rfac * w_half * (half[:-2] - 2.0 * half[1:-1] + half[2:]) \
-            + qfac_in * gq_half * (half[2:] - half[:-2])
+        rhs = rhs + qfac_in * (gq[1:k + 1] @ dc[1:k + 1])
+    if half_terms is not None:
+        d2_half, dc_half, gq_half = half_terms
+        rhs = rhs + rfac * w_half * d2_half + qfac_in * gq_half * dc_half
     return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
                    ubar[k + 1, 0], ubar[k + 1, m])
 
@@ -309,27 +317,31 @@ def _thomas(sub, diag, sup, rhs):
     """Thomas elimination for a tridiagonal system; O(size).
 
     sub[0] and sup[-1] are ignored.  Raises ZeroPivotError on a vanishing
-    pivot, which signals a non-dominant assembly upstream.
+    pivot, which signals a non-dominant assembly upstream.  The loops run
+    on Python floats, which perform the same IEEE double operations as
+    numpy scalars at a fraction of the indexing cost.
     """
-    n = diag.shape[0]
-    cp = np.empty(n)
-    xp = np.empty(n)
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    n = len(diag)
     pivot = diag[0]
     if pivot == 0.0:
         raise ZeroPivotError("zero pivot at row 0")
-    cp[0] = sup[0] / pivot
-    xp[0] = rhs[0] / pivot
+    c_prev = sup[0] / pivot
+    x_prev = rhs[0] / pivot
+    cp = [c_prev]
+    xp = [x_prev]
     for i in range(1, n):
-        pivot = diag[i] - sub[i] * cp[i - 1]
+        s = sub[i]
+        pivot = diag[i] - s * c_prev
         if pivot == 0.0:
             raise ZeroPivotError(f"zero pivot at row {i}")
-        cp[i] = sup[i] / pivot
-        xp[i] = (rhs[i] - sub[i] * xp[i - 1]) / pivot
-    x = np.empty(n)
-    x[n - 1] = xp[n - 1]
+        c_prev = sup[i] / pivot
+        x_prev = (rhs[i] - s * x_prev) / pivot
+        cp.append(c_prev)
+        xp.append(x_prev)
     for i in range(n - 2, -1, -1):
-        x[i] = xp[i] - cp[i] * x[i + 1]
-    return x
+        xp[i] -= cp[i] * xp[i + 1]
+    return np.array(xp)
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -341,8 +353,15 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
             f"cannot assemble step targeting level {k + 1}"
         )
     coeffs = _phase_coeffs(grid)
-    half, gq_half, half_violations = _half_row(grid, coeffs)
-    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, half, gq_half)
+    _, half_terms, half_violations = _half_row(grid, coeffs)
+    a = grid.params.alpha
+    if half_terms is None:
+        weights = trap_weights(k, a, grid.dtau).c, None
+    else:
+        weights = split_start_weights(k, a, grid.dtau)
+    d2, dc = _differences(grid.ubar[:k + 1])
+    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, dc, weights,
+                                                   half_terms)
     if k == 0:  # the half-step is part of the step to level 1
         violations += half_violations
     if violations:
@@ -385,8 +404,10 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
     Repeats assemble + Thomas solve level by level, the solid's half-step
     first, with the arithmetic of assemble_phase{1,2}_step and
     thomas_solve, and keeps the solid's half level as grid.half for the
-    interface balance.  Recomputes from level 0, so the result is
-    independent of any previous partial advance.
+    interface balance.  The differences of each level are stored once, in
+    arrays local to this call, and the weight rows are sliced from one
+    lag table.  Recomputes from level 0, so the result is independent of
+    any previous partial advance.
     """
     n = grid.mesh.n
     if through is None:
@@ -394,12 +415,20 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
     if not 1 <= through <= n:
         raise InvalidInputError(f"through must lie in [1, {n}], got {through}")
     coeffs = _phase_coeffs(grid)
+    table = lag_table(through - 1, grid.params.alpha, grid.dtau)
+    ubar = grid.ubar
+    d2 = np.empty((through + 1, grid.m - 1))
+    dc = np.empty_like(d2)
+    d2[0], dc[0] = _differences(ubar[0])
     try:
-        half, gq_half, violations = _half_row(grid, coeffs)
+        half, half_terms, violations = _half_row(grid, coeffs)
         for k in range(through):
-            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, half, gq_half)
+            weights = (table.trap(k), None) if half is None else table.split(k)
+            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, dc, weights,
+                                                  half_terms)
             violations += v
-            grid.ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
+            ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
+            d2[k + 1], dc[k + 1] = _differences(ubar[k + 1])
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:

@@ -155,6 +155,8 @@ class TestRunTables:
         assert "m1=8" in text
         assert "version=" in text
         assert "backend=numpy" in text.splitlines()
+        # no extra rows, no extra_rows line: run.txt ends with profile_times
+        assert text.splitlines()[-1] == "profile_times="
 
     def test_deterministic_bytes(self, tmp_path):
         outs = []
@@ -344,6 +346,7 @@ class TestMain:
         (["numeric", "--ratio", "inf"], "ratio"),
         (["numeric", "--p-max", "inf"], "p_max"),
         (["numeric", "--eps", "inf"], "epsilon"),
+        (["exact", "--theta-inf", "-inf"], "theta_inf"),
     ])
     def test_non_finite_setting_exit_code(self, capsys, argv, key):
         assert cli.main(argv) == 2
@@ -355,6 +358,40 @@ class TestMain:
         _, rows = read_csv(tmp_path / "profiles.csv")
         assert len({r[0] for r in rows}) == 4
         assert "profile_times=" in (tmp_path / "run.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("flag,token,plain", [
+        ("--theta-inf", "-1e-3", "-0.001"), ("--theta-inf", "-2.5E-1", "-0.25"),
+        ("--theta", "-1e-3", "-0.001"),
+    ])
+    def test_negative_exponent_flag_value(self, capsys, flag, token, plain):
+        # argparse alone reads '-1e-3' as an option and exits 2
+        assert cli.main(["exact", flag, token]) == 0
+        attached = capsys.readouterr().out
+        assert cli.main(["exact", f"--theta-inf={plain}"]) == 0
+        assert attached == capsys.readouterr().out
+
+    def test_negative_value_after_ambiguous_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["exact", "--p-m", "-1e-3"])
+        assert excinfo.value.code == 2
+        assert "ambiguous option" in capsys.readouterr().err
+
+    def test_extra_rows_round_trip_through_run_txt(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        rows_cfg = tmp_path / "rows.cfg"
+        rows_cfg.write_text("extra_rows = 2,1,1.5,1\n")
+        argv = ["tables", "--m1", "8", "--m2", "20", "--n", "12"]
+        assert cli.main([*argv, "--config", str(rows_cfg), "--out", str(first)]) == 0
+        lines = (first / "run.txt").read_text().splitlines()
+        assert lines[-1] == "extra_rows=2,1,1.5,1"
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(line for line in lines
+                                    if line.split("=")[0] not in ("version", "backend", "mode")))
+        assert cli.main(["tables", "--config", str(config), "--out", str(second)]) == 0
+        for name in ("run.txt", "table1.csv", "table2.csv", "table3.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        _, table_rows = read_csv(second / "table2.csv")
+        assert len(table_rows) == 4
 
     def test_run_txt_round_trips_as_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

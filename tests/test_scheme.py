@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import params_for
-from fracstefan import analytic, errors, scheme
+from fracstefan import analytic, errors, fracquad, scheme
 
 SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
 
@@ -157,9 +157,38 @@ class TestThomasSolve:
             got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    def test_bit_identical_to_numpy_scalar_elimination(self, rng):
+        # reference: the same elimination indexing numpy arrays element by
+        # element; the float loop performs the same IEEE operations
+        size = 40
+        sub = rng.uniform(-1.0, 1.0, size)
+        sup = rng.uniform(-1.0, 1.0, size)
+        diag = 2.5 + np.abs(sub) + np.abs(sup)
+        rhs = rng.standard_normal(size)
+        cp = np.empty(size)
+        xp = np.empty(size)
+        cp[0] = sup[0] / diag[0]
+        xp[0] = rhs[0] / diag[0]
+        for i in range(1, size):
+            pivot = diag[i] - sub[i] * cp[i - 1]
+            cp[i] = sup[i] / pivot
+            xp[i] = (rhs[i] - sub[i] * xp[i - 1]) / pivot
+        x = np.empty(size)
+        x[-1] = xp[-1]
+        for i in range(size - 2, -1, -1):
+            x[i] = xp[i] - cp[i] * x[i + 1]
+        got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
+        assert np.array_equal(got, x)
+
     def test_zero_pivot(self):
         system = self._system([0, -1], [0.0, 2.0], [-1, 0], [1.0, 1.0])
         with pytest.raises(errors.ZeroPivotError):
+            scheme.thomas_solve(system)
+
+    def test_zero_pivot_at_interior_row_named(self):
+        # pivots 1, 2 - 1*1 = 1, then 1 - 1*1 = 0: elimination breaks at row 2
+        system = self._system([0, 1, 1], [1.0, 2.0, 1.0], [1, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(errors.ZeroPivotError, match="zero pivot at row 2$"):
             scheme.thomas_solve(system)
 
 
@@ -181,8 +210,42 @@ class TestAdvance:
                 system = assemble(ref, k)
                 ref.ubar[k + 1, 1:-1] = scheme.thomas_solve(system)
                 ref.filled_through = k + 1
-            scale = np.abs(ref.ubar).max()
-            assert np.abs(fast.ubar - ref.ubar).max() <= 1e-12 * scale
+            # bit for bit: the stepper's stored differences and sliced weight
+            # rows must reproduce the oracle's rebuilt ones exactly
+            assert np.array_equal(fast.ubar, ref.ubar)
+            ref_half = scheme._half_row(ref, scheme._phase_coeffs(ref))[0]
+            if phase == 1:
+                assert fast.half is None and ref_half is None
+            else:
+                assert np.array_equal(fast.half, ref_half)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_weight_rows_match_per_step_weights(self, alpha, monkeypatch):
+        # the rows the stepper slices from its lag table equal the public
+        # per-k weights bit for bit, across SERIES_LAG (1415), where the
+        # interior factor switches to its series
+        ks = (0, 1, 2, 1413, 1414, 1415, 1416, 2000)
+        mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
+        params = params_for(0, alpha)
+        seen = {}
+        step_system = scheme._step_system
+
+        def recording(grid, k, coeffs, d2, dc, weights, half_terms):
+            if k in ks:
+                seen[(grid.phase, k)] = weights
+            return step_system(grid, k, coeffs, d2, dc, weights, half_terms)
+
+        monkeypatch.setattr(scheme, "_step_system", recording)
+        for phase in (1, 2):
+            g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+            for k in ks:
+                c, w_half = seen[(phase, k)]
+                if phase == 1:
+                    assert w_half is None
+                    assert np.array_equal(c, fracquad.trap_weights(k, alpha, g.dtau).c)
+                else:
+                    c_ref, w_ref = fracquad.split_start_weights(k, alpha, g.dtau)
+                    assert np.array_equal(c, c_ref) and w_half == w_ref
 
     def test_deterministic_rerun_bit_identical(self):
         params = params_for(0, 0.5)
