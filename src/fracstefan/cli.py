@@ -169,8 +169,8 @@ def parse_config(path=None, overrides=None, *, mode: str = "exact",
         problems.append(f"max_iter must be >= 1, got {resolved['max_iter']}")
     if resolved["profile_times"] is not None:
         for t in resolved["profile_times"]:
-            if not t > 0.0:
-                problems.append(f"profile_times entries must be > 0, got {t}")
+            if not (t > 0.0 and math.isfinite(t)):
+                problems.append(f"profile_times entries must be finite and > 0, got {t}")
     for row in resolved["extra_rows"]:
         if not all(v > 0.0 and math.isfinite(v) for v in row):
             problems.append(f"extra_rows entries must be finite and positive, got {row}")

@@ -89,9 +89,12 @@ class MeshConfig:
 
     def __post_init__(self):
         problems = []
-        for name in ("m1", "m2", "n"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("m1", "m2"):
+            if getattr(self, name) < 2:
+                problems.append(f"{name} must be >= 2 (at least one interior node), "
+                                f"got {getattr(self, name)}")
+        if self.n < 1:
+            problems.append(f"n must be >= 1, got {self.n}")
         if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
             problems.append(f"ratio must be finite and > 1, got {self.ratio}")
         if not 0.0 < self.tau0_factor < 1.0:
@@ -168,10 +171,6 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
     m = mesh.m1 if phase == 1 else mesh.m2
-    if m < 2:
-        raise InvalidInputError(
-            f"phase {phase} needs at least one interior node, got m={m}"
-        )
     a = params.alpha
     dtau = 1.0 / (mesh.n * p ** (2.0 / a))
     tau = _tau_grid(mesh, dtau)

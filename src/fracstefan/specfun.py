@@ -19,10 +19,17 @@ asymptotic continuation: once |z| is large enough that huge alternating
 terms cancel below their roundoff or past the term cap, the evaluator
 raises NonConvergenceError rather than return silently wrong digits.
 Callers treat that as "outside the validated range".
+
+The factor 1/Gamma(gamma*k + delta) of each term does not depend on z.
+The closed-form route evaluates a handful of orders (gamma, delta) at tens
+of thousands of arguments, so the coefficients of an order and log k are
+computed once per (gamma, delta, max_terms) and cached; the term loop only
+multiplies, and its results are bit for bit those of the per-term loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -108,6 +115,37 @@ def _gamma_sign(x: float) -> float:
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
+# markers in a coefficient table: the term vanishes (Gamma has a pole), or
+# 1/Gamma is not finite and the term has to be formed in log space
+_POLE = object()
+_NON_FINITE = object()
+
+
+@functools.lru_cache(maxsize=32)
+def _coefficients(gamma: float, delta: float, max_terms: int) -> tuple:
+    """1/Gamma(gamma*k + delta) for k = 0..max_terms, with _POLE and
+    _NON_FINITE in place of the values the term loop must not multiply.
+    The table ends early at the first k where gamma*k + delta is not finite."""
+    table = []
+    for k in range(max_terms + 1):
+        x = gamma * k + delta
+        if not math.isfinite(x):
+            break
+        nearest = round(x)
+        if nearest <= 0 and abs(x - nearest) < _POLE_TOL:
+            table.append(_POLE)
+            continue
+        rg = reciprocal_gamma(x)
+        table.append(rg if math.isfinite(rg) else _NON_FINITE)
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=4)
+def _log_k(max_terms: int) -> tuple:
+    """log k for k = 1..max_terms, at index k (index 0 is unused)."""
+    return (0.0, *(math.log(k) for k in range(1, max_terms + 1)))
+
+
 def wright_series(args: WrightArgs) -> WrightResult:
     """Sum the Wright series until the next term falls below tolerance.
 
@@ -117,9 +155,12 @@ def wright_series(args: WrightArgs) -> WrightResult:
     wherever gamma*k + delta is a nonpositive integer).
 
     Individual terms are formed as (z**k / k!) * (1/Gamma(gamma*k + delta)).
-    For gamma < 0 both factors eventually leave double-precision range even
-    though their product does not, so terms switch to a log-space product
-    once the fast path under- or overflows.
+    The second factor does not depend on z: it comes from a table built
+    once per (gamma, delta, max_terms) and cached, so the term loop only
+    multiplies.  For gamma < 0 both factors eventually leave
+    double-precision range even though their product does not, so a term
+    switches to a log-space product (math.lgamma) where 1/Gamma is not
+    finite or z**k / k! has underflowed.
 
     Raises NonConvergenceError when max_terms is reached first, when a
     term overflows double precision, or when the roundoff of the largest
@@ -132,6 +173,9 @@ def wright_series(args: WrightArgs) -> WrightResult:
     if z == 0.0:
         return WrightResult(reciprocal_gamma(d), 0.0, 1)
 
+    coefficients = _coefficients(g, d, args.max_terms)
+    log_k = _log_k(args.max_terms)
+    tol = args.tol
     log_abs_z = math.log(abs(z))
     total = 0.0
     pw = 1.0  # z**k / k!
@@ -140,45 +184,46 @@ def wright_series(args: WrightArgs) -> WrightResult:
     run_bound = 0.0
     term = 0.0
     peak = 0.0  # largest |term| so far
-    for k in range(args.max_terms + 1):
+    for k, rg in enumerate(coefficients):
         if k > 0:
             pw *= z / k
-            lw += log_abs_z - math.log(k)
-        x = g * k + d
-        nearest = round(x)
-        if nearest <= 0 and abs(x - nearest) < _POLE_TOL:
+            lw += log_abs_z - log_k[k]
+        if rg is _POLE:
             term = 0.0
+        elif rg is _NON_FINITE or pw == 0.0:
+            # z**k/k! underflowed or 1/Gamma overflowed; both factors are
+            # extreme while their product is not -- recombine in log space.
+            x = g * k + d
+            sign = _gamma_sign(x)
+            if z < 0.0 and k % 2:
+                sign = -sign
+            log_term = lw - math.lgamma(x)
+            if log_term > _LOG_MAX:
+                raise NonConvergenceError(
+                    f"Wright series term {k} overflows at z={z:.6g}, "
+                    f"gamma={g:.6g}, delta={d:.6g} (log |term| {log_term:.1f})",
+                    partial=total,
+                    last_term=term,
+                    terms=k,
+                )
+            term = sign * math.exp(log_term)
         else:
-            rg = reciprocal_gamma(x)
-            if pw != 0.0 and math.isfinite(rg):
-                term = pw * rg
-            else:
-                # z**k/k! underflowed or 1/Gamma overflowed; both factors
-                # are extreme while their product is not -- recombine in
-                # log space.
-                sign = _gamma_sign(x)
-                if z < 0.0 and k % 2:
-                    sign = -sign
-                log_term = lw - math.lgamma(x)
-                if log_term > _LOG_MAX:
-                    raise NonConvergenceError(
-                        f"Wright series term {k} overflows at z={z:.6g}, "
-                        f"gamma={g:.6g}, delta={d:.6g} (log |term| {log_term:.1f})",
-                        partial=total,
-                        last_term=term,
-                        terms=k,
-                    )
-                term = sign * math.exp(log_term)
+            term = pw * rg
         total += term
-        mag = abs(term)
+        # |term| and max(|total|, 1.0) as comparisons, not calls; a NaN
+        # total passes through as max() would pass it
+        mag = term if term >= 0.0 else -term
+        size = total if total >= 0.0 else -total
+        if size < 1.0:
+            size = 1.0
         if mag > peak:
             peak = mag
-        threshold = args.tol * max(abs(total), 1.0)
-        if mag <= threshold:
+        if mag <= tol * size:
             run += 1
-            run_bound = max(run_bound, mag)
+            if mag > run_bound:
+                run_bound = mag
             if run >= _STOP_RUN:
-                if peak * sys.float_info.epsilon > _CANCEL_TOL * max(abs(total), 1.0):
+                if peak * sys.float_info.epsilon > _CANCEL_TOL * size:
                     raise NonConvergenceError(
                         f"Wright series cancels below roundoff at z={z:.6g}, "
                         f"gamma={g:.6g}, delta={d:.6g} (largest term {peak:.3e}, "
@@ -192,6 +237,10 @@ def wright_series(args: WrightArgs) -> WrightResult:
         else:
             run = 0
             run_bound = 0.0
+    if len(coefficients) <= args.max_terms:
+        # the sum reached a gamma*k + delta that is not finite: raise what
+        # round() raises for it, as the pole test always has
+        round(g * len(coefficients) + d)
     raise NonConvergenceError(
         f"Wright series not converged after {args.max_terms} terms at "
         f"z={z:.6g}, gamma={g:.6g}, delta={d:.6g} (last term {term:.3e})",

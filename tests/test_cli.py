@@ -352,6 +352,22 @@ class TestMain:
         assert cli.main(argv) == 2
         assert key in capsys.readouterr().err
 
+    def test_non_finite_profile_time_rejected_before_solving(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("bisection_solve called")
+
+        monkeypatch.setattr(cli, "bisection_solve", never)
+        argv = ["profiles", *TINY_ARGV, "--profile-times", "inf", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "profile_times" in capsys.readouterr().err
+
+    def test_mesh_without_interior_node_rejected(self, tmp_path, capsys):
+        argv = ["tables", "--m1", "1", "--m2", "10", "--n", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "m1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("table*.csv"))
+
     def test_empty_profile_times_flag_means_defaults(self, tmp_path):
         argv = ["profiles", *TINY_ARGV, "--profile-times", ",", "--out", str(tmp_path)]
         assert cli.main(argv) == 0

@@ -53,9 +53,8 @@ class TestGridConstruction:
             scheme.make_phase_grid(1, -0.1, SMALL_MESH, params_for(0, 0.5))
 
     def test_rejects_interval_count_without_interior(self):
-        mesh = scheme.MeshConfig(m1=1, m2=30, n=10)
         with pytest.raises(errors.InvalidInputError, match="interior"):
-            scheme.make_phase_grid(1, 0.8, mesh, params_for(0, 0.5))
+            scheme.MeshConfig(m1=1, m2=30, n=10)
 
     def test_single_interior_node_runs(self):
         # the degenerate-but-legal case: both boundary folds land on one row

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,156 @@ class TestWright:
         # underflows before the series terms become negligible
         got = specfun.wright(-8.0, -0.5, 1.0)
         assert got == pytest.approx(specfun.erfc(4.0), abs=1e-10)
+
+
+def _reference_series(args):
+    """wright_series as it was before the coefficient tables: 1/Gamma and
+    log k recomputed for every term.  The reference for TestCoefficientTable."""
+    z, g, d = args.z, args.gamma, args.delta
+    if z == 0.0:
+        return specfun.WrightResult(specfun.reciprocal_gamma(d), 0.0, 1)
+
+    log_abs_z = math.log(abs(z))
+    total = 0.0
+    pw = 1.0
+    lw = 0.0
+    run = 0
+    run_bound = 0.0
+    term = 0.0
+    peak = 0.0
+    for k in range(args.max_terms + 1):
+        if k > 0:
+            pw *= z / k
+            lw += log_abs_z - math.log(k)
+        x = g * k + d
+        nearest = round(x)
+        if nearest <= 0 and abs(x - nearest) < specfun._POLE_TOL:
+            term = 0.0
+        else:
+            rg = specfun.reciprocal_gamma(x)
+            if pw != 0.0 and math.isfinite(rg):
+                term = pw * rg
+            else:
+                sign = specfun._gamma_sign(x)
+                if z < 0.0 and k % 2:
+                    sign = -sign
+                log_term = lw - math.lgamma(x)
+                if log_term > specfun._LOG_MAX:
+                    raise errors.NonConvergenceError(
+                        f"Wright series term {k} overflows at z={z:.6g}, "
+                        f"gamma={g:.6g}, delta={d:.6g} (log |term| {log_term:.1f})",
+                        partial=total, last_term=term, terms=k)
+                term = sign * math.exp(log_term)
+        total += term
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
+        threshold = args.tol * max(abs(total), 1.0)
+        if mag <= threshold:
+            run += 1
+            run_bound = max(run_bound, mag)
+            if run >= specfun._STOP_RUN:
+                if peak * sys.float_info.epsilon > specfun._CANCEL_TOL * max(abs(total), 1.0):
+                    raise errors.NonConvergenceError(
+                        f"Wright series cancels below roundoff at z={z:.6g}, "
+                        f"gamma={g:.6g}, delta={d:.6g} (largest term {peak:.3e}, "
+                        f"sum {total:.3e})",
+                        partial=total, last_term=term, terms=k + 1)
+                roundoff = (k + 1) * sys.float_info.epsilon * max(peak, abs(total))
+                return specfun.WrightResult(total, max(run_bound, roundoff), k + 1)
+        else:
+            run = 0
+            run_bound = 0.0
+    raise errors.NonConvergenceError(
+        f"Wright series not converged after {args.max_terms} terms at "
+        f"z={z:.6g}, gamma={g:.6g}, delta={d:.6g} (last term {term:.3e})",
+        partial=total, last_term=term, terms=args.max_terms + 1)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _outcome(series, args):
+    """A result or NonConvergenceError as a tuple that compares floats bit for bit."""
+    try:
+        value, bound, terms = series(args)
+    except errors.NonConvergenceError as exc:
+        return (type(exc), str(exc), _bits(exc.partial), _bits(exc.last_term), exc.terms)
+    return (_bits(value), _bits(bound), terms)
+
+
+# up to and past the cancellation guard (|z| about 12 at gamma = -1/2)
+GUARD_ZS = [s * z for s in (1.0, -1.0)
+            for z in (1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 8.0, 10.0, 12.0, 16.0, 20.0)]
+
+ORDERS = [(-a / 2.0, d) for a in (0.25, 0.5, 0.75) for d in (1.0, 1.0 - a / 2.0)]
+# every other term of gamma = -1/2 is a pole
+ORDERS += [(-0.5, 1.0), (-0.5, 0.5)]
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("gamma, delta", ORDERS)
+    def test_bit_identical_to_per_term_loop(self, gamma, delta):
+        for z in GUARD_ZS:
+            args = specfun.WrightArgs(z, gamma, delta)
+            assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args), z
+
+    @pytest.mark.parametrize("z, gamma, delta, reason", [
+        (1e-300, -0.25, 0.75, "z**k / k! underflows"),
+        (-20.0, -0.5, 1.0, "1/Gamma overflows; the sum cancels below roundoff"),
+        (-80.0, -0.475, 1.0, "a log-space term overflows"),
+    ])
+    def test_log_space_branch(self, monkeypatch, z, gamma, delta, reason):
+        args = specfun.WrightArgs(z, gamma, delta)
+        expected = _outcome(_reference_series, args)
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        assert _outcome(specfun.wright_series, args) == expected
+        assert calls, reason
+
+    @pytest.mark.parametrize("tol, max_terms", [(1e-13, 4), (1e-6, 700), (1e-15, 700)])
+    def test_term_cap_and_tolerance(self, tol, max_terms):
+        for z in GUARD_ZS:
+            for gamma, delta in ORDERS:
+                args = specfun.WrightArgs(z, gamma, delta, tol, max_terms)
+                assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
+
+    def test_table_keyed_by_term_cap(self):
+        # the same order with two caps: the short table must not serve the
+        # long sum, nor the long table the short one
+        for max_terms in (700, 20, 700):
+            args = specfun.WrightArgs(-5.0, -0.25, 0.875, max_terms=max_terms)
+            assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
+        with pytest.raises(errors.NonConvergenceError, match="after 20 terms"):
+            specfun.wright(-5.0, -0.25, 0.875, max_terms=20)
+
+    def test_gamma_of_huge_order_overflows_past_the_stopping_term(self):
+        # gamma*k overflows from k = 180 on, long after this sum has stopped
+        args = specfun.WrightArgs(1.0, 1e306, 1.0)
+        assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
+
+    @pytest.mark.parametrize("gamma, delta", [
+        (math.inf, 1.0), (0.5, math.inf), (0.5, math.nan),
+    ])
+    def test_non_finite_order_raises_as_before(self, gamma, delta):
+        # gamma*k + delta is not finite at k = 0, where round() raises
+        args = specfun.WrightArgs(1.0, gamma, delta)
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            _reference_series(args)
+        with pytest.raises(expected.type, match=str(expected.value)):
+            specfun.wright_series(args)
+
+    def test_coefficients_built_once_per_order(self, monkeypatch):
+        specfun._coefficients.cache_clear()
+        calls = []
+        reciprocal_gamma = specfun.reciprocal_gamma
+        monkeypatch.setattr(specfun, "reciprocal_gamma",
+                            lambda x: calls.append(x) or reciprocal_gamma(x))
+        for z in np.linspace(-3.0, -0.01, 200):
+            specfun.wright(float(z), -0.25, 0.875)
+        assert len(calls) <= 700 + 1
 
 
 def test_cli_import_loads_no_scipy():
