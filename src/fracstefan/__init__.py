@@ -39,7 +39,7 @@ from .scheme import (
     recover_physical,
     thomas_solve,
 )
-from .specfun import WrightArgs, WrightResult, erfc, reciprocal_gamma, wright
+from .specfun import WrightResult, erfc, reciprocal_gamma, wright
 
 __all__ = [
     "ExactSolution",
@@ -49,7 +49,6 @@ __all__ = [
     "PhaseGrid",
     "PhysicalParams",
     "TridiagonalSystem",
-    "WrightArgs",
     "WrightResult",
     "__version__",
     "advance_phase",

@@ -90,13 +90,18 @@ class ExactSolution:
 
     @cached_property
     def front_values(self) -> tuple:
-        """(liquid, solid) W(-p/sqrt(kappa); -alpha/2, 1), or erfc(p/(2 sqrt(kappa)))
-        at alpha = 1; kept after the first use, unless that use raised."""
-        a = self.params.alpha
-        sq = (math.sqrt(self.params.kappa1), math.sqrt(self.params.kappa2))
-        if a == 1.0:
-            return tuple(specfun.erfc(self.p / (2.0 * s)) for s in sq)
-        return tuple(specfun.wright(-self.p / s, -a / 2.0, 1.0) for s in sq)
+        """(liquid, solid) similarity profiles at the front x = p, tau = 1;
+        kept after the first use, unless that use raised."""
+        return tuple(_similarity(self.p, 1.0, kappa, self.params.alpha)
+                     for kappa in (self.params.kappa1, self.params.kappa2))
+
+
+def _similarity(x: float, tau: float, kappa: float, alpha: float) -> float:
+    """W(-x / (sqrt(kappa) * tau**(alpha/2)); -alpha/2, 1), the profile both
+    phases share; at alpha = 1 its closed form erfc(x / (2 sqrt(kappa*tau)))."""
+    if alpha == 1.0:
+        return specfun.erfc(x / (2.0 * math.sqrt(kappa * tau)))
+    return specfun.wright(-x / (math.sqrt(kappa) * tau ** (alpha / 2.0)), -alpha / 2.0, 1.0)
 
 
 def _classical_residual(p: float, params: PhysicalParams) -> float:
@@ -186,10 +191,9 @@ def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET,
     return 0.5 * (lo + hi)
 
 
-def solve_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET,
-                tol: float = 1e-10) -> ExactSolution:
+def solve_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> ExactSolution:
     """solve_p_exact packaged with its parameters."""
-    return ExactSolution(solve_p_exact(params, bracket, tol), params)
+    return ExactSolution(solve_p_exact(params, bracket), params)
 
 
 def front_exact(tau: float, sol: ExactSolution) -> float:
@@ -210,13 +214,8 @@ def u1_exact(x: float, tau: float, sol: ExactSolution) -> float:
     front = front_exact(tau, sol)
     if x < 0.0 or x > front * (1.0 + _EDGE_SLACK):
         raise DomainError(f"x={x} outside liquid region [0, {front}] at tau={tau}")
-    a = sol.params.alpha
     den = sol.front_values[0] - 1.0
-    if a == 1.0:
-        num = specfun.erfc(x / (2.0 * math.sqrt(sol.params.kappa1 * tau))) - 1.0
-    else:
-        sq = math.sqrt(sol.params.kappa1)
-        num = specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0) - 1.0
+    num = _similarity(x, tau, sol.params.kappa1, sol.params.alpha) - 1.0
     return 1.0 - num / den
 
 
@@ -231,13 +230,8 @@ def u2_exact(x: float, tau: float, sol: ExactSolution) -> float:
     front = front_exact(tau, sol)
     if x < front * (1.0 - _EDGE_SLACK):
         raise DomainError(f"x={x} inside liquid region (front {front}) at tau={tau}")
-    a = sol.params.alpha
     w_front = sol.front_values[1]
-    if a == 1.0:
-        w_here = specfun.erfc(x / (2.0 * math.sqrt(sol.params.kappa2 * tau)))
-    else:
-        sq = math.sqrt(sol.params.kappa2)
-        w_here = specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0)
+    w_here = _similarity(x, tau, sol.params.kappa2, sol.params.alpha)
     if abs(w_front) < _SINGULAR_TOL:
         raise DegenerateInputError(f"solid profile degenerate: W front value {w_front:.3e}")
     return sol.params.theta_inf * (w_front - w_here) / w_front

@@ -445,7 +445,7 @@ def _profile_errors(grids, sol_exact: ExactSolution):
     return tuple(worst)
 
 
-def run_convergence(config: RunConfig, levels: int = 2) -> Path:
+def run_convergence(config: RunConfig, levels: int) -> Path:
     """Mesh-refinement scan: p and temperature errors per refinement level.
 
     Level l runs the front search on the base mesh scaled by 2**l and

@@ -65,8 +65,8 @@ class FrontSolveResult:
     iterations: int
     history: list = field(repr=False)  # (candidate p, S(tau_n)) pairs, in order
     converged: bool
-    # the advanced (liquid, solid) grids at p; None when residual_fn replaced the grid solve
-    grids: tuple | None = field(default=None, repr=False)
+    # the advanced (liquid, solid) grids at p
+    grids: tuple | None = field(repr=False)
 
 
 def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
@@ -171,17 +171,16 @@ def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
 
 def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
                     bracket=DEFAULT_BRACKET, eps: float = DEFAULT_EPS,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    residual_fn=None) -> FrontSolveResult:
+                    max_iter: int = DEFAULT_MAX_ITER) -> FrontSolveResult:
     """Bisection on the front residual.
 
     Follows the classic recipe: evaluate both endpoints first (either may
     already satisfy |1 - S| < eps and end the search), require a sign
     change, then halve.  Hitting max_iter returns converged=False rather
-    than raising.  The returned p is always the last candidate, so the
+    than raising.  Every candidate is solved by one call of
+    _solve_candidate.  The returned p is always the last candidate, so the
     search keeps only that candidate's grids and returns them as
-    result.grids.  residual_fn replaces the grid solve, for testing; the
-    result then holds no grids.
+    result.grids.
     """
     p_a, p_b = float(bracket[0]), float(bracket[1])
     if not (0.0 < p_a < p_b):
@@ -191,17 +190,12 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     grids = None
-    if residual_fn is None:
-        def residual_fn(p):
-            nonlocal grids
-            grids = None  # let the previous pair go before advancing the next
-            r, grids = _solve_candidate(p, params, mesh)
-            return r
-
     history = []
 
     def evaluate(p):
-        r = residual_fn(p)
+        nonlocal grids
+        grids = None  # let the previous pair go before advancing the next
+        r, grids = _solve_candidate(p, params, mesh)
         history.append((p, 1.0 - r))
         logger.debug("front residual at p=%.8g: %+.6e", p, r)
         return r

@@ -165,6 +165,8 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
     far-field value, constant in x, except at the interface node, which
     holds the interface value 0: at tau_0 that is boundary data.  The
     solid's start never samples that corner (see the module docstring).
+    Raises DegenerateInputError when the time step is not a finite positive
+    double (p so large or so small that p**(2/alpha) leaves double range).
     """
     if phase not in (1, 2):
         raise InvalidInputError(f"phase must be 1 or 2, got {phase}")
@@ -172,7 +174,15 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
     m = mesh.m1 if phase == 1 else mesh.m2
     a = params.alpha
-    dtau = 1.0 / (mesh.n * p ** (2.0 / a))
+    try:
+        dtau = 1.0 / (mesh.n * p ** (2.0 / a))
+    except (OverflowError, ZeroDivisionError):  # p**(2/alpha) over- or underflows
+        dtau = math.nan
+    if not 0.0 < dtau < math.inf:
+        raise DegenerateInputError(
+            f"time step 1/(n*p**(2/alpha)) is not a finite positive double "
+            f"(p={p}, alpha={a}, n={mesh.n})"
+        )
     tau = _tau_grid(mesh, dtau)
     v = np.linspace(0.0, 1.0, m + 1)
     ubar = np.zeros((mesh.n + 1, m + 1))
@@ -397,31 +407,27 @@ def thomas_solve(system: TridiagonalSystem):
     return _thomas(system.sub, system.diag, system.sup, system.rhs)
 
 
-def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
-    """Populate grid rows 1..through (default: all) in place.
+def advance_phase(grid: PhaseGrid) -> PhaseGrid:
+    """Populate grid rows 1..n in place.
 
     Repeats assemble + Thomas solve level by level, the solid's half-step
     first, with the arithmetic of assemble_phase{1,2}_step and
     thomas_solve, and keeps the solid's half level as grid.half for the
     interface balance.  The differences of each level are stored once, in
     arrays local to this call, and the weight rows are sliced from one
-    lag table.  Recomputes from level 0, so the result is independent of
-    any previous partial advance.
+    lag table.  Recomputes from level 0, so the result does not depend on
+    rows filled before the call.
     """
     n = grid.mesh.n
-    if through is None:
-        through = n
-    if not 1 <= through <= n:
-        raise InvalidInputError(f"through must lie in [1, {n}], got {through}")
     coeffs = _phase_coeffs(grid)
-    table = lag_table(through - 1, grid.params.alpha, grid.dtau)
+    table = lag_table(n - 1, grid.params.alpha, grid.dtau)
     ubar = grid.ubar
-    d2 = np.empty((through + 1, grid.m - 1))
+    d2 = np.empty((n + 1, grid.m - 1))
     dc = np.empty_like(d2)
     d2[0], dc[0] = _differences(ubar[0])
     try:
         half, half_terms, violations = _half_row(grid, coeffs)
-        for k in range(through):
+        for k in range(n):
             weights = (table.trap(k), None) if half is None else table.split(k)
             sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, dc, weights,
                                                   half_terms)
@@ -435,12 +441,12 @@ def advance_phase(grid: PhaseGrid, through: int | None = None) -> PhaseGrid:
             "diagonal dominance violated %d times while advancing phase %d (p=%.6g)",
             violations, grid.phase, grid.p,
         )
-    if not np.isfinite(grid.ubar[:through + 1]).all():
+    if not np.isfinite(grid.ubar).all():
         raise InvalidStateError(
             f"non-finite values while advancing phase {grid.phase} (p={grid.p:.6g})"
         )
     grid.half = half
-    grid.filled_through = through
+    grid.filled_through = n
     return grid
 
 

@@ -32,13 +32,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInputError, NonConvergenceError
 
 __all__ = [
-    "WrightArgs",
     "WrightResult",
     "erfc",
     "reciprocal_gamma",
@@ -76,28 +74,6 @@ def reciprocal_gamma(x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function (stdlib implementation, ~1 ulp)."""
     return math.erfc(x)
-
-
-@dataclass(frozen=True)
-class WrightArgs:
-    """Argument bundle for one Wright-series evaluation."""
-
-    z: float
-    gamma: float
-    delta: float
-    tol: float = 1e-13
-    max_terms: int = 700
-
-    def __post_init__(self):
-        problems = []
-        if not self.gamma > -1.0:
-            problems.append(f"gamma must be > -1, got {self.gamma}")
-        if not self.tol > 0.0:
-            problems.append(f"tol must be > 0, got {self.tol}")
-        if self.max_terms < 1:
-            problems.append(f"max_terms must be >= 1, got {self.max_terms}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
 
 
 class WrightResult(NamedTuple):
@@ -146,7 +122,8 @@ def _log_k(max_terms: int) -> tuple:
     return (0.0, *(math.log(k) for k in range(1, max_terms + 1)))
 
 
-def wright_series(args: WrightArgs) -> WrightResult:
+def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
+                  max_terms: int = 700) -> WrightResult:
     """Sum the Wright series until the next term falls below tolerance.
 
     The truncation test is relative to the running partial sum, with an
@@ -162,20 +139,33 @@ def wright_series(args: WrightArgs) -> WrightResult:
     switches to a log-space product (math.lgamma) where 1/Gamma is not
     finite or z**k / k! has underflowed.
 
-    Raises NonConvergenceError when max_terms is reached first, when a
-    term overflows double precision, or when the roundoff of the largest
-    term (eps * max |term|) exceeds _CANCEL_TOL * max(|sum|, 1): such a sum
-    cannot cancel back to an accurate value.  Below that limit the
-    cancellation still costs digits, so term_bound also covers the
+    Raises InvalidInputError (every problem in one message) unless gamma >
+    -1 and delta are finite, tol > 0 and max_terms >= 1.  Raises
+    NonConvergenceError when max_terms is reached first, when gamma*k +
+    delta or a term overflows double precision, or when the roundoff of
+    the largest term (eps * max |term|) exceeds _CANCEL_TOL * max(|sum|, 1):
+    such a sum cannot cancel back to an accurate value.  Below that limit
+    the cancellation still costs digits, so term_bound also covers the
     roundoff of the whole sum.
     """
-    z, g, d = args.z, args.gamma, args.delta
+    problems = []
+    if not gamma > -1.0:
+        problems.append(f"gamma must be > -1, got {gamma}")
+    elif not math.isfinite(gamma):
+        problems.append(f"gamma must be finite, got {gamma}")
+    if not math.isfinite(delta):
+        problems.append(f"delta must be finite, got {delta}")
+    if not tol > 0.0:
+        problems.append(f"tol must be > 0, got {tol}")
+    if max_terms < 1:
+        problems.append(f"max_terms must be >= 1, got {max_terms}")
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     if z == 0.0:
-        return WrightResult(reciprocal_gamma(d), 0.0, 1)
+        return WrightResult(reciprocal_gamma(delta), 0.0, 1)
 
-    coefficients = _coefficients(g, d, args.max_terms)
-    log_k = _log_k(args.max_terms)
-    tol = args.tol
+    coefficients = _coefficients(gamma, delta, max_terms)
+    log_k = _log_k(max_terms)
     log_abs_z = math.log(abs(z))
     total = 0.0
     pw = 1.0  # z**k / k!
@@ -193,7 +183,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
         elif rg is _NON_FINITE or pw == 0.0:
             # z**k/k! underflowed or 1/Gamma overflowed; both factors are
             # extreme while their product is not -- recombine in log space.
-            x = g * k + d
+            x = gamma * k + delta
             sign = _gamma_sign(x)
             if z < 0.0 and k % 2:
                 sign = -sign
@@ -201,7 +191,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
             if log_term > _LOG_MAX:
                 raise NonConvergenceError(
                     f"Wright series term {k} overflows at z={z:.6g}, "
-                    f"gamma={g:.6g}, delta={d:.6g} (log |term| {log_term:.1f})",
+                    f"gamma={gamma:.6g}, delta={delta:.6g} (log |term| {log_term:.1f})",
                     partial=total,
                     last_term=term,
                     terms=k,
@@ -226,7 +216,7 @@ def wright_series(args: WrightArgs) -> WrightResult:
                 if peak * sys.float_info.epsilon > _CANCEL_TOL * size:
                     raise NonConvergenceError(
                         f"Wright series cancels below roundoff at z={z:.6g}, "
-                        f"gamma={g:.6g}, delta={d:.6g} (largest term {peak:.3e}, "
+                        f"gamma={gamma:.6g}, delta={delta:.6g} (largest term {peak:.3e}, "
                         f"sum {total:.3e})",
                         partial=total,
                         last_term=term,
@@ -237,20 +227,23 @@ def wright_series(args: WrightArgs) -> WrightResult:
         else:
             run = 0
             run_bound = 0.0
-    if len(coefficients) <= args.max_terms:
-        # the sum reached a gamma*k + delta that is not finite: raise what
-        # round() raises for it, as the pole test always has
-        round(g * len(coefficients) + d)
+    if len(coefficients) <= max_terms:
+        raise NonConvergenceError(
+            f"Wright series order overflows at term {len(coefficients)}: "
+            f"gamma*k + delta is not finite at z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g}",
+            partial=total,
+            last_term=term,
+            terms=len(coefficients),
+        )
     raise NonConvergenceError(
-        f"Wright series not converged after {args.max_terms} terms at "
-        f"z={z:.6g}, gamma={g:.6g}, delta={d:.6g} (last term {term:.3e})",
+        f"Wright series not converged after {max_terms} terms at "
+        f"z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g} (last term {term:.3e})",
         partial=total,
         last_term=term,
-        terms=args.max_terms + 1,
+        terms=max_terms + 1,
     )
 
 
-def wright(z: float, gamma: float, delta: float, *, tol: float = 1e-13,
-           max_terms: int = 700) -> float:
-    """Convenience wrapper around wright_series returning only the value."""
-    return wright_series(WrightArgs(z, gamma, delta, tol, max_terms)).value
+def wright(z: float, gamma: float, delta: float) -> float:
+    """The value of wright_series at its default tol and max_terms."""
+    return wright_series(z, gamma, delta).value

@@ -1,5 +1,8 @@
 """Similarity solution and the front-coefficient equation."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +184,65 @@ class TestTemperatures:
         for _ in range(2):
             with pytest.raises(errors.NonConvergenceError):
                 analytic.u1_exact(0.0, 1.0, sol)
+
+
+def _inline_front_values(sol):
+    # the front values as ExactSolution wrote them out before _similarity
+    a = sol.params.alpha
+    sq = (math.sqrt(sol.params.kappa1), math.sqrt(sol.params.kappa2))
+    if a == 1.0:
+        return tuple(specfun.erfc(sol.p / (2.0 * s)) for s in sq)
+    return tuple(specfun.wright(-sol.p / s, -a / 2.0, 1.0) for s in sq)
+
+
+def _inline_point(x, tau, kappa, a):
+    # the point value as u1_exact and u2_exact wrote it out before _similarity
+    if a == 1.0:
+        return specfun.erfc(x / (2.0 * math.sqrt(kappa * tau)))
+    sq = math.sqrt(kappa)
+    return specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0)
+
+
+def _inline_u1(x, tau, sol):
+    den = _inline_front_values(sol)[0] - 1.0
+    num = _inline_point(x, tau, sol.params.kappa1, sol.params.alpha) - 1.0
+    return 1.0 - num / den
+
+
+def _inline_u2(x, tau, sol):
+    w_front = _inline_front_values(sol)[1]
+    w_here = _inline_point(x, tau, sol.params.kappa2, sol.params.alpha)
+    return sol.params.theta_inf * (w_front - w_here) / w_front
+
+
+def _bits_or_error(fn, *args):
+    try:
+        return struct.pack("<d", fn(*args))
+    except errors.FracStefanError as exc:
+        return type(exc)
+
+
+class TestSimilarityProfileBitForBit:
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_matches_inline_forms(self, row, alpha):
+        sol = analytic.ExactSolution(P_EXACT_REF[(row, alpha)], params_for(row, alpha))
+        assert sol.front_values == _inline_front_values(sol)
+        failures = 0
+        for tau in (0.01, 0.3, 1.0, 1.7, 4.0):
+            s = analytic.front_exact(tau, sol)
+            for i in range(21):
+                x = s * i / 20.0
+                assert (_bits_or_error(analytic.u1_exact, x, tau, sol)
+                        == _bits_or_error(_inline_u1, x, tau, sol)), (x, tau)
+            # from the front out to the far field, where the series gives up
+            for x in [s * (1.0 + i / 10.0) for i in range(11)] + [8.0, 15.0, 30.0, 60.0]:
+                if x < s:
+                    continue
+                got = _bits_or_error(analytic.u2_exact, x, tau, sol)
+                assert got == _bits_or_error(_inline_u2, x, tau, sol), (x, tau)
+                failures += got is errors.NonConvergenceError
+        assert (failures > 0) == (alpha < 1.0)
 
 
 class TestFrontExact:

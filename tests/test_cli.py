@@ -368,6 +368,25 @@ class TestMain:
         assert "m1" in capsys.readouterr().err
         assert not list(tmp_path.glob("table*.csv"))
 
+    @pytest.mark.parametrize("flag, value", [("--p-max", "1e100"), ("--p-min", "1e-50")])
+    def test_unrepresentable_time_step_exit_code(self, capsys, flag, value):
+        argv = ["numeric", "--alpha", "0.25", "--m1", "8", "--m2", "20", "--n", "12",
+                flag, value]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"candidate p={float(value):.8g}" in err and "time step" in err
+
+    def test_unrepresentable_time_step_fills_table_cells(self, tmp_path):
+        # the candidate p = 1e100 has no time step at alpha 0.25 and 0.5;
+        # those cells read DegenerateInput and the sweep goes on
+        argv = ["tables", "--m1", "8", "--m2", "20", "--n", "12", "--p-max", "1e100",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        header, rows = read_csv(tmp_path / "table2.csv")
+        assert header[4:6] == ["p_numeric[alpha=0.25]", "p_numeric[alpha=0.5]"]
+        assert all(row[4:6] == ["DegenerateInput"] * 2 for row in rows)
+        assert (tmp_path / "table3.csv").exists() and (tmp_path / "run.txt").exists()
+
     def test_empty_profile_times_flag_means_defaults(self, tmp_path):
         argv = ["profiles", *TINY_ARGV, "--profile-times", ",", "--out", str(tmp_path)]
         assert cli.main(argv) == 0

@@ -12,6 +12,12 @@ MESH = scheme.MeshConfig(m1=20, m2=60, n=40, ratio=10.0)
 PROD_MESH = scheme.MeshConfig()
 
 
+def replace_candidate_solve(monkeypatch, residual):
+    """Let every bisection candidate p cost residual(p) instead of a grid solve."""
+    monkeypatch.setattr(fronttrack, "_solve_candidate",
+                        lambda p, params, mesh: (residual(p), None))
+
+
 def advanced_pair(p, mesh, params):
     g1 = scheme.advance_phase(scheme.make_phase_grid(1, p, mesh, params))
     g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, mesh, params))
@@ -74,9 +80,9 @@ class TestStefanFrontValue:
         params = params_for(0, 1.0)
         p = analytic.solve_p_exact(params)
         g1 = scheme.make_phase_grid(1, p, PROD_MESH, params)
-        # one step stores the half level, which depends on level 0 alone;
+        # the advance stores the half level, which depends on level 0 alone;
         # the injection below overwrites the rows it filled
-        g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, PROD_MESH, params), through=1)
+        g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, PROD_MESH, params))
         f1 = scheme.recover_physical(g1)
         f2 = scheme.recover_physical(g2)
         for j in range(1, PROD_MESH.n + 1):
@@ -119,44 +125,44 @@ class TestFrontResidual:
 
 
 class TestBisectionSolve:
-    def test_synthetic_linear_residual(self):
+    def test_synthetic_linear_residual(self, monkeypatch):
         target = 0.6180339887
         eps = 1e-6
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 - p / target)
         result = fronttrack.bisection_solve(
-            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=eps,
-            residual_fn=lambda p: 1.0 - p / target)
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=eps)
         assert result.converged
         assert abs(result.p - target) <= eps * target
         assert result.iterations <= math.ceil(math.log2((2.0 - 0.1) / (eps * target)))
         assert len(result.history) == result.iterations + 2
 
-    def test_bracket_halves_every_iteration(self):
+    def test_bracket_halves_every_iteration(self, monkeypatch):
         captured = []
+        replace_candidate_solve(monkeypatch, lambda p: (captured.append(p), 0.9 - p)[1])
         fronttrack.bisection_solve(
-            params_for(0, 0.5), MESH, bracket=(0.5, 1.5), eps=1e-9,
-            residual_fn=lambda p: (captured.append(p), 0.9 - p)[1])
+            params_for(0, 0.5), MESH, bracket=(0.5, 1.5), eps=1e-9)
         mids = captured[2:]
         steps = np.abs(np.diff(mids))
         np.testing.assert_allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-12)
 
-    def test_endpoint_early_exit(self):
+    def test_endpoint_early_exit(self, monkeypatch):
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 - p)
         result = fronttrack.bisection_solve(
-            params_for(0, 0.5), MESH, bracket=(1.0, 2.0), eps=1e-3,
-            residual_fn=lambda p: 1.0 - p)
+            params_for(0, 0.5), MESH, bracket=(1.0, 2.0), eps=1e-3)
         assert result.converged and result.p == 1.0 and result.iterations == 0
 
-    def test_no_sign_change_reports_both_residuals(self):
+    def test_no_sign_change_reports_both_residuals(self, monkeypatch):
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 + p)
         with pytest.raises(errors.NoSignChangeError) as excinfo:
             fronttrack.bisection_solve(
-                params_for(0, 0.5), MESH, bracket=(0.2, 0.4), eps=1e-9,
-                residual_fn=lambda p: 1.0 + p)
+                params_for(0, 0.5), MESH, bracket=(0.2, 0.4), eps=1e-9)
         message = str(excinfo.value)
         assert "1.2" in message and "1.4" in message
 
-    def test_max_iter_returns_unconverged(self):
+    def test_max_iter_returns_unconverged(self, monkeypatch):
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 - p)
         result = fronttrack.bisection_solve(
-            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-18,
-            max_iter=7, residual_fn=lambda p: 1.0 - p)
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-18, max_iter=7)
         assert not result.converged
         assert result.iterations == 7
 
@@ -178,12 +184,6 @@ class TestBisectionSolve:
         assert g1.half is None
         np.testing.assert_array_equal(g2.half, fresh2.half)
         assert 1.0 - fronttrack.stefan_front_value(g1, g2) == result.residual
-
-    def test_no_grids_when_residual_replaced(self):
-        result = fronttrack.bisection_solve(
-            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-3,
-            residual_fn=lambda p: 1.0 - p)
-        assert result.converged and result.grids is None
 
     def test_grid_backed_solve_small_mesh(self):
         params = params_for(0, 1.0)

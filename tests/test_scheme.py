@@ -52,6 +52,16 @@ class TestGridConstruction:
         with pytest.raises(errors.InvalidInputError):
             scheme.make_phase_grid(1, -0.1, SMALL_MESH, params_for(0, 0.5))
 
+    @pytest.mark.parametrize("p, alpha", [
+        (1e100, 0.25),  # p**(2/alpha) overflows
+        (1e-50, 0.25),  # p**(2/alpha) underflows to 0
+        (1e77, 0.5),    # n * p**(2/alpha) overflows, so dtau would be 0
+    ])
+    def test_rejects_unrepresentable_time_step(self, p, alpha):
+        for phase in (1, 2):
+            with pytest.raises(errors.DegenerateInputError, match="time step"):
+                scheme.make_phase_grid(phase, p, SMALL_MESH, params_for(0, alpha))
+
     def test_rejects_interval_count_without_interior(self):
         with pytest.raises(errors.InvalidInputError, match="interior"):
             scheme.MeshConfig(m1=1, m2=30, n=10)
@@ -251,13 +261,6 @@ class TestAdvance:
         a = scheme.advance_phase(scheme.make_phase_grid(2, 0.7, SMALL_MESH, params))
         b = scheme.advance_phase(scheme.make_phase_grid(2, 0.7, SMALL_MESH, params))
         assert np.array_equal(a.ubar, b.ubar)
-
-    def test_partial_advance_bounds(self):
-        g = scheme.make_phase_grid(1, 0.8, SMALL_MESH, params_for(0, 0.5))
-        with pytest.raises(errors.InvalidInputError):
-            scheme.advance_phase(g, through=SMALL_MESH.n + 1)
-        scheme.advance_phase(g, through=5)
-        assert g.filled_through == 5
 
     def test_refinement_reduces_error_against_similarity_solution(self):
         # alpha = 0.5 scan: joint space-time refinement must not increase

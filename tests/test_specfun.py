@@ -62,13 +62,15 @@ class TestErfc:
 
 
 class TestWrightArgs:
+    """The argument checks of wright_series."""
+
     def test_rejects_gamma_at_minus_one(self):
         with pytest.raises(errors.InvalidInputError, match="gamma"):
-            specfun.WrightArgs(z=1.0, gamma=-1.0, delta=1.0)
+            specfun.wright_series(z=1.0, gamma=-1.0, delta=1.0)
 
     def test_rejects_bad_tol_and_cap(self):
         with pytest.raises(errors.InvalidInputError) as excinfo:
-            specfun.WrightArgs(z=1.0, gamma=-0.5, delta=1.0, tol=0.0, max_terms=0)
+            specfun.wright_series(z=1.0, gamma=-0.5, delta=1.0, tol=0.0, max_terms=0)
         assert "tol" in str(excinfo.value) and "max_terms" in str(excinfo.value)
 
 
@@ -112,7 +114,7 @@ class TestWright:
             assert got == pytest.approx(float(total), rel=1e-9)
 
     def test_reports_term_bound_and_count(self):
-        result = specfun.wright_series(specfun.WrightArgs(-1.5, -0.25, 1.0))
+        result = specfun.wright_series(-1.5, -0.25, 1.0)
         assert result.term_bound <= 1e-13 * max(abs(result.value), 1.0)
         assert 1 < result.terms <= 700
 
@@ -120,7 +122,7 @@ class TestWright:
     def test_term_bound_covers_cancellation_roundoff(self, z):
         # accepted sums that cancel terms up to 6.6e8 (z = -10) and 1.3e5
         # (z = -8): 60-digit oracle, the same series summed to convergence
-        result = specfun.wright_series(specfun.WrightArgs(z, -0.5, 1.0))
+        result = specfun.wright_series(z, -0.5, 1.0)
         with mp.workdps(60):
             exact = mp.mpf(0)
             for k in range(400):
@@ -131,7 +133,7 @@ class TestWright:
 
     def test_nonconvergence_when_cap_hit(self):
         with pytest.raises(errors.NonConvergenceError):
-            specfun.wright(-1.0, -0.5, 1.0, max_terms=4)
+            specfun.wright_series(-1.0, -0.5, 1.0, max_terms=4)
 
     def test_nonconvergence_far_outside_range(self):
         with pytest.raises(errors.NonConvergenceError):
@@ -157,10 +159,9 @@ class TestWright:
         assert got == pytest.approx(specfun.erfc(4.0), abs=1e-10)
 
 
-def _reference_series(args):
+def _reference_series(z, g, d, tol=1e-13, max_terms=700):
     """wright_series as it was before the coefficient tables: 1/Gamma and
     log k recomputed for every term.  The reference for TestCoefficientTable."""
-    z, g, d = args.z, args.gamma, args.delta
     if z == 0.0:
         return specfun.WrightResult(specfun.reciprocal_gamma(d), 0.0, 1)
 
@@ -172,7 +173,7 @@ def _reference_series(args):
     run_bound = 0.0
     term = 0.0
     peak = 0.0
-    for k in range(args.max_terms + 1):
+    for k in range(max_terms + 1):
         if k > 0:
             pw *= z / k
             lw += log_abs_z - math.log(k)
@@ -199,7 +200,7 @@ def _reference_series(args):
         mag = abs(term)
         if mag > peak:
             peak = mag
-        threshold = args.tol * max(abs(total), 1.0)
+        threshold = tol * max(abs(total), 1.0)
         if mag <= threshold:
             run += 1
             run_bound = max(run_bound, mag)
@@ -216,9 +217,9 @@ def _reference_series(args):
             run = 0
             run_bound = 0.0
     raise errors.NonConvergenceError(
-        f"Wright series not converged after {args.max_terms} terms at "
+        f"Wright series not converged after {max_terms} terms at "
         f"z={z:.6g}, gamma={g:.6g}, delta={d:.6g} (last term {term:.3e})",
-        partial=total, last_term=term, terms=args.max_terms + 1)
+        partial=total, last_term=term, terms=max_terms + 1)
 
 
 def _bits(x):
@@ -226,9 +227,10 @@ def _bits(x):
 
 
 def _outcome(series, args):
-    """A result or NonConvergenceError as a tuple that compares floats bit for bit."""
+    """A result or NonConvergenceError as a tuple that compares floats bit for bit;
+    args is the tuple (z, gamma, delta[, tol, max_terms])."""
     try:
-        value, bound, terms = series(args)
+        value, bound, terms = series(*args)
     except errors.NonConvergenceError as exc:
         return (type(exc), str(exc), _bits(exc.partial), _bits(exc.last_term), exc.terms)
     return (_bits(value), _bits(bound), terms)
@@ -247,7 +249,7 @@ class TestCoefficientTable:
     @pytest.mark.parametrize("gamma, delta", ORDERS)
     def test_bit_identical_to_per_term_loop(self, gamma, delta):
         for z in GUARD_ZS:
-            args = specfun.WrightArgs(z, gamma, delta)
+            args = (z, gamma, delta)
             assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args), z
 
     @pytest.mark.parametrize("z, gamma, delta, reason", [
@@ -256,7 +258,7 @@ class TestCoefficientTable:
         (-80.0, -0.475, 1.0, "a log-space term overflows"),
     ])
     def test_log_space_branch(self, monkeypatch, z, gamma, delta, reason):
-        args = specfun.WrightArgs(z, gamma, delta)
+        args = (z, gamma, delta)
         expected = _outcome(_reference_series, args)
         calls = []
         lgamma = math.lgamma
@@ -268,33 +270,37 @@ class TestCoefficientTable:
     def test_term_cap_and_tolerance(self, tol, max_terms):
         for z in GUARD_ZS:
             for gamma, delta in ORDERS:
-                args = specfun.WrightArgs(z, gamma, delta, tol, max_terms)
+                args = (z, gamma, delta, tol, max_terms)
                 assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
 
     def test_table_keyed_by_term_cap(self):
         # the same order with two caps: the short table must not serve the
         # long sum, nor the long table the short one
         for max_terms in (700, 20, 700):
-            args = specfun.WrightArgs(-5.0, -0.25, 0.875, max_terms=max_terms)
+            args = (-5.0, -0.25, 0.875, 1e-13, max_terms)
             assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
         with pytest.raises(errors.NonConvergenceError, match="after 20 terms"):
-            specfun.wright(-5.0, -0.25, 0.875, max_terms=20)
+            specfun.wright_series(-5.0, -0.25, 0.875, max_terms=20)
 
     def test_gamma_of_huge_order_overflows_past_the_stopping_term(self):
         # gamma*k overflows from k = 180 on, long after this sum has stopped
-        args = specfun.WrightArgs(1.0, 1e306, 1.0)
+        args = (1.0, 1e306, 1.0)
         assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
 
     @pytest.mark.parametrize("gamma, delta", [
         (math.inf, 1.0), (0.5, math.inf), (0.5, math.nan),
     ])
     def test_non_finite_order_raises_as_before(self, gamma, delta):
-        # gamma*k + delta is not finite at k = 0, where round() raises
-        args = specfun.WrightArgs(1.0, gamma, delta)
-        with pytest.raises((ValueError, OverflowError)) as expected:
-            _reference_series(args)
-        with pytest.raises(expected.type, match=str(expected.value)):
-            specfun.wright_series(args)
+        # rejected up front with a typed error that names the key
+        key = "delta" if math.isfinite(gamma) else "gamma"
+        with pytest.raises(errors.InvalidInputError, match=f"{key} must be finite"):
+            specfun.wright_series(1.0, gamma, delta)
+
+    def test_order_overflowing_within_the_sum_does_not_converge(self):
+        # gamma*k + delta overflows at k = 2, before the sum can stop
+        with pytest.raises(errors.NonConvergenceError, match="overflows at term 2") as info:
+            specfun.wright(1.0, 1.7e308, 1.0)
+        assert info.value.terms == 2 and info.value.partial == 1.0
 
     def test_coefficients_built_once_per_order(self, monkeypatch):
         specfun._coefficients.cache_clear()
