@@ -98,59 +98,48 @@ class ExactSolution:
 
 def _similarity(x: float, tau: float, kappa: float, alpha: float) -> float:
     """W(-x / (sqrt(kappa) * tau**(alpha/2)); -alpha/2, 1), the profile both
-    phases share; at alpha = 1 its closed form erfc(x / (2 sqrt(kappa*tau)))."""
+    phases share; at alpha = 1 its closed form erfc(x / (2 sqrt(kappa*tau))).
+    At x = p, tau = 1 it gives the front values that the profiles
+    (ExactSolution.front_values) and the front equation divide by."""
     if alpha == 1.0:
         return specfun.erfc(x / (2.0 * math.sqrt(kappa * tau)))
     return specfun.wright(-x / (math.sqrt(kappa) * tau ** (alpha / 2.0)), -alpha / 2.0, 1.0)
 
 
-def _classical_residual(p: float, params: PhysicalParams) -> float:
-    # alpha = 1 form of the front equation, written as LHS - RHS.
-    k1, k2 = params.kappa1, params.kappa2
-    ec2 = specfun.erfc(p / (2.0 * math.sqrt(k2)))
-    den1 = specfun.erfc(p / (2.0 * math.sqrt(k1))) - 1.0
-    if abs(ec2) < _SINGULAR_TOL or abs(den1) < _SINGULAR_TOL:
-        raise DegenerateInputError(
-            f"classical front equation degenerate at p={p}: erfc denominators "
-            f"{ec2:.3e}, {den1:.3e}"
-        )
-    solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
-        math.sqrt(math.pi * k2) * ec2
-    )
-    liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
-        math.sqrt(math.pi * k1) * den1
-    )
-    return 0.5 * p - (solid - liquid)
-
-
 def transcendental_residual(p: float, params: PhysicalParams) -> float:
     """LHS - RHS of the equation determining the front coefficient.
 
-    At alpha = 1 this dispatches to the closed erfc form; otherwise the
-    Wright-series ratios are evaluated directly.  Raises
-    DegenerateInputError when a denominator sits within roundoff of its
-    singular value, and propagates NonConvergenceError from the series.
+    The denominators are the front values of the similarity profiles,
+    _similarity(p, 1, kappa), so they share its erfc-or-Wright switch; the
+    left-hand side and the numerators take the erfc form at alpha = 1 and
+    the Wright-series form otherwise.  Raises DegenerateInputError when a
+    denominator sits within roundoff of its singular value, and propagates
+    NonConvergenceError from the series.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
-    a = params.alpha
-    if a == 1.0:
-        return _classical_residual(p, params)
-    g = -a / 2.0
-    sq1 = math.sqrt(params.kappa1)
-    sq2 = math.sqrt(params.kappa2)
-    w1_den = specfun.wright(-p / sq1, g, 1.0) - 1.0
-    w2_den = specfun.wright(-p / sq2, g, 1.0)
-    if abs(w1_den) < _SINGULAR_TOL or abs(w2_den) < _SINGULAR_TOL:
+    a, k1, k2 = params.alpha, params.kappa1, params.kappa2
+    den1 = _similarity(p, 1.0, k1, a) - 1.0
+    den2 = _similarity(p, 1.0, k2, a)
+    if abs(den1) < _SINGULAR_TOL or abs(den2) < _SINGULAR_TOL:
         raise DegenerateInputError(
-            f"front equation degenerate at p={p}: Wright denominators "
-            f"{w1_den:.3e}, {w2_den:.3e}"
+            f"front equation degenerate at p={p}: denominators {den1:.3e}, {den2:.3e}"
         )
-    w1_num = specfun.wright(-p / sq1, g, 1.0 - a / 2.0)
-    w2_num = specfun.wright(-p / sq2, g, 1.0 - a / 2.0)
+    if a == 1.0:
+        solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
+            math.sqrt(math.pi * k2) * den2
+        )
+        liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
+            math.sqrt(math.pi * k1) * den1
+        )
+        return 0.5 * p - (solid - liquid)
+    sq1 = math.sqrt(k1)
+    sq2 = math.sqrt(k2)
+    w1_num = specfun.wright(-p / sq1, -a / 2.0, 1.0 - a / 2.0)
+    w2_num = specfun.wright(-p / sq2, -a / 2.0, 1.0 - a / 2.0)
     lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
-    rhs = (params.lambda2 / sq2) * params.theta_inf * w2_num / w2_den \
-        - (params.lambda1 / sq1) * w1_num / w1_den
+    rhs = (params.lambda2 / sq2) * params.theta_inf * w2_num / den2 \
+        - (params.lambda1 / sq1) * w1_num / den1
     return lhs - rhs
 
 

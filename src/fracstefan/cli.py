@@ -21,6 +21,7 @@ from .analytic import (
     DEFAULT_BRACKET,
     ExactSolution,
     PhysicalParams,
+    solve_exact,
     solve_p_exact,
     u1_exact,
     u2_exact,
@@ -370,7 +371,7 @@ def run_profiles(config: RunConfig) -> dict:
 
     sol_exact = None
     try:
-        sol_exact = ExactSolution(solve_p_exact(params, config.bracket), params)
+        sol_exact = solve_exact(params, config.bracket)
     except FracStefanError as exc:
         logger.warning("transcendental solution unavailable, exact columns empty: %s", exc)
 
@@ -457,8 +458,8 @@ def run_convergence(config: RunConfig, levels: int) -> Path:
         raise InvalidInputError(f"levels must be >= 2, got {levels}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     params = config.params
-    p_exact = solve_p_exact(params, config.bracket)
-    sol_exact = ExactSolution(p_exact, params)
+    sol_exact = solve_exact(params, config.bracket)
+    p_exact = sol_exact.p
 
     rows = []
     base = config.mesh
@@ -590,6 +591,9 @@ def main(argv=None) -> int:
     except FracStefanError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out that cannot be created or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -22,8 +22,8 @@ Callers treat that as "outside the validated range".
 
 The factor 1/Gamma(gamma*k + delta) of each term does not depend on z.
 The closed-form route evaluates a handful of orders (gamma, delta) at tens
-of thousands of arguments, so the coefficients of an order and log k are
-computed once per (gamma, delta, max_terms) and cached; the term loop only
+of thousands of arguments, so the coefficients of an order are computed
+once per (gamma, delta) and cached, and log k once; the term loop only
 multiplies, and its results are bit for bit those of the per-term loop.
 """
 
@@ -57,6 +57,10 @@ _LOG_MAX = math.log(sys.float_info.max)
 # largest roundoff, relative to max(|sum|, 1), that cancellation of large
 # alternating terms may leave in an accepted sum
 _CANCEL_TOL = 1e-6
+
+# the truncation test's relative tolerance; the terms a sum may add after the first
+_TOL = 1e-13
+_MAX_TERMS = 700
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -98,12 +102,12 @@ _NON_FINITE = object()
 
 
 @functools.lru_cache(maxsize=32)
-def _coefficients(gamma: float, delta: float, max_terms: int) -> tuple:
-    """1/Gamma(gamma*k + delta) for k = 0..max_terms, with _POLE and
+def _coefficients(gamma: float, delta: float) -> tuple:
+    """1/Gamma(gamma*k + delta) for k = 0.._MAX_TERMS, with _POLE and
     _NON_FINITE in place of the values the term loop must not multiply.
     The table ends early at the first k where gamma*k + delta is not finite."""
     table = []
-    for k in range(max_terms + 1):
+    for k in range(_MAX_TERMS + 1):
         x = gamma * k + delta
         if not math.isfinite(x):
             break
@@ -116,56 +120,50 @@ def _coefficients(gamma: float, delta: float, max_terms: int) -> tuple:
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=4)
-def _log_k(max_terms: int) -> tuple:
-    """log k for k = 1..max_terms, at index k (index 0 is unused)."""
-    return (0.0, *(math.log(k) for k in range(1, max_terms + 1)))
+# log k for k = 1.._MAX_TERMS, at index k (index 0 is unused)
+_LOG_K = (0.0, *(math.log(k) for k in range(1, _MAX_TERMS + 1)))
 
 
-def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
-                  max_terms: int = 700) -> WrightResult:
+def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
     """Sum the Wright series until the next term falls below tolerance.
 
-    The truncation test is relative to the running partial sum, with an
-    absolute fallback when the sum sits near zero, and must see _STOP_RUN
+    The truncation test (_TOL) is relative to the running partial sum, with
+    an absolute fallback when the sum sits near zero, and must see _STOP_RUN
     consecutive small terms before stopping (terms vanish identically
     wherever gamma*k + delta is a nonpositive integer).
 
     Individual terms are formed as (z**k / k!) * (1/Gamma(gamma*k + delta)).
     The second factor does not depend on z: it comes from a table built
-    once per (gamma, delta, max_terms) and cached, so the term loop only
+    once per (gamma, delta) and cached, so the term loop only
     multiplies.  For gamma < 0 both factors eventually leave
     double-precision range even though their product does not, so a term
     switches to a log-space product (math.lgamma) where 1/Gamma is not
     finite or z**k / k! has underflowed.
 
-    Raises InvalidInputError (every problem in one message) unless gamma >
-    -1 and delta are finite, tol > 0 and max_terms >= 1.  Raises
-    NonConvergenceError when max_terms is reached first, when gamma*k +
-    delta or a term overflows double precision, or when the roundoff of
-    the largest term (eps * max |term|) exceeds _CANCEL_TOL * max(|sum|, 1):
-    such a sum cannot cancel back to an accurate value.  Below that limit
-    the cancellation still costs digits, so term_bound also covers the
-    roundoff of the whole sum.
+    Raises InvalidInputError (every problem in one message) unless z,
+    gamma > -1 and delta are finite.  Raises NonConvergenceError when
+    _MAX_TERMS terms after the first do not stop the sum, when gamma*k +
+    delta, a term or the sum overflows double precision, or when the
+    roundoff of the largest term (eps * max |term|) exceeds _CANCEL_TOL *
+    max(|sum|, 1): such a sum cannot cancel back to an accurate value.
+    Below that limit the cancellation still costs digits, so term_bound
+    also covers the roundoff of the whole sum.
     """
     problems = []
+    if not math.isfinite(z):
+        problems.append(f"z must be finite, got {z}")
     if not gamma > -1.0:
         problems.append(f"gamma must be > -1, got {gamma}")
     elif not math.isfinite(gamma):
         problems.append(f"gamma must be finite, got {gamma}")
     if not math.isfinite(delta):
         problems.append(f"delta must be finite, got {delta}")
-    if not tol > 0.0:
-        problems.append(f"tol must be > 0, got {tol}")
-    if max_terms < 1:
-        problems.append(f"max_terms must be >= 1, got {max_terms}")
     if problems:
         raise InvalidInputError("; ".join(problems))
     if z == 0.0:
         return WrightResult(reciprocal_gamma(delta), 0.0, 1)
 
-    coefficients = _coefficients(gamma, delta, max_terms)
-    log_k = _log_k(max_terms)
+    coefficients = _coefficients(gamma, delta)
     log_abs_z = math.log(abs(z))
     total = 0.0
     pw = 1.0  # z**k / k!
@@ -177,7 +175,7 @@ def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
     for k, rg in enumerate(coefficients):
         if k > 0:
             pw *= z / k
-            lw += log_abs_z - log_k[k]
+            lw += log_abs_z - _LOG_K[k]
         if rg is _POLE:
             term = 0.0
         elif rg is _NON_FINITE or pw == 0.0:
@@ -208,7 +206,7 @@ def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
             size = 1.0
         if mag > peak:
             peak = mag
-        if mag <= tol * size:
+        if mag <= _TOL * size:
             run += 1
             if mag > run_bound:
                 run_bound = mag
@@ -222,12 +220,20 @@ def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
                         last_term=term,
                         terms=k + 1,
                     )
+                if not math.isfinite(total):
+                    raise NonConvergenceError(
+                        f"Wright series sum overflows to {total} at z={z:.6g}, "
+                        f"gamma={gamma:.6g}, delta={delta:.6g} (largest term {peak:.3e})",
+                        partial=total,
+                        last_term=term,
+                        terms=k + 1,
+                    )
                 roundoff = (k + 1) * sys.float_info.epsilon * max(peak, abs(total))
                 return WrightResult(total, max(run_bound, roundoff), k + 1)
         else:
             run = 0
             run_bound = 0.0
-    if len(coefficients) <= max_terms:
+    if len(coefficients) <= _MAX_TERMS:
         raise NonConvergenceError(
             f"Wright series order overflows at term {len(coefficients)}: "
             f"gamma*k + delta is not finite at z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g}",
@@ -236,14 +242,14 @@ def wright_series(z: float, gamma: float, delta: float, tol: float = 1e-13,
             terms=len(coefficients),
         )
     raise NonConvergenceError(
-        f"Wright series not converged after {max_terms} terms at "
+        f"Wright series not converged after {_MAX_TERMS} terms at "
         f"z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g} (last term {term:.3e})",
         partial=total,
         last_term=term,
-        terms=max_terms + 1,
+        terms=_MAX_TERMS + 1,
     )
 
 
 def wright(z: float, gamma: float, delta: float) -> float:
-    """The value of wright_series at its default tol and max_terms."""
+    """The value of wright_series."""
     return wright_series(z, gamma, delta).value

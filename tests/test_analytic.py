@@ -245,6 +245,79 @@ class TestSimilarityProfileBitForBit:
         assert (failures > 0) == (alpha < 1.0)
 
 
+def _reference_residual(p, params):
+    """transcendental_residual as it was before its denominators came from
+    _similarity: the erfc form and the Wright form written out in full."""
+    if not p > 0.0:
+        raise errors.InvalidInputError(f"front coefficient must be > 0, got {p}")
+    a = params.alpha
+    if a == 1.0:
+        k1, k2 = params.kappa1, params.kappa2
+        ec2 = specfun.erfc(p / (2.0 * math.sqrt(k2)))
+        den1 = specfun.erfc(p / (2.0 * math.sqrt(k1))) - 1.0
+        if abs(ec2) < analytic._SINGULAR_TOL or abs(den1) < analytic._SINGULAR_TOL:
+            raise errors.DegenerateInputError("erfc denominators")
+        solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
+            math.sqrt(math.pi * k2) * ec2
+        )
+        liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
+            math.sqrt(math.pi * k1) * den1
+        )
+        return 0.5 * p - (solid - liquid)
+    g = -a / 2.0
+    sq1 = math.sqrt(params.kappa1)
+    sq2 = math.sqrt(params.kappa2)
+    w1_den = specfun.wright(-p / sq1, g, 1.0) - 1.0
+    w2_den = specfun.wright(-p / sq2, g, 1.0)
+    if abs(w1_den) < analytic._SINGULAR_TOL or abs(w2_den) < analytic._SINGULAR_TOL:
+        raise errors.DegenerateInputError("Wright denominators")
+    w1_num = specfun.wright(-p / sq1, g, 1.0 - a / 2.0)
+    w2_num = specfun.wright(-p / sq2, g, 1.0 - a / 2.0)
+    lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
+    rhs = (params.lambda2 / sq2) * params.theta_inf * w2_num / w2_den \
+        - (params.lambda1 / sq1) * w1_num / w1_den
+    return lhs - rhs
+
+
+def _residual_outcome(fn, p, params):
+    # (float, the value's bits), or an error by type, a series failure with its message
+    try:
+        return float, struct.pack("<d", fn(p, params))
+    except errors.NonConvergenceError as exc:
+        return type(exc), str(exc)
+    except errors.FracStefanError as exc:
+        return type(exc), None
+
+
+#: the built-in rows plus two with unequal conductivities and diffusivities
+RESIDUAL_ROWS = ROWS + ((2.0, 1.0, 1.0, 3.0), (0.5, 1.5, 0.3, 2.0))
+
+
+class TestResidualBitForBit:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_written_out_forms(self, alpha):
+        outcomes = set()
+        for l1, l2, k1, k2 in RESIDUAL_ROWS:
+            for theta in (-0.5, -0.1, 0.0, -2.0):
+                params = analytic.PhysicalParams(alpha=alpha, lambda1=l1, lambda2=l2,
+                                                 kappa1=k1, kappa2=k2, theta_inf=theta)
+                # p = 0.01 .. 3.99, then an invalid p and arguments past the
+                # series' range or with an erfc denominator that underflows
+                for p in [i / 100.0 for i in range(1, 400)] + [0.0, 12.0, 40.0, 80.0]:
+                    got = _residual_outcome(analytic.transcendental_residual, p, params)
+                    assert got == _residual_outcome(_reference_residual, p, params), (p, params)
+                    outcomes.add(got[0])
+        failure = errors.DegenerateInputError if alpha == 1.0 else errors.NonConvergenceError
+        assert {float, errors.InvalidInputError, failure} <= outcomes
+
+    def test_table_roots(self, monkeypatch):
+        roots = [analytic.solve_p_exact(params_for(row, alpha))
+                 for row in range(len(ROWS)) for alpha in ALPHAS]
+        monkeypatch.setattr(analytic, "transcendental_residual", _reference_residual)
+        assert roots == [analytic.solve_p_exact(params_for(row, alpha))
+                         for row in range(len(ROWS)) for alpha in ALPHAS]
+
+
 class TestFrontExact:
     def test_start_and_unit_time(self):
         sol = analytic.ExactSolution(0.77, params_for(0, 0.5))

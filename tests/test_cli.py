@@ -331,6 +331,14 @@ class TestMain:
         assert (tmp_path / "table3.csv").exists()
         assert (tmp_path / "run.txt").exists()
 
+    @pytest.mark.parametrize("command", ["tables", "profiles", "convergence"])
+    def test_unusable_out_exit_code(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main([command, *TINY_ARGV, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err and "Traceback" not in err
+
     def test_profile_times_flag(self, tmp_path):
         argv = ["profiles", "--alpha", "1.0", "--m1", "8", "--m2", "20", "--n", "12",
                 "--profile-times", "0.4,0.9", "--out", str(tmp_path)]

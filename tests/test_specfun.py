@@ -68,10 +68,13 @@ class TestWrightArgs:
         with pytest.raises(errors.InvalidInputError, match="gamma"):
             specfun.wright_series(z=1.0, gamma=-1.0, delta=1.0)
 
-    def test_rejects_bad_tol_and_cap(self):
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, z):
+        # every problem in one message; a NaN z used to sum all 701 terms
+        # and z = inf to come back as the value inf
         with pytest.raises(errors.InvalidInputError) as excinfo:
-            specfun.wright_series(z=1.0, gamma=-0.5, delta=1.0, tol=0.0, max_terms=0)
-        assert "tol" in str(excinfo.value) and "max_terms" in str(excinfo.value)
+            specfun.wright_series(z=z, gamma=-1.0, delta=1.0)
+        assert "z must be finite" in str(excinfo.value) and "gamma" in str(excinfo.value)
 
 
 class TestWright:
@@ -132,8 +135,19 @@ class TestWright:
         assert error <= result.term_bound
 
     def test_nonconvergence_when_cap_hit(self):
-        with pytest.raises(errors.NonConvergenceError):
-            specfun.wright_series(-1.0, -0.5, 1.0, max_terms=4)
+        # gamma near -1: the terms shrink too slowly to stop within the cap
+        with pytest.raises(errors.NonConvergenceError, match="not converged after 700 terms") \
+                as info:
+            specfun.wright_series(-2.0, -0.9, 1.0)
+        assert info.value.terms == 701
+
+    @pytest.mark.parametrize("z, gamma", [(180.0, -0.375), (290.0, -0.25)])
+    def test_nonconvergence_when_sum_overflows(self, z, gamma):
+        # the terms stay finite but their sum does not; an infinite sum used
+        # to pass the stopping test and come back as a converged value
+        with pytest.raises(errors.NonConvergenceError, match="sum overflows") as info:
+            specfun.wright_series(z, gamma, 1.0)
+        assert math.isinf(info.value.partial) and info.value.terms > 1
 
     def test_nonconvergence_far_outside_range(self):
         with pytest.raises(errors.NonConvergenceError):
@@ -159,9 +173,11 @@ class TestWright:
         assert got == pytest.approx(specfun.erfc(4.0), abs=1e-10)
 
 
-def _reference_series(z, g, d, tol=1e-13, max_terms=700):
+def _reference_series(z, g, d):
     """wright_series as it was before the coefficient tables: 1/Gamma and
-    log k recomputed for every term.  The reference for TestCoefficientTable."""
+    log k recomputed for every term, at the fixed tolerance 1e-13 and cap
+    700.  The reference for TestCoefficientTable."""
+    tol, max_terms = 1e-13, 700
     if z == 0.0:
         return specfun.WrightResult(specfun.reciprocal_gamma(d), 0.0, 1)
 
@@ -228,7 +244,7 @@ def _bits(x):
 
 def _outcome(series, args):
     """A result or NonConvergenceError as a tuple that compares floats bit for bit;
-    args is the tuple (z, gamma, delta[, tol, max_terms])."""
+    args is the tuple (z, gamma, delta)."""
     try:
         value, bound, terms = series(*args)
     except errors.NonConvergenceError as exc:
@@ -256,6 +272,7 @@ class TestCoefficientTable:
         (1e-300, -0.25, 0.75, "z**k / k! underflows"),
         (-20.0, -0.5, 1.0, "1/Gamma overflows; the sum cancels below roundoff"),
         (-80.0, -0.475, 1.0, "a log-space term overflows"),
+        (-2.0, -0.9, 1.0, "z**k / k! underflows; the sum runs into the term cap"),
     ])
     def test_log_space_branch(self, monkeypatch, z, gamma, delta, reason):
         args = (z, gamma, delta)
@@ -265,22 +282,6 @@ class TestCoefficientTable:
         monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
         assert _outcome(specfun.wright_series, args) == expected
         assert calls, reason
-
-    @pytest.mark.parametrize("tol, max_terms", [(1e-13, 4), (1e-6, 700), (1e-15, 700)])
-    def test_term_cap_and_tolerance(self, tol, max_terms):
-        for z in GUARD_ZS:
-            for gamma, delta in ORDERS:
-                args = (z, gamma, delta, tol, max_terms)
-                assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
-
-    def test_table_keyed_by_term_cap(self):
-        # the same order with two caps: the short table must not serve the
-        # long sum, nor the long table the short one
-        for max_terms in (700, 20, 700):
-            args = (-5.0, -0.25, 0.875, 1e-13, max_terms)
-            assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
-        with pytest.raises(errors.NonConvergenceError, match="after 20 terms"):
-            specfun.wright_series(-5.0, -0.25, 0.875, max_terms=20)
 
     def test_gamma_of_huge_order_overflows_past_the_stopping_term(self):
         # gamma*k overflows from k = 180 on, long after this sum has stopped
