@@ -266,11 +266,15 @@ def run_tables(config: RunConfig) -> dict:
     equation), table2.csv (front coefficients from the grid solver) and
     table3.csv (times at which the front reaches x = 1, mapped from
     table2 by p -> p**(-2/alpha)).  Failed cells carry the error name and
-    the run continues.
+    the run continues.  The front searches of all cells share one dict of
+    per-phase balance terms, so each distinct phase grid is advanced once
+    per run.
     """
     config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = TABLE_ROWS + tuple(config.extra_rows)
 
+    # the cells share their phase solves: one balance term per distinct grid
+    phase_terms = {}
     exact_rows, numeric_rows, time_rows = [], [], []
     for l1, l2, k1, k2 in rows:
         exact_cells, numeric_cells, time_cells = [], [], []
@@ -284,10 +288,8 @@ def run_tables(config: RunConfig) -> dict:
                 exact_cells.append(_error_token(exc))
             try:
                 result = bisection_solve(params, config.mesh, config.bracket,
-                                         config.eps, config.max_iter)
-                # a table cell needs only p: release the grids, so that a
-                # caller keeping every search result holds no grid pairs
-                result.grids = None
+                                         config.eps, config.max_iter,
+                                         phase_terms=phase_terms)
                 if result.converged:
                     numeric_cells.append(_fmt(result.p))
                     time_cells.append(_fmt(final_time(result.p, a)))

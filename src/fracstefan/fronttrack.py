@@ -7,11 +7,15 @@ prescribed front hit x = 1 exactly at the final level, so the residual
 1 - S(tau_n, p) vanishes at the consistent coefficient; bisection on that
 residual is the search.
 
-Each flux is integrated in time with the rule its own stepper uses: the
-liquid flux product-trapezoidally from level 0, the solid flux with the
-split start (two right-endpoint half-steps over the first interval, via
-the half-level row), so the solid's level-0 corner quotient carries no
-weight.
+The balance is the sum of two per-phase terms,
+S = (lambda2/Gamma(alpha)) J2 - (lambda1/Gamma(alpha)) J1, where J1 is the
+liquid flux and J2 the solid flux, each integrated in time with the rule
+its own stepper uses: the liquid product-trapezoidally from level 0, the
+solid with the split start (two right-endpoint half-steps over the first
+interval, via the half-level row), so the solid's level-0 corner quotient
+carries no weight.  A term depends only on its own phase's grid, so front
+searches that share a dict of terms keyed by scheme.phase_key (the cells
+of a table) advance each distinct phase grid once.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .scheme import (
     _half_width,
     advance_phase,
     make_phase_grid,
+    phase_key,
     recover_physical,
 )
 
@@ -70,20 +75,17 @@ class FrontSolveResult:
 
 
 def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
-    """One-sided difference quotients of the recovered temperatures.
+    """The fluxes of a liquid and a solid grid of one candidate: (_flux(g1), _flux(g2)).
 
-    Returns (flux1, flux2, flux2_half): per time level, plus the solid
-    quotient at the half level tau = dtau/2, which advance_phase keeps on
-    the solid grid.  The level-0 liquid quotient is defined as zero: its
-    numerator vanishes identically with empty initial liquid data, and the
-    guard keeps 0 over a near-zero spacing from producing junk.
+    The two grids must come from the same p, params and mesh, and both be
+    advanced through level n.
     """
     if g1.phase != 1 or g2.phase != 2:
         raise GridMismatchError(f"expected phases (1, 2), got ({g1.phase}, {g2.phase})")
-    if g1.p != g2.p or g1.dtau != g2.dtau or g1.mesh.n != g2.mesh.n:
+    if g1.p != g2.p or g1.params != g2.params or g1.mesh != g2.mesh:
         raise GridMismatchError(
-            f"grids disagree: p {g1.p} vs {g2.p}, dtau {g1.dtau} vs {g2.dtau}, "
-            f"n {g1.mesh.n} vs {g2.mesh.n}"
+            f"grids disagree: p {g1.p} vs {g2.p}, {g1.params} vs {g2.params}, "
+            f"{g1.mesh} vs {g2.mesh}"
         )
     n = g1.mesh.n
     if g1.filled_through < n or g2.filled_through < n:
@@ -93,42 +95,64 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
         )
     if g2.half is None:
         raise InvalidStateError("solid grid holds no half level; advance it with advance_phase")
-    f1 = recover_physical(g1)
-    f2 = recover_physical(g2)
-    m1 = g1.m
-    flux1 = np.empty(n + 1)
-    flux1[0] = 0.0
-    flux1[1:] = (f1.u[1:, m1] - f1.u[1:, m1 - 1]) / (f1.x[1:, m1] - f1.x[1:, m1 - 1])
-    flux2 = (f2.u[:, 1] - f2.u[:, 0]) / (f2.x[:, 1] - f2.x[:, 0])
+    return _flux(g1), _flux(g2)
+
+
+def _flux(grid: PhaseGrid):
+    """One-sided difference quotient of a phase's recovered temperature at the front.
+
+    Returns (flux, flux_half): flux per time level, and for the solid the
+    quotient at the half level tau = dtau/2, which advance_phase keeps on the
+    solid grid (None for the liquid).  The level-0 liquid quotient is
+    defined as zero: its numerator vanishes identically with empty initial
+    liquid data, and the guard keeps 0 over a near-zero spacing from
+    producing junk.
+    """
+    f = recover_physical(grid)
+    if grid.phase == 1:
+        m1 = grid.m
+        flux = np.empty(grid.mesh.n + 1)
+        flux[0] = 0.0
+        flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
+        return flux, None
+    flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
     # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
-    width = _half_width(g2.p, g2.dtau, g2.mesh.ratio, g2.params.alpha)
-    flux2_half = (g2.half[1] - g2.half[0]) * width / g2.v[1]
-    return flux1, flux2, flux2_half
+    width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
+    return flux, (grid.half[1] - grid.half[0]) * width / grid.v[1]
 
 
-def _front_value(g1: PhaseGrid, table: LagTable, k: int, flux1, flux2, flux2_half) -> float:
-    """Heat-balance front position at level k >= 1; table is _lag_table(g1)."""
-    params = g1.params
+def _term(table: LagTable, k: int, flux, flux_half) -> float:
+    """A phase's flux integrated in time up to level k >= 1, without the Gamma factor.
+
+    The liquid (flux_half None) is product-trapezoidal, the solid has the
+    split start; table is _lag_table of the grid.
+    """
+    if flux_half is None:
+        return np.dot(table.trap(k - 1), flux[:k + 1])
+    w, w_half = table.split(k - 1)
+    return np.dot(w, flux[:k + 1]) + w_half * flux_half
+
+
+def _front_value(params: PhysicalParams, term1, term2) -> float:
+    """Heat-balance front position from the liquid and solid terms at one level."""
     ga = math.gamma(params.alpha)
-    w1 = table.trap(k - 1)  # weights targeting level k
-    w2, w_half = table.split(k - 1)
-    return float(
-        (params.lambda2 / ga) * (np.dot(w2, flux2[:k + 1]) + w_half * flux2_half)
-        - (params.lambda1 / ga) * np.dot(w1, flux1[:k + 1])
-    )
+    return float((params.lambda2 / ga) * term2 - (params.lambda1 / ga) * term1)
 
 
-def _lag_table(g1: PhaseGrid) -> LagTable:
-    """The weights of the steps to levels 1..n of the grids' time axis."""
-    return lag_table(g1.mesh.n - 1, g1.params.alpha, g1.dtau)
+def _lag_table(grid: PhaseGrid) -> LagTable:
+    """The weights of the steps to levels 1..n of the grid's time axis."""
+    return lag_table(grid.mesh.n - 1, grid.params.alpha, grid.dtau)
 
 
 def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
     """Discrete front position S(tau_n) from the interface heat balance.
 
-    Both grids must be fully advanced with the same p and time step.
+    Both grids must be fully advanced from the same p, params and mesh.
     """
-    return _front_value(g1, _lag_table(g1), g1.mesh.n, *_interface_fluxes(g1, g2))
+    flux1, flux2 = _interface_fluxes(g1, g2)
+    table = _lag_table(g1)
+    n = g1.mesh.n
+    return _front_value(g1.params, _term(table, n, *flux1), _term(table, n, *flux2))
 
 
 def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
@@ -137,28 +161,38 @@ def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
     S[0] is pinned to 0 (the front starts at the origin); S[n] equals
     stefan_front_value.
     """
-    fluxes = _interface_fluxes(g1, g2)
+    flux1, flux2 = _interface_fluxes(g1, g2)
     table = _lag_table(g1)
     n = g1.mesh.n
     series = np.zeros(n + 1)
     for k in range(1, n + 1):
-        series[k] = _front_value(g1, table, k, *fluxes)
+        series[k] = _front_value(g1.params, _term(table, k, *flux1), _term(table, k, *flux2))
     return series
 
 
-def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig):
-    """Build and advance both grids for candidate p: (1 - S(tau_n, p), (g1, g2)).
+def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_terms: dict):
+    """1 - S(tau_n, p) for candidate p, and the grids it advanced: (residual, (g1, g2) | None).
 
-    Errors carry the candidate in their message.
+    Each phase's term at level n is read from phase_terms under its
+    scheme.phase_key, or its grid is built and advanced and the term stored
+    there; the liquid comes first.  The grids are returned when both phases
+    were advanced.  Errors carry the candidate in their message, and a phase
+    that raises stores nothing.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
+    terms, grids = [], []
     try:
-        g1 = advance_phase(make_phase_grid(1, p, mesh, params))
-        g2 = advance_phase(make_phase_grid(2, p, mesh, params))
-        return 1.0 - stefan_front_value(g1, g2), (g1, g2)
+        for phase in (1, 2):
+            key = phase_key(phase, p, mesh, params)
+            if key not in phase_terms:
+                grid = advance_phase(make_phase_grid(phase, p, mesh, params))
+                phase_terms[key] = _term(_lag_table(grid), mesh.n, *_flux(grid))
+                grids.append(grid)
+            terms.append(phase_terms[key])
     except FracStefanError as exc:
         raise type(exc)(f"candidate p={p:.8g}: {exc}") from exc
+    return 1.0 - _front_value(params, *terms), tuple(grids) if len(grids) == 2 else None
 
 
 def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
@@ -166,12 +200,13 @@ def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
 
     Nothing is cached across candidates; each call is an independent solve.
     """
-    return _solve_candidate(p, params, mesh)[0]
+    return _solve_candidate(p, params, mesh, {})[0]
 
 
 def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
                     bracket=DEFAULT_BRACKET, eps: float = DEFAULT_EPS,
-                    max_iter: int = DEFAULT_MAX_ITER) -> FrontSolveResult:
+                    max_iter: int = DEFAULT_MAX_ITER,
+                    phase_terms: dict | None = None) -> FrontSolveResult:
     """Bisection on the front residual.
 
     Follows the classic recipe: evaluate both endpoints first (either may
@@ -181,6 +216,11 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
     _solve_candidate.  The returned p is always the last candidate, so the
     search keeps only that candidate's grids and returns them as
     result.grids.
+
+    phase_terms is the store of per-phase balance terms that
+    _solve_candidate reads and fills.  Searches that share one dict (the
+    cells of a table) advance each distinct phase grid once between them;
+    such a search returns grids=None.  None gives the search a fresh dict.
     """
     p_a, p_b = float(bracket[0]), float(bracket[1])
     if not (0.0 < p_a < p_b):
@@ -189,13 +229,18 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
         raise InvalidInputError(f"eps must be > 0, got {eps}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    keep_grids = phase_terms is None
+    if keep_grids:
+        phase_terms = {}
     grids = None
     history = []
 
     def evaluate(p):
         nonlocal grids
         grids = None  # let the previous pair go before advancing the next
-        r, grids = _solve_candidate(p, params, mesh)
+        r, pair = _solve_candidate(p, params, mesh, phase_terms)
+        if keep_grids:
+            grids = pair
         history.append((p, 1.0 - r))
         logger.debug("front residual at p=%.8g: %+.6e", p, r)
         return r

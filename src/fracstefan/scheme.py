@@ -63,6 +63,7 @@ __all__ = [
     "assemble_phase1_step",
     "assemble_phase2_step",
     "make_phase_grid",
+    "phase_key",
     "recover_physical",
     "thomas_solve",
 ]
@@ -200,6 +201,21 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
         ubar[1:, m] = params.theta_inf / width[1:] ** 2
     return PhaseGrid(phase=phase, p=p, mesh=mesh, params=params,
                      dtau=dtau, tau=tau, v=v, ubar=ubar)
+
+
+def phase_key(phase: int, p: float, mesh: MeshConfig, params: PhysicalParams) -> tuple:
+    """Every value that one phase's advanced grid depends on.
+
+    Two grids of the same phase with equal keys advance to the same rows,
+    bit for bit, and grids with different keys do not.  The liquid depends
+    neither on kappa2, theta_inf nor ratio, and not on tau0_factor either:
+    tau_0 only scales its level-0 row, which is zero.  The solid does not
+    depend on kappa1, and neither phase on lambda1 or lambda2.
+    """
+    if phase == 1:
+        return (1, p, params.alpha, params.kappa1, mesh.m1, mesh.n)
+    return (2, p, params.alpha, params.kappa2, params.theta_inf, mesh.m2, mesh.n,
+            mesh.ratio, mesh.tau0_factor)
 
 
 def _half_width(p: float, dtau: float, L: float, alpha: float) -> float:

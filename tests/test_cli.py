@@ -2,11 +2,12 @@
 
 import csv
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracstefan import cli, errors, fronttrack
+from fracstefan import cli, errors, fronttrack, scheme
 
 TINY = {"m1": 8, "m2": 20, "n": 12}
 TINY_ARGV = ["--alpha", "1.0", "--m1", "8", "--m2", "20", "--n", "12"]
@@ -301,6 +302,39 @@ class TestAdvanceCount:
         assert advanced == candidates
 
 
+    def test_tables_advance_each_phase_grid_once(self, tmp_path, monkeypatch):
+        # the cells share their phase solves, and each still reads the p, S
+        # and history of a search of that cell alone
+        advanced = Counter()
+        advance = fronttrack.advance_phase
+
+        def counted(grid, *args, **kwargs):
+            advanced[scheme.phase_key(grid.phase, grid.p, grid.mesh, grid.params)] += 1
+            return advance(grid, *args, **kwargs)
+
+        searches = []
+        solve = cli.bisection_solve
+
+        def recorded(params, mesh, *args, **kwargs):
+            result = solve(params, mesh, *args, **kwargs)
+            searches.append((params, mesh, args, result))
+            return result
+
+        monkeypatch.setattr(fronttrack, "advance_phase", counted)
+        monkeypatch.setattr(cli, "bisection_solve", recorded)
+        config = cli.parse_config(None, tiny_overrides(), mode="tables", output_dir=tmp_path)
+        cli.run_tables(config)
+        monkeypatch.undo()
+        assert len(searches) == len(cli.TABLE_ROWS) * len(cli.TABLE_ALPHAS)
+        assert set(advanced.values()) == {1}
+        candidates = sum(len(result.history) for *_, result in searches)
+        assert sum(advanced.values()) < 2 * candidates
+        for params, mesh, args, result in searches:
+            alone = fronttrack.bisection_solve(params, mesh, *args)
+            assert (result.p, result.s_final, result.history) == \
+                (alone.p, alone.s_final, alone.history)
+
+
 class TestMain:
     def test_exact_command(self, capsys):
         assert cli.main(["exact", "--alpha", "1.0"]) == 0
@@ -394,6 +428,41 @@ class TestMain:
         assert header[4:6] == ["p_numeric[alpha=0.25]", "p_numeric[alpha=0.5]"]
         assert all(row[4:6] == ["DegenerateInput"] * 2 for row in rows)
         assert (tmp_path / "table3.csv").exists() and (tmp_path / "run.txt").exists()
+
+    def test_failed_phase_solves_are_not_shared(self, tmp_path, caplog):
+        # p = 1e-40 has no time step at alpha = 0.25, and rows 0 and 1 share
+        # that liquid grid: each cell reports its own failure, and every cell
+        # reads what a search of that cell alone gives
+        argv = ["tables", "--m1", "6", "--m2", "18", "--n", "12", "--p-min", "1e-40",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        failures = [record.getMessage() for record in caplog.records
+                    if record.getMessage().startswith("numeric cell")]
+        config = cli.parse_config(None, {"m1": 6, "m2": 18, "n": 12, "p_min": 1e-40},
+                                  mode="tables")
+        _, rows2 = read_csv(tmp_path / "table2.csv")
+        _, rows3 = read_csv(tmp_path / "table3.csv")
+        expected_failures = []
+        for row, row2, row3 in zip(cli.TABLE_ROWS, rows2, rows3):
+            l1, l2, k1, k2 = row
+            for ci, alpha in enumerate(cli.TABLE_ALPHAS):
+                params = replace(config.params, alpha=alpha, lambda1=l1, lambda2=l2,
+                                 kappa1=k1, kappa2=k2)
+                try:
+                    result = fronttrack.bisection_solve(params, config.mesh, config.bracket,
+                                                        config.eps, config.max_iter)
+                except errors.FracStefanError as exc:
+                    expected = [cli._error_token(exc)] * 2
+                    expected_failures.append(
+                        f"numeric cell ({row}, alpha={alpha}) failed: {exc}")
+                else:
+                    assert result.converged
+                    expected = [cli._fmt(result.p),
+                                cli._fmt(fronttrack.final_time(result.p, alpha))]
+                assert [row2[4 + ci], row3[4 + ci]] == expected
+        assert [row2[4] for row2 in rows2] == ["DegenerateInput"] * 3
+        assert len(expected_failures) == 3
+        assert failures == expected_failures
 
     def test_empty_profile_times_flag_means_defaults(self, tmp_path):
         argv = ["profiles", *TINY_ARGV, "--profile-times", ",", "--out", str(tmp_path)]

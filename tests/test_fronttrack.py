@@ -1,6 +1,7 @@
 """Discrete interface energy balance and the front-coefficient bisection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ PROD_MESH = scheme.MeshConfig()
 def replace_candidate_solve(monkeypatch, residual):
     """Let every bisection candidate p cost residual(p) instead of a grid solve."""
     monkeypatch.setattr(fronttrack, "_solve_candidate",
-                        lambda p, params, mesh: (residual(p), None))
+                        lambda p, params, mesh, *_: (residual(p), None))
 
 
 def advanced_pair(p, mesh, params):
@@ -58,6 +59,24 @@ class TestStefanFrontValue:
         _, g2 = advanced_pair(0.9, MESH, params)
         with pytest.raises(errors.GridMismatchError):
             fronttrack.stefan_front_value(g1, g2)
+
+    @pytest.mark.parametrize("p, solid_params, solid_mesh", [
+        (1.0, {"alpha": 1.0}, {}),  # at p = 1, dtau = 1/n for every alpha
+        (1.0, {"lambda2": 2.0}, {}),
+        (1.0, {"kappa1": 3.0}, {}),
+        (0.8, {}, {"tau0_factor": 1e-2}),
+    ], ids=["alpha", "lambda2", "kappa1", "tau0_factor"])
+    @pytest.mark.parametrize("balance", [fronttrack.stefan_front_value,
+                                         fronttrack.front_series], ids=["value", "series"])
+    def test_pair_from_other_params_or_mesh_rejected(self, p, solid_params, solid_mesh,
+                                                     balance):
+        params = analytic.PhysicalParams(alpha=0.5)
+        mesh = scheme.MeshConfig(m1=8, m2=40, n=24)
+        g1 = scheme.advance_phase(scheme.make_phase_grid(1, p, mesh, params))
+        g2 = scheme.advance_phase(scheme.make_phase_grid(
+            2, p, replace(mesh, **solid_mesh), replace(params, **solid_params)))
+        with pytest.raises(errors.GridMismatchError, match="disagree"):
+            balance(g1, g2)
 
     def test_requires_fully_advanced_grids(self):
         params = params_for(0, 0.5)
@@ -122,6 +141,22 @@ class TestFrontResidual:
         params = params_for(0, 0.5)
         with pytest.raises(errors.InvalidInputError):
             fronttrack.front_residual(-1.0, params, MESH)
+
+    def test_failed_phase_stores_no_term(self, monkeypatch):
+        # the liquid's term is kept for later candidates, the failed solid's is not
+        advance = fronttrack.advance_phase
+
+        def failing_solid(grid):
+            if grid.phase == 2:
+                raise errors.ZeroPivotError("zero pivot at row 0")
+            return advance(grid)
+
+        monkeypatch.setattr(fronttrack, "advance_phase", failing_solid)
+        params = params_for(0, 0.5)
+        terms = {}
+        with pytest.raises(errors.ZeroPivotError, match="candidate p=0.8: zero pivot"):
+            fronttrack._solve_candidate(0.8, params, MESH, terms)
+        assert list(terms) == [scheme.phase_key(1, 0.8, MESH, params)]
 
 
 class TestBisectionSolve:

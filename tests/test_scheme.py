@@ -1,5 +1,7 @@
 """Front-fixing steppers: assembly, Thomas solve, advance, recovery."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,41 @@ class TestGridConstruction:
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.8, mesh, params))
             assert np.isfinite(g.ubar).all()
+
+
+class TestPhaseKey:
+    #: One other valid value per PhysicalParams and MeshConfig field, and for p.
+    PERTURBED = {"alpha": 0.75, "kappa1": 2.0, "kappa2": 2.0, "lambda1": 2.0,
+                 "lambda2": 2.0, "theta_inf": -0.25, "m1": 9, "m2": 21, "n": 13,
+                 "ratio": 12.0, "tau0_factor": 2e-3, "p": 0.9}
+
+    @staticmethod
+    def advanced(phase, p, mesh, params):
+        grid = scheme.advance_phase(scheme.make_phase_grid(phase, p, mesh, params))
+        return scheme.phase_key(phase, p, mesh, params), grid
+
+    def test_covers_every_field(self):
+        names = {f.name for f in fields(analytic.PhysicalParams)} | \
+            {f.name for f in fields(scheme.MeshConfig)} | {"p"}
+        assert set(self.PERTURBED) == names
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PERTURBED))
+    def test_key_changes_exactly_when_the_grid_does(self, phase, name):
+        # a field the key missed would let a table reuse another grid's solve
+        p, mesh, params = 0.8, scheme.MeshConfig(m1=8, m2=20, n=12), params_for(0, 0.5)
+        key, grid = self.advanced(phase, p, mesh, params)
+        value = self.PERTURBED[name]
+        if name == "p":
+            p = value
+        elif name in {f.name for f in fields(scheme.MeshConfig)}:
+            mesh = replace(mesh, **{name: value})
+        else:
+            params = replace(params, **{name: value})
+        other_key, other = self.advanced(phase, p, mesh, params)
+        same_grid = np.array_equal(grid.ubar, other.ubar) and \
+            (phase == 1 or np.array_equal(grid.half, other.half))
+        assert (other_key == key) == same_grid
 
 
 class TestAssembly:

@@ -1,7 +1,8 @@
 """SHA-256 of every output of a fixed set of CLI runs, for output-identity checks.
 
 Each run is `python3 -m fracstefan.cli ...` with PYTHONPATH set to the source
-directory, in a temporary directory of its own.  One line is printed per
+directory, in a temporary directory of its own, which also holds the config
+file run.cfg (CONFIG) for the runs that name it.  One line is printed per
 output file (*.csv and run.txt) and one per run for its standard output:
 
     sha256  run  file
@@ -29,7 +30,13 @@ RUNS = (
     ("profiles", "--alpha", "1.0", "--lambda2", "2.0"),
     ("convergence", "--alpha", "0.5", "--m1", "10", "--m2", "50", "--n", "40"),
     ("convergence", "--alpha", "1.0", "--m1", "10", "--m2", "50", "--n", "40"),
+    ("tables", "--m1", "20", "--m2", "100", "--n", "80", "--config", "run.cfg"),
 )
+
+#: Two extra table rows that share phase grids with the built-in ones: the
+#: first shares kappa1 with rows 0 and 1 but has a new kappa2, the second
+#: shares both kappas with row 0 and differs in lambda1.
+CONFIG = "extra_rows = 1,1,1,2 ; 2,1,1,1\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -40,6 +47,7 @@ def digests(src: Path, args: tuple) -> list:
     """(sha256, file) for each output of one run, stdout last."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "run.cfg").write_text(CONFIG, encoding="utf-8")
         out = subprocess.run([sys.executable, "-m", "fracstefan.cli", *args, "--out", "out"],
                              cwd=tmp, env=env, capture_output=True, check=True)
         files = sorted(Path(tmp, "out").glob("*.csv")) + [Path(tmp, "out", "run.txt")]
