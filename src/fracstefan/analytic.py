@@ -151,10 +151,10 @@ def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET,
     Raises NoSignChangeError when the endpoints do not straddle a root.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise InvalidInputError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be > 0, got {tol}")
+    if not 0.0 < lo < hi < math.inf:
+        raise InvalidInputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tol must be finite and > 0, got {tol}")
     f_lo = transcendental_residual(lo, params)
     if f_lo == 0.0:
         return lo

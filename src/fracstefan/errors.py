@@ -40,7 +40,7 @@ class InvalidStateError(FracStefanError):
 
 
 class GridMismatchError(FracStefanError):
-    """Two phase grids were built with different p, time step, or step count."""
+    """Two phase grids come from different p, params or mesh, or are not both advanced."""
 
 
 class ParseError(FracStefanError, ValueError):

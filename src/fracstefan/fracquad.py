@@ -12,7 +12,7 @@ The closed-form weight expressions are second differences of lag**(alpha+1)
 and cancel catastrophically for large lags; evaluation switches to a
 binomial series once the estimated cancellation crosses 1e-9 relative.
 
-split_start_weights covers a history whose first interval [0, dtau] is
+LagTable.split covers a history whose first interval [0, dtau] is
 integrated by two implicit half-steps instead: right-endpoint rectangles on
 (0, dtau/2] and (dtau/2, dtau], so level 0 carries no weight and the level
 dtau/2 carries one of its own.  The solid phase starts this way, because
@@ -21,8 +21,8 @@ one space step and is no smooth sample of the integrand.
 
 A grid needs the weight row of every step, and the interior weights depend
 only on the lag k - j + 1, so lag_table builds them once for all lags of a
-grid and each step slices its row from that table; trap_weights and
-split_start_weights are that slice for one k.
+grid and each step slices its row from that table; trap_weights is that
+slice for one k.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["LagTable", "MemoryWeights", "half_weight", "lag_table",
-           "split_start_weights", "trap_weights"]
+__all__ = ["LagTable", "MemoryWeights", "half_weight", "lag_table", "trap_weights"]
 
 # Relative cancellation of the naive second difference grows like
 # lag**2 * eps; 1415 is the smallest lag where lag**2 * 5e-16 > 1e-9.
@@ -104,8 +103,8 @@ class LagTable:
 
     interior[n - lag] = pref * factor(lag) for lag = n, ..., 1, so the
     interior weights c[1..k] of the step to level k+1 are its last k
-    entries.  trap(k) and split(k) return, bit for bit, what trap_weights(k)
-    and split_start_weights(k) return, for every k in [0, n].
+    entries.  trap(k) and split(k) give the same bits from every table with
+    n >= k.
     """
 
     alpha: float
@@ -125,7 +124,7 @@ class LagTable:
         return c
 
     def split(self, k: int):
-        """Split-start weights (c, w_half) targeting level k+1; see split_start_weights."""
+        """Split-start weights (c, w_half) targeting level k+1: c[0] is 0, c[2:] is trap(k)'s."""
         c = self.trap(k)
         w_half = half_weight(k + 1.0, self.alpha, self.dtau)
         # c[0] plus the first-interval share of c[1] is the whole first interval
@@ -138,8 +137,8 @@ def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
     """The weight rows of the steps k = 0..n on a grid with time step dtau."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-    if not dtau > 0.0:
-        raise InvalidInputError(f"dtau must be > 0, got {dtau}")
+    if not 0.0 < dtau < math.inf:
+        raise InvalidInputError(f"dtau must be finite and > 0, got {dtau}")
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     pref = dtau ** alpha / (alpha * (alpha + 1.0))
@@ -170,15 +169,3 @@ def half_weight(target: float, alpha: float, dtau: float) -> float:
         factor = -target ** alpha * math.expm1(alpha * math.log1p(-0.5 / target))
     return dtau ** alpha / alpha * factor
 
-
-def split_start_weights(k: int, alpha: float, dtau: float):
-    """Weights (c, w_half) for the step to level k+1 after a split first interval.
-
-    c[j] weights level j = 0..k+1 and w_half the level dtau/2.  The first
-    interval is two right-endpoint half-steps, the rest product-trapezoidal:
-    exact for f constant on (0, dtau/2] and on (dtau/2, dtau] and piecewise
-    linear from dtau on.  c[0] is 0 and c[j >= 2] equal trap_weights.
-    """
-    if k < 0:
-        raise InvalidInputError(f"k must be >= 0, got {k}")
-    return lag_table(k, alpha, dtau).split(k)

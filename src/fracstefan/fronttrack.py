@@ -9,13 +9,14 @@ residual is the search.
 
 The balance is the sum of two per-phase terms,
 S = (lambda2/Gamma(alpha)) J2 - (lambda1/Gamma(alpha)) J1, where J1 is the
-liquid flux and J2 the solid flux, each integrated in time with the rule
-its own stepper uses: the liquid product-trapezoidally from level 0, the
-solid with the split start (two right-endpoint half-steps over the first
-interval, via the half-level row), so the solid's level-0 corner quotient
-carries no weight.  A term depends only on its own phase's grid, so front
-searches that share a dict of terms keyed by scheme.phase_key (the cells
-of a table) advance each distinct phase grid once.
+liquid flux and J2 the solid flux, each integrated in time (_flux_terms)
+with the weight rows its own stepper uses (scheme._step_weights): the
+liquid product-trapezoidally from level 0, the solid with the split start
+(two right-endpoint half-steps over the first interval, via the
+half-level row), so the solid's level-0 corner quotient carries no weight.
+A term depends only on its own phase's grid, so front searches that share
+a dict of terms keyed by scheme.phase_key (the cells of a table) advance
+each distinct phase grid once.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .errors import (
     InvalidStateError,
     NoSignChangeError,
 )
-from .fracquad import LagTable, lag_table
+from .fracquad import lag_table
 from .scheme import (
     MeshConfig,
     PhaseGrid,
     _half_width,
+    _step_weights,
     advance_phase,
     make_phase_grid,
     phase_key,
@@ -74,11 +76,11 @@ class FrontSolveResult:
     grids: tuple | None = field(repr=False)
 
 
-def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
-    """The fluxes of a liquid and a solid grid of one candidate: (_flux(g1), _flux(g2)).
+def _check_pair(g1: PhaseGrid, g2: PhaseGrid) -> None:
+    """Raise unless g1 is a liquid and g2 a solid grid of one candidate.
 
-    The two grids must come from the same p, params and mesh, and both be
-    advanced through level n.
+    The two grids must come from the same p, params and mesh, both be
+    advanced through level n, and the solid must hold its half level.
     """
     if g1.phase != 1 or g2.phase != 2:
         raise GridMismatchError(f"expected phases (1, 2), got ({g1.phase}, {g2.phase})")
@@ -95,18 +97,17 @@ def _interface_fluxes(g1: PhaseGrid, g2: PhaseGrid):
         )
     if g2.half is None:
         raise InvalidStateError("solid grid holds no half level; advance it with advance_phase")
-    return _flux(g1), _flux(g2)
 
 
-def _flux(grid: PhaseGrid):
-    """One-sided difference quotient of a phase's recovered temperature at the front.
+def _flux_terms(grid: PhaseGrid, levels) -> list:
+    """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
 
-    Returns (flux, flux_half): flux per time level, and for the solid the
-    quotient at the half level tau = dtau/2, which advance_phase keeps on the
-    solid grid (None for the liquid).  The level-0 liquid quotient is
-    defined as zero: its numerator vanishes identically with empty initial
-    liquid data, and the guard keeps 0 over a near-zero spacing from
-    producing junk.
+    The flux is the one-sided difference quotient of the recovered
+    temperature at the front per level, for the solid also at the half level
+    tau = dtau/2 kept by advance_phase; the weights are the stepper's rows.
+    The level-0 liquid quotient is defined as zero: its numerator vanishes
+    identically with empty initial liquid data, and the guard keeps 0 over
+    a near-zero spacing from producing junk.
     """
     f = recover_physical(grid)
     if grid.phase == 1:
@@ -114,23 +115,19 @@ def _flux(grid: PhaseGrid):
         flux = np.empty(grid.mesh.n + 1)
         flux[0] = 0.0
         flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
-        return flux, None
-    flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
-    # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
-    width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
-    return flux, (grid.half[1] - grid.half[0]) * width / grid.v[1]
-
-
-def _term(table: LagTable, k: int, flux, flux_half) -> float:
-    """A phase's flux integrated in time up to level k >= 1, without the Gamma factor.
-
-    The liquid (flux_half None) is product-trapezoidal, the solid has the
-    split start; table is _lag_table of the grid.
-    """
-    if flux_half is None:
-        return np.dot(table.trap(k - 1), flux[:k + 1])
-    w, w_half = table.split(k - 1)
-    return np.dot(w, flux[:k + 1]) + w_half * flux_half
+        flux_half = None
+    else:
+        flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
+        # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
+        width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
+        flux_half = (grid.half[1] - grid.half[0]) * width / grid.v[1]
+    table = lag_table(grid.mesh.n - 1, grid.params.alpha, grid.dtau)
+    terms = []
+    for k in levels:
+        w, w_half = _step_weights(grid, table, k - 1)
+        term = np.dot(w, flux[:k + 1])
+        terms.append(term if w_half is None else term + w_half * flux_half)
+    return terms
 
 
 def _front_value(params: PhysicalParams, term1, term2) -> float:
@@ -139,20 +136,14 @@ def _front_value(params: PhysicalParams, term1, term2) -> float:
     return float((params.lambda2 / ga) * term2 - (params.lambda1 / ga) * term1)
 
 
-def _lag_table(grid: PhaseGrid) -> LagTable:
-    """The weights of the steps to levels 1..n of the grid's time axis."""
-    return lag_table(grid.mesh.n - 1, grid.params.alpha, grid.dtau)
-
-
 def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
     """Discrete front position S(tau_n) from the interface heat balance.
 
     Both grids must be fully advanced from the same p, params and mesh.
     """
-    flux1, flux2 = _interface_fluxes(g1, g2)
-    table = _lag_table(g1)
+    _check_pair(g1, g2)
     n = g1.mesh.n
-    return _front_value(g1.params, _term(table, n, *flux1), _term(table, n, *flux2))
+    return _front_value(g1.params, _flux_terms(g1, [n])[0], _flux_terms(g2, [n])[0])
 
 
 def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
@@ -161,12 +152,11 @@ def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
     S[0] is pinned to 0 (the front starts at the origin); S[n] equals
     stefan_front_value.
     """
-    flux1, flux2 = _interface_fluxes(g1, g2)
-    table = _lag_table(g1)
-    n = g1.mesh.n
-    series = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        series[k] = _front_value(g1.params, _term(table, k, *flux1), _term(table, k, *flux2))
+    _check_pair(g1, g2)
+    levels = range(1, g1.mesh.n + 1)
+    series = np.zeros(g1.mesh.n + 1)
+    for k, term1, term2 in zip(levels, _flux_terms(g1, levels), _flux_terms(g2, levels)):
+        series[k] = _front_value(g1.params, term1, term2)
     return series
 
 
@@ -187,7 +177,7 @@ def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_t
             key = phase_key(phase, p, mesh, params)
             if key not in phase_terms:
                 grid = advance_phase(make_phase_grid(phase, p, mesh, params))
-                phase_terms[key] = _term(_lag_table(grid), mesh.n, *_flux(grid))
+                phase_terms[key] = _flux_terms(grid, [mesh.n])[0]
                 grids.append(grid)
             terms.append(phase_terms[key])
     except FracStefanError as exc:
@@ -223,10 +213,10 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
     such a search returns grids=None.  None gives the search a fresh dict.
     """
     p_a, p_b = float(bracket[0]), float(bracket[1])
-    if not (0.0 < p_a < p_b):
-        raise InvalidInputError(f"bracket must satisfy 0 < p_a < p_b, got {bracket}")
-    if not eps > 0.0:
-        raise InvalidInputError(f"eps must be > 0, got {eps}")
+    if not 0.0 < p_a < p_b < math.inf:
+        raise InvalidInputError(f"bracket must satisfy 0 < p_a < p_b < inf, got {bracket}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     keep_grids = phase_terms is None
@@ -272,8 +262,8 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
 
 def final_time(p: float, alpha: float) -> float:
     """Time at which the prescribed front reaches x = 1: p**(-2/alpha)."""
-    if not p > 0.0:
-        raise InvalidInputError(f"front coefficient must be > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise InvalidInputError(f"front coefficient must be finite and > 0, got {p}")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     return p ** (-2.0 / alpha)

@@ -32,7 +32,7 @@ as two BLAS mat-vecs over the stored differences, and solves the new level
 by Thomas elimination on Python floats.  One advance costs O(n**2 * m), in
 those mat-vecs.  The assemble_phase{1,2}_step / thomas_solve pair performs
 the same arithmetic one step at a time, with the differences rebuilt from
-the grid rows and the weights from trap_weights / split_start_weights, and
+the grid rows and each weight row from a lag table of its own step, and
 serves as its stepwise oracle.
 """
 
@@ -52,7 +52,7 @@ from .errors import (
     InvalidStateError,
     ZeroPivotError,
 )
-from .fracquad import half_weight, lag_table, split_start_weights, trap_weights
+from .fracquad import LagTable, half_weight, lag_table
 
 __all__ = [
     "MeshConfig",
@@ -312,17 +312,26 @@ def _half_row(grid: PhaseGrid, coeffs):
     return half, (*_differences(half), gq_half), violations
 
 
+def _step_weights(grid: PhaseGrid, table: LagTable, k: int):
+    """The memory weights (c, w_half) of the grid's step to level k+1, sliced from table.
+
+    The one choice of a phase's time rule, for the stepper, its stepwise
+    oracle and the interface balance: the liquid's row is
+    product-trapezoidal (w_half None), the solid's has the split start.
+    """
+    if grid.phase == 1:
+        return table.trap(k), None
+    return table.split(k)
+
+
 def _step_system(grid: PhaseGrid, k: int, coeffs, d2, dc, weights, half_terms):
     """Tridiagonal system advancing the grid from levels 0..k to level k+1.
 
     coeffs is _phase_coeffs(grid).  Row j of d2 and dc holds the second and
     centred differences of level j, for j = 0..k at least (dc's row 0 is
-    not read).  weights is (c, w_half), the memory weights of the step:
-    the split-start weights when there is a half level (the solid), the
-    product-trapezoidal weights and w_half None otherwise.  half_terms
-    comes from _half_row.  The boundary columns of the grid must already
-    be filled at level k+1.  Returns (sub, diag, sup, rhs,
-    dominance_violations).
+    not read).  weights is _step_weights of the step, and half_terms comes
+    from _half_row.  The boundary columns of the grid must already be
+    filled at level k+1.  Returns (sub, diag, sup, rhs, dominance_violations).
     """
     tcoef, rfac, qfac_in, gq, init_mult = coeffs
     ubar = grid.ubar
@@ -379,11 +388,7 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
         )
     coeffs = _phase_coeffs(grid)
     _, half_terms, half_violations = _half_row(grid, coeffs)
-    a = grid.params.alpha
-    if half_terms is None:
-        weights = trap_weights(k, a, grid.dtau).c, None
-    else:
-        weights = split_start_weights(k, a, grid.dtau)
+    weights = _step_weights(grid, lag_table(k, grid.params.alpha, grid.dtau), k)
     d2, dc = _differences(grid.ubar[:k + 1])
     sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, dc, weights,
                                                    half_terms)
@@ -444,9 +449,8 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     try:
         half, half_terms, violations = _half_row(grid, coeffs)
         for k in range(n):
-            weights = (table.trap(k), None) if half is None else table.split(k)
-            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, dc, weights,
-                                                  half_terms)
+            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, dc,
+                                                  _step_weights(grid, table, k), half_terms)
             violations += v
             ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
             d2[k + 1], dc[k + 1] = _differences(ubar[k + 1])

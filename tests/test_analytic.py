@@ -78,6 +78,16 @@ class TestSolvePExact:
         with pytest.raises(errors.NoSignChangeError):
             analytic.solve_p_exact(params_for(0, 1.0), bracket=(1.5, 2.0))
 
+    def test_rejects_infinite_tol(self):
+        # an infinite tolerance would return the bracket midpoint, 1.05
+        with pytest.raises(errors.InvalidInputError, match="tol"):
+            analytic.solve_p_exact(analytic.PhysicalParams(alpha=0.5), tol=math.inf)
+
+    def test_rejects_infinite_bracket_end(self):
+        # checked before the residual is evaluated at either end
+        with pytest.raises(errors.InvalidInputError, match="bracket"):
+            analytic.solve_p_exact(analytic.PhysicalParams(alpha=0.5), bracket=(0.1, math.inf))
+
     def test_monotone_in_alpha(self):
         for row in range(len(ROWS)):
             roots = [analytic.solve_p_exact(params_for(row, a)) for a in ALPHAS]

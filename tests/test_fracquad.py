@@ -89,6 +89,13 @@ class TestTrapWeights:
         with pytest.raises(errors.InvalidInputError):
             fracquad.trap_weights(-1, 0.5, 0.1)
 
+    def test_rejects_infinite_dtau(self):
+        # an infinite step would give all-inf trapezoid rows and NaN split rows
+        with pytest.raises(errors.InvalidInputError, match="dtau"):
+            fracquad.trap_weights(3, 0.5, math.inf)
+        with pytest.raises(errors.InvalidInputError, match="dtau"):
+            fracquad.lag_table(3, 0.5, math.inf)
+
 
 class TestSplitStartWeights:
     """Two right-endpoint half-steps over [0, dtau], product trapezoid after."""
@@ -113,7 +120,7 @@ class TestSplitStartWeights:
     @pytest.mark.parametrize("k", [0, 1, 5, 399, 2000])
     def test_exact_on_split_start_samples(self, alpha, k, rng):
         dtau = 0.01
-        c, w_half = fracquad.split_start_weights(k, alpha, dtau)
+        c, w_half = fracquad.lag_table(k, alpha, dtau).split(k)
         nodes = rng.standard_normal(k + 2)
         f_half = rng.standard_normal()
         got = float(np.dot(c, nodes)) + w_half * f_half
@@ -128,10 +135,10 @@ class TestSplitStartWeights:
 
     def test_alpha_one_is_backward_euler_pair(self):
         dtau = 0.3
-        c, w_half = fracquad.split_start_weights(0, 1.0, dtau)
+        c, w_half = fracquad.lag_table(0, 1.0, dtau).split(0)
         np.testing.assert_allclose(c, [0.0, dtau / 2.0], rtol=1e-14)
         assert w_half == pytest.approx(dtau / 2.0, rel=1e-14)
 
     def test_matches_trapezoid_beyond_first_interval(self):
-        c, _ = fracquad.split_start_weights(9, 0.5, 0.05)
+        c, _ = fracquad.lag_table(9, 0.5, 0.05).split(9)
         np.testing.assert_array_equal(c[2:], fracquad.trap_weights(9, 0.5, 0.05).c[2:])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import params_for
-from fracstefan import analytic, errors, fronttrack, scheme
+from fracstefan import analytic, errors, fracquad, fronttrack, scheme
 
 MESH = scheme.MeshConfig(m1=20, m2=60, n=40, ratio=10.0)
 PROD_MESH = scheme.MeshConfig()
@@ -23,6 +23,38 @@ def advanced_pair(p, mesh, params):
     g1 = scheme.advance_phase(scheme.make_phase_grid(1, p, mesh, params))
     g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, mesh, params))
     return g1, g2
+
+
+def reference_flux(grid):
+    """One phase's front flux per level, and the solid's at its half level (liquid: None)."""
+    f = scheme.recover_physical(grid)
+    if grid.phase == 1:
+        m1 = grid.m
+        flux = np.empty(grid.mesh.n + 1)
+        flux[0] = 0.0
+        flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
+        return flux, None
+    flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
+    width = scheme._half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
+    return flux, (grid.half[1] - grid.half[0]) * width / grid.v[1]
+
+
+def reference_term(table, k, flux, flux_half):
+    """The flux integrated up to level k: product trapezoid, or split start with a half level."""
+    if flux_half is None:
+        return np.dot(table.trap(k - 1), flux[:k + 1])
+    w, w_half = table.split(k - 1)
+    return np.dot(w, flux[:k + 1]) + w_half * flux_half
+
+
+def reference_series(g1, g2):
+    """The balance S[1..n], composed term by term with the operands in their original order."""
+    table = fracquad.lag_table(g1.mesh.n - 1, g1.params.alpha, g1.dtau)
+    flux1, flux2 = reference_flux(g1), reference_flux(g2)
+    ga = math.gamma(g1.params.alpha)
+    return [float((g1.params.lambda2 / ga) * reference_term(table, k, *flux2)
+                  - (g1.params.lambda1 / ga) * reference_term(table, k, *flux1))
+            for k in range(1, g1.mesh.n + 1)]
 
 
 class TestStefanFrontValue:
@@ -121,8 +153,28 @@ class TestFrontSeries:
         g1, g2 = advanced_pair(0.75, MESH, params)
         series = fronttrack.front_series(g1, g2)
         assert series[0] == 0.0
-        assert series[-1] == pytest.approx(fronttrack.stefan_front_value(g1, g2), rel=1e-12)
+        assert series[-1] == fronttrack.stefan_front_value(g1, g2)
         assert len(series) == MESH.n + 1
+
+
+class TestBalanceBitForBit:
+    """Every caller of the balance against the reference composition above, with ==."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_front_value(self, alpha):
+        g1, g2 = advanced_pair(0.75, MESH, params_for(0, alpha))
+        assert fronttrack.stefan_front_value(g1, g2) == reference_series(g1, g2)[-1]
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_front_series(self, alpha):
+        g1, g2 = advanced_pair(0.75, MESH, params_for(0, alpha))
+        assert fronttrack.front_series(g1, g2).tolist() == [0.0] + reference_series(g1, g2)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_candidate_residual(self, alpha):
+        params = params_for(0, alpha)
+        residual = fronttrack._solve_candidate(0.75, params, MESH, {})[0]
+        assert residual == 1.0 - reference_series(*advanced_pair(0.75, MESH, params))[-1]
 
 
 class TestFrontResidual:
@@ -207,6 +259,19 @@ class TestBisectionSolve:
         with pytest.raises(errors.InvalidInputError):
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, eps=0.0)
 
+    def test_rejects_infinite_eps(self, monkeypatch):
+        # any residual is below an infinite eps: the search would stop at p_a
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 - p)
+        with pytest.raises(errors.InvalidInputError, match="eps"):
+            fronttrack.bisection_solve(params_for(0, 0.5), MESH, eps=math.inf)
+
+    def test_rejects_infinite_bracket_end_before_any_solve(self, monkeypatch):
+        solved = []
+        replace_candidate_solve(monkeypatch, lambda p: (solved.append(p), 1.0 - p)[1])
+        with pytest.raises(errors.InvalidInputError, match="bracket"):
+            fronttrack.bisection_solve(params_for(0, 0.5), MESH, bracket=(0.1, math.inf))
+        assert solved == []
+
     def test_returns_grids_of_returned_candidate(self):
         params = params_for(0, 0.5)
         result = fronttrack.bisection_solve(params, MESH)
@@ -247,3 +312,8 @@ class TestFinalTime:
             fronttrack.final_time(0.0, 0.5)
         with pytest.raises(errors.InvalidInputError):
             fronttrack.final_time(1.0, 1.5)
+
+    def test_rejects_infinite_coefficient(self):
+        # p**(-2/alpha) would be 0.0
+        with pytest.raises(errors.InvalidInputError, match="front coefficient"):
+            fronttrack.final_time(math.inf, 0.5)

@@ -267,9 +267,9 @@ class TestAdvance:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_weight_rows_match_per_step_weights(self, alpha, monkeypatch):
-        # the rows the stepper slices from its lag table equal the public
-        # per-k weights bit for bit, across SERIES_LAG (1415), where the
-        # interior factor switches to its series
+        # the rows the stepper slices from its lag table equal the rows of
+        # a table built for the step alone, bit for bit, across SERIES_LAG
+        # (1415), where the interior factor switches to its series
         ks = (0, 1, 2, 1413, 1414, 1415, 1416, 2000)
         mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
         params = params_for(0, alpha)
@@ -290,7 +290,7 @@ class TestAdvance:
                     assert w_half is None
                     assert np.array_equal(c, fracquad.trap_weights(k, alpha, g.dtau).c)
                 else:
-                    c_ref, w_ref = fracquad.split_start_weights(k, alpha, g.dtau)
+                    c_ref, w_ref = fracquad.lag_table(k, alpha, g.dtau).split(k)
                     assert np.array_equal(c, c_ref) and w_half == w_ref
 
     def test_deterministic_rerun_bit_identical(self):

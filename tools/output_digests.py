@@ -3,7 +3,8 @@
 Each run is `python3 -m fracstefan.cli ...` with PYTHONPATH set to the source
 directory, in a temporary directory of its own, which also holds the config
 file run.cfg (CONFIG) for the runs that name it.  One line is printed per
-output file (*.csv and run.txt) and one per run for its standard output:
+output file the run writes (*.csv and run.txt) and one per run for its
+standard output:
 
     sha256  run  file
 
@@ -31,6 +32,9 @@ RUNS = (
     ("convergence", "--alpha", "0.5", "--m1", "10", "--m2", "50", "--n", "40"),
     ("convergence", "--alpha", "1.0", "--m1", "10", "--m2", "50", "--n", "40"),
     ("tables", "--m1", "20", "--m2", "100", "--n", "80", "--config", "run.cfg"),
+    ("numeric", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
+    ("numeric", "--alpha", "1.0", "--m1", "20", "--m2", "100", "--n", "80"),
+    ("exact", "--alpha", "0.75"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
@@ -50,7 +54,8 @@ def digests(src: Path, args: tuple) -> list:
         Path(tmp, "run.cfg").write_text(CONFIG, encoding="utf-8")
         out = subprocess.run([sys.executable, "-m", "fracstefan.cli", *args, "--out", "out"],
                              cwd=tmp, env=env, capture_output=True, check=True)
-        files = sorted(Path(tmp, "out").glob("*.csv")) + [Path(tmp, "out", "run.txt")]
+        out_dir = Path(tmp, "out")
+        files = sorted(out_dir.glob("*.csv")) + sorted(out_dir.glob("run.txt"))
         lines = [(_sha256(path.read_bytes()), path.name) for path in files]
     return lines + [(_sha256(out.stdout), "<stdout>")]
 
