@@ -24,16 +24,17 @@ datum, and every later step and the interface balance integrate the first
 interval the same way.  The liquid's level-0 row is zero, the initial
 datum itself, and its first step stays a single product-trapezoidal step.
 
-advance_phase is the one stepper.  It stores the second and centred
-differences of each level once, after the level is solved, and builds the
-interior memory weights of all lags once per advance (fracquad.lag_table).
-Each step slices its weight row from that table, sums the memory history
-as two BLAS mat-vecs over the stored differences, and solves the new level
-by Thomas elimination on Python floats.  One advance costs O(n**2 * m), in
-those mat-vecs.  The assemble_phase{1,2}_step / thomas_solve pair performs
-the same arithmetic one step at a time, with the differences rebuilt from
-the grid rows and each weight row from a lag table of its own step, and
-serves as its stepwise oracle.
+advance_phase is the one stepper.  It stores the second differences of
+each level once, after the level is solved, and builds the interior memory
+weights of all lags once per advance (fracquad.lag_table).  Each step
+slices its weight row from that table, sums the memory history as one BLAS
+mat-vec over the stored differences, adds the advective history, a running
+vector updated once per solved level (its weights do not depend on the
+target level), and solves the new level by Thomas elimination on Python
+floats.  One advance costs O(n**2 * m), in the memory mat-vec.  The
+assemble_phase{1,2}_step / thomas_solve pair performs the same arithmetic
+one step at a time, from differences rebuilt from the grid rows and weight
+rows of a lag table of its own step, and serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -324,14 +325,15 @@ def _step_weights(grid: PhaseGrid, table: LagTable, k: int):
     return table.split(k)
 
 
-def _step_system(grid: PhaseGrid, k: int, coeffs, d2, dc, weights, half_terms):
+def _step_system(grid: PhaseGrid, k: int, coeffs, d2, adv, weights, half_terms):
     """Tridiagonal system advancing the grid from levels 0..k to level k+1.
 
-    coeffs is _phase_coeffs(grid).  Row j of d2 and dc holds the second and
-    centred differences of level j, for j = 0..k at least (dc's row 0 is
-    not read).  weights is _step_weights of the step, and half_terms comes
-    from _half_row.  The boundary columns of the grid must already be
-    filled at level k+1.  Returns (sub, diag, sup, rhs, dominance_violations).
+    coeffs is _phase_coeffs(grid).  Row j of d2 holds the second differences
+    of level j, j = 0..k at least, and adv the advective history: gq[j] times
+    level j's centred differences, summed over j = 1..k in order of j.
+    weights is _step_weights of the step, and half_terms comes from
+    _half_row.  The boundary columns of the grid must already be filled at
+    level k+1.  Returns (sub, diag, sup, rhs, dominance_violations).
     """
     tcoef, rfac, qfac_in, gq, init_mult = coeffs
     ubar = grid.ubar
@@ -339,7 +341,7 @@ def _step_system(grid: PhaseGrid, k: int, coeffs, d2, dc, weights, half_terms):
     c, w_half = weights
     rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2[:k + 1])
     if k >= 1:
-        rhs = rhs + qfac_in * (gq[1:k + 1] @ dc[1:k + 1])
+        rhs = rhs + qfac_in * adv
     if half_terms is not None:
         d2_half, dc_half, gq_half = half_terms
         rhs = rhs + rfac * w_half * d2_half + qfac_in * gq_half * dc_half
@@ -390,7 +392,8 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     _, half_terms, half_violations = _half_row(grid, coeffs)
     weights = _step_weights(grid, lag_table(k, grid.params.alpha, grid.dtau), k)
     d2, dc = _differences(grid.ubar[:k + 1])
-    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, dc, weights,
+    adv = np.cumsum(coeffs[3][1:k + 1, None] * dc[1:k + 1], axis=0)[-1] if k else None
+    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, adv, weights,
                                                    half_terms)
     if k == 0:  # the half-step is part of the step to level 1
         violations += half_violations
@@ -434,26 +437,28 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     Repeats assemble + Thomas solve level by level, the solid's half-step
     first, with the arithmetic of assemble_phase{1,2}_step and
     thomas_solve, and keeps the solid's half level as grid.half for the
-    interface balance.  The differences of each level are stored once, in
-    arrays local to this call, and the weight rows are sliced from one
-    lag table.  Recomputes from level 0, so the result does not depend on
-    rows filled before the call.
+    interface balance.  Each level's second differences are stored once,
+    in an array local to this call, beside one running advective sum, and
+    the weight rows are sliced from one lag table.  Recomputes from level
+    0, so the result does not depend on rows filled before the call.
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
     table = lag_table(n - 1, grid.params.alpha, grid.dtau)
     ubar = grid.ubar
+    gq = coeffs[3]
     d2 = np.empty((n + 1, grid.m - 1))
-    dc = np.empty_like(d2)
-    d2[0], dc[0] = _differences(ubar[0])
+    d2[0] = _differences(ubar[0])[0]
+    adv = np.zeros(grid.m - 1)
     try:
         half, half_terms, violations = _half_row(grid, coeffs)
         for k in range(n):
-            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, dc,
+            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, adv,
                                                   _step_weights(grid, table, k), half_terms)
             violations += v
             ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
-            d2[k + 1], dc[k + 1] = _differences(ubar[k + 1])
+            d2[k + 1], dc = _differences(ubar[k + 1])
+            adv = adv + gq[k + 1] * dc
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:

@@ -266,6 +266,29 @@ class TestAdvance:
                 assert np.array_equal(fast.half, ref_half)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_running_advective_sum_is_rectangle_rule(self, alpha):
+        # independent of the oracle's cumulative sum: each level k+1 of the
+        # advanced grid solves its step with the advective history written
+        # as the rectangle rule gq[1:k+1] @ dc[1:k+1] over the grid's own rows
+        mesh = scheme.MeshConfig(m1=8, m2=40, n=400)
+        params = params_for(1, alpha)
+        for phase in (1, 2):
+            g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+            coeffs = scheme._phase_coeffs(g)
+            gq = coeffs[3]
+            half_terms = scheme._half_row(g, coeffs)[1]
+            for k in (0, 1, 2, mesh.n // 2, mesh.n - 1):
+                d2, dc = scheme._differences(g.ubar[:k + 1])
+                adv = gq[1:k + 1] @ dc[1:k + 1]
+                weights = scheme._step_weights(g, fracquad.lag_table(k, alpha, g.dtau), k)
+                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, d2, adv, weights,
+                                                             half_terms)
+                row = scheme.thomas_solve(scheme.TridiagonalSystem(sub, diag, sup, rhs,
+                                                                   size=g.m - 1))
+                scale = np.abs(g.ubar[k + 1]).max()
+                assert np.abs(row - g.ubar[k + 1, 1:-1]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_weight_rows_match_per_step_weights(self, alpha, monkeypatch):
         # the rows the stepper slices from its lag table equal the rows of
         # a table built for the step alone, bit for bit, across SERIES_LAG
@@ -276,10 +299,10 @@ class TestAdvance:
         seen = {}
         step_system = scheme._step_system
 
-        def recording(grid, k, coeffs, d2, dc, weights, half_terms):
+        def recording(grid, k, coeffs, d2, adv, weights, half_terms):
             if k in ks:
                 seen[(grid.phase, k)] = weights
-            return step_system(grid, k, coeffs, d2, dc, weights, half_terms)
+            return step_system(grid, k, coeffs, d2, adv, weights, half_terms)
 
         monkeypatch.setattr(scheme, "_step_system", recording)
         for phase in (1, 2):

@@ -34,6 +34,7 @@ RUNS = (
     ("tables", "--m1", "20", "--m2", "100", "--n", "80", "--config", "run.cfg"),
     ("numeric", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
     ("numeric", "--alpha", "1.0", "--m1", "20", "--m2", "100", "--n", "80"),
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "1600"),
     ("exact", "--alpha", "0.75"),
 )
 
