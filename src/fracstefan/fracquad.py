@@ -14,10 +14,10 @@ binomial series once the estimated cancellation crosses 1e-9 relative.
 
 LagTable.split covers a history whose first interval [0, dtau] is
 integrated by two implicit half-steps instead: right-endpoint rectangles on
-(0, dtau/2] and (dtau/2, dtau], so level 0 carries no weight and the level
-dtau/2 carries one of its own.  The solid phase starts this way, because
-its level-0 row jumps from the interface value 0 to the far-field value in
-one space step and is no smooth sample of the integrand.
+(0, dtau/2] and (dtau/2, dtau].  Its sample 0 is the level dtau/2, not
+level 0, which enters only as the initial datum.  The solid phase starts
+this way, because its level-0 row jumps from the interface value 0 to the
+far-field value in one space step and is no smooth sample of the integrand.
 
 A grid needs the weight row of every step, and the interior weights depend
 only on the lag k - j + 1, so lag_table builds them once for all lags of a
@@ -123,14 +123,14 @@ class LagTable:
         c[k + 1] = self.pref
         return c
 
-    def split(self, k: int):
-        """Split-start weights (c, w_half) targeting level k+1: c[0] is 0, c[2:] is trap(k)'s."""
+    def split(self, k: int) -> np.ndarray:
+        """Split-start weights c[j], j = 0..k+1: c[0] weights the half level, c[2:] is trap(k)'s."""
         c = self.trap(k)
         w_half = half_weight(k + 1.0, self.alpha, self.dtau)
         # c[0] plus the first-interval share of c[1] is the whole first interval
         c[1] += c[0] - w_half
-        c[0] = 0.0
-        return c, w_half
+        c[0] = w_half
+        return c
 
 
 def lag_table(n: int, alpha: float, dtau: float) -> LagTable:

@@ -12,8 +12,9 @@ S = (lambda2/Gamma(alpha)) J2 - (lambda1/Gamma(alpha)) J1, where J1 is the
 liquid flux and J2 the solid flux, each integrated in time (_flux_terms)
 with the weight rows its own stepper uses (scheme._step_weights): the
 liquid product-trapezoidally from level 0, the solid with the split start
-(two right-endpoint half-steps over the first interval, via the
-half-level row), so the solid's level-0 corner quotient carries no weight.
+(two right-endpoint half-steps over the first interval).  As in the
+stepper's history, the solid's flux sample 0 is the quotient at the half
+level tau = dtau/2, so its level-0 corner quotient carries no weight.
 A term depends only on its own phase's grid, so front searches that share
 a dict of terms keyed by scheme.phase_key (the cells of a table) advance
 each distinct phase grid once.
@@ -40,6 +41,7 @@ from .scheme import (
     MeshConfig,
     PhaseGrid,
     _half_width,
+    _is_integer,
     _step_weights,
     advance_phase,
     make_phase_grid,
@@ -103,31 +105,24 @@ def _flux_terms(grid: PhaseGrid, levels) -> list:
     """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
 
     The flux is the one-sided difference quotient of the recovered
-    temperature at the front per level, for the solid also at the half level
+    temperature at the front per history row of the stepper: flux[j] is
+    level j's for j >= 1, and flux[0] the solid's at the half level
     tau = dtau/2 kept by advance_phase; the weights are the stepper's rows.
     The level-0 liquid quotient is defined as zero: its numerator vanishes
     identically with empty initial liquid data, and the guard keeps 0 over
     a near-zero spacing from producing junk.
     """
     f = recover_physical(grid)
-    if grid.phase == 1:
-        m1 = grid.m
-        flux = np.empty(grid.mesh.n + 1)
-        flux[0] = 0.0
-        flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
-        flux_half = None
-    else:
-        flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
+    hi, lo = (grid.m, grid.m - 1) if grid.phase == 1 else (1, 0)
+    flux = np.empty(grid.mesh.n + 1)
+    flux[0] = 0.0
+    flux[1:] = (f.u[1:, hi] - f.u[1:, lo]) / (f.x[1:, hi] - f.x[1:, lo])
+    if grid.phase == 2:
         # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
         width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
-        flux_half = (grid.half[1] - grid.half[0]) * width / grid.v[1]
+        flux[0] = (grid.half[1] - grid.half[0]) * width / grid.v[1]
     table = lag_table(grid.mesh.n - 1, grid.params.alpha, grid.dtau)
-    terms = []
-    for k in levels:
-        w, w_half = _step_weights(grid, table, k - 1)
-        term = np.dot(w, flux[:k + 1])
-        terms.append(term if w_half is None else term + w_half * flux_half)
-    return terms
+    return [np.dot(_step_weights(grid, table, k - 1), flux[:k + 1]) for k in levels]
 
 
 def _front_value(params: PhysicalParams, term1, term2) -> float:
@@ -217,8 +212,8 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
         raise InvalidInputError(f"bracket must satisfy 0 < p_a < p_b < inf, got {bracket}")
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise InvalidInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     keep_grids = phase_terms is None
     if keep_grids:
         phase_terms = {}

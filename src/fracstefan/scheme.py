@@ -21,20 +21,22 @@ physical node spacing), and the production mesh has about 3.6, which
 throws the first interior node above the melting temperature.  The
 half-steps use right-endpoint rules, so level 0 enters only as the initial
 datum, and every later step and the interface balance integrate the first
-interval the same way.  The liquid's level-0 row is zero, the initial
-datum itself, and its first step stays a single product-trapezoidal step.
+interval the same way.  The half level is the solid's history row 0
+(_first_row), its first memory sample; the liquid's is level 0, which is
+zero, and its first step stays a single product-trapezoidal step.  Rows
+j >= 1 are levels j, so one weight row and one history sum serve both.
 
 advance_phase is the one stepper.  It stores the second differences of
-each level once, after the level is solved, and builds the interior memory
-weights of all lags once per advance (fracquad.lag_table).  Each step
-slices its weight row from that table, sums the memory history as one BLAS
-mat-vec over the stored differences, adds the advective history, a running
-vector updated once per solved level (its weights do not depend on the
-target level), and solves the new level by Thomas elimination on Python
-floats.  One advance costs O(n**2 * m), in the memory mat-vec.  The
+each history row once, after the row is solved, and builds the interior
+memory weights of all lags once per advance (fracquad.lag_table).  Each
+step slices its weight row from that table, sums the memory history as one
+BLAS mat-vec over the stored differences, adds the advective history, a
+running vector updated once per solved row (its weights do not depend on
+the target level), and solves the new level by Thomas elimination on
+Python floats.  One advance costs O(n**2 * m), in the memory mat-vec.  The
 assemble_phase{1,2}_step / thomas_solve pair performs the same arithmetic
-one step at a time, from differences rebuilt from the grid rows and weight
-rows of a lag table of its own step, and serves as its stepwise oracle.
+one step at a time, from differences rebuilt from the history rows and the
+weight row of a lag table of its own step, and serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _is_integer(value) -> bool:
+    """Whether operator.index accepts value: a Python or numpy integer, not a float."""
+    return hasattr(type(value), "__index__")
+
+
 @dataclass(frozen=True)
 class MeshConfig:
     """Grid resolution and domain-truncation settings.
@@ -91,12 +98,13 @@ class MeshConfig:
 
     def __post_init__(self):
         problems = []
-        for name in ("m1", "m2"):
-            if getattr(self, name) < 2:
-                problems.append(f"{name} must be >= 2 (at least one interior node), "
-                                f"got {getattr(self, name)}")
-        if self.n < 1:
-            problems.append(f"n must be >= 1, got {self.n}")
+        for name, least, note in (("m1", 2, " (at least one interior node)"),
+                                  ("m2", 2, " (at least one interior node)"), ("n", 1, "")):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}{note}, got {value}")
         if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
             problems.append(f"ratio must be finite and > 1, got {self.ratio}")
         if not 0.0 < self.tau0_factor < 1.0:
@@ -231,9 +239,9 @@ def _phase_coeffs(grid: PhaseGrid):
     the diagonal, the memory prefactor, the per-interior-node advective
     factor, the per-level advective time factor, and the multiplier on the
     initial row.  The advective history is a right-endpoint rectangle sum:
-    gq[j] carries the width of the rectangle ending at level j, in units of
-    dtau.  So gq[0] is zero, and on the solid gq[1] is halved, since its
-    first interval is two half-steps (_half_row has the other half).
+    gq[j] carries the width of the rectangle ending at history row j, in
+    units of dtau.  So the liquid's gq[0] is zero, and on the solid gq[0]
+    (the half level) and gq[1] are halved: its first interval is two half-steps.
     """
     a = grid.params.alpha
     p = grid.p
@@ -255,7 +263,7 @@ def _phase_coeffs(grid: PhaseGrid):
         vi = grid.v[1:-1]
         qfac_in = a * p * (vi - 1.0) * grid.dtau / (4.0 * dv)
         gq = np.empty_like(tau)
-        gq[0] = 0.0
+        gq[0] = 0.5 * _solid_gq(grid.dtau / 2.0, p, L, a)
         gq[1:] = _solid_gq(tau[1:], p, L, a)
         gq[1] *= 0.5
         init_mult = width[0] ** 2
@@ -286,67 +294,54 @@ def _differences(rows):
             rows[..., 2:] - rows[..., :-2])
 
 
-def _half_row(grid: PhaseGrid, coeffs):
-    """The solid's row at tau = dtau/2, solved from level 0: (half, terms, violations).
+def _first_row(grid: PhaseGrid, coeffs):
+    """Row 0 of the phase's history, its first memory sample: (row, violations).
 
-    The half-step is fully implicit: level 0 enters only as the initial
-    datum, never as a sample of the memory or advective integrand.  The
-    boundary values are level 0's at the same physical temperature (the
-    boundary data do not change in time), so the half level is a function
-    of level 0 alone.  terms is (d2, dc, gq_half), the half level's second
-    and centred differences and its advective weight, which is weighted
-    like gq: its rectangle is half a step wide.  coeffs is
-    _phase_coeffs(grid).  The liquid has no half level: (None, None, 0).
+    The liquid's is level 0.  The solid's is its row at tau = dtau/2, solved
+    from level 0 by a fully implicit half-step: level 0 enters only as the
+    initial datum, never as a sample of the memory or advective integrand.
+    The boundary values are level 0's at the same physical temperature (the
+    boundary data do not change in time), so the half level is a function of
+    level 0 alone.  coeffs is _phase_coeffs(grid).
     """
     if grid.phase == 1:
-        return None, None, 0
-    _, rfac, qfac_in, _, init_mult = coeffs
+        return grid.ubar[0], 0
+    _, rfac, qfac_in, gq, init_mult = coeffs
     a = grid.params.alpha
-    L = grid.mesh.ratio
-    width = _half_width(grid.p, grid.dtau, L, a)
-    gq_half = 0.5 * _solid_gq(grid.dtau / 2.0, grid.p, L, a)
+    width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, a)
     half = grid.ubar[0] * (init_mult / width ** 2)
     sub, diag, sup, rhs, violations = _system(
         grid.ubar[0, 1:-1] * init_mult, rfac * half_weight(0.5, a, grid.dtau),
-        qfac_in * gq_half, width ** 2, half[0], half[-1])
+        qfac_in * gq[0], width ** 2, half[0], half[-1])
     half[1:-1] = _thomas(sub, diag, sup, rhs)
-    return half, (*_differences(half), gq_half), violations
+    return half, violations
 
 
-def _step_weights(grid: PhaseGrid, table: LagTable, k: int):
-    """The memory weights (c, w_half) of the grid's step to level k+1, sliced from table.
+def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
+    """The memory weights c[j], j = 0..k+1, of the grid's step to level k+1, sliced from table.
 
     The one choice of a phase's time rule, for the stepper, its stepwise
-    oracle and the interface balance: the liquid's row is
-    product-trapezoidal (w_half None), the solid's has the split start.
+    oracle and the interface balance: the liquid's row is product-trapezoidal,
+    the solid's has the split start, whose c[0] weights the half level.
     """
-    if grid.phase == 1:
-        return table.trap(k), None
-    return table.split(k)
+    return table.trap(k) if grid.phase == 1 else table.split(k)
 
 
-def _step_system(grid: PhaseGrid, k: int, coeffs, d2, adv, weights, half_terms):
-    """Tridiagonal system advancing the grid from levels 0..k to level k+1.
+def _step_system(grid: PhaseGrid, k: int, coeffs, d2, adv, c):
+    """Tridiagonal system advancing the grid from history rows 0..k to level k+1.
 
     coeffs is _phase_coeffs(grid).  Row j of d2 holds the second differences
-    of level j, j = 0..k at least, and adv the advective history: gq[j] times
-    level j's centred differences, summed over j = 1..k in order of j.
-    weights is _step_weights of the step, and half_terms comes from
-    _half_row.  The boundary columns of the grid must already be filled at
-    level k+1.  Returns (sub, diag, sup, rhs, dominance_violations).
+    of history row j, j = 0..k at least, and adv the advective history:
+    gq[j] times row j's centred differences, summed over j = 0..k in order
+    of j.  c is _step_weights of the step.  The boundary columns of the grid
+    must already be filled at level k+1.  Returns (sub, diag, sup, rhs,
+    dominance_violations).
     """
     tcoef, rfac, qfac_in, gq, init_mult = coeffs
     ubar = grid.ubar
-    m = ubar.shape[1] - 1
-    c, w_half = weights
-    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2[:k + 1])
-    if k >= 1:
-        rhs = rhs + qfac_in * adv
-    if half_terms is not None:
-        d2_half, dc_half, gq_half = half_terms
-        rhs = rhs + rfac * w_half * d2_half + qfac_in * gq_half * dc_half
+    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2[:k + 1]) + qfac_in * adv
     return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
-                   ubar[k + 1, 0], ubar[k + 1, m])
+                   ubar[k + 1, 0], ubar[k + 1, -1])
 
 
 def _thomas(sub, diag, sup, rhs):
@@ -389,14 +384,13 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
             f"cannot assemble step targeting level {k + 1}"
         )
     coeffs = _phase_coeffs(grid)
-    _, half_terms, half_violations = _half_row(grid, coeffs)
-    weights = _step_weights(grid, lag_table(k, grid.params.alpha, grid.dtau), k)
-    d2, dc = _differences(grid.ubar[:k + 1])
-    adv = np.cumsum(coeffs[3][1:k + 1, None] * dc[1:k + 1], axis=0)[-1] if k else None
-    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, adv, weights,
-                                                   half_terms)
-    if k == 0:  # the half-step is part of the step to level 1
-        violations += half_violations
+    first, first_violations = _first_row(grid, coeffs)
+    c = _step_weights(grid, lag_table(k, grid.params.alpha, grid.dtau), k)
+    d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
+    adv = np.cumsum(coeffs[3][:k + 1, None] * dc, axis=0)[-1]
+    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, adv, c)
+    if k == 0:  # the solid's half-step is part of the step to level 1
+        violations += first_violations
     if violations:
         logger.warning(
             "diagonal dominance violated on %d of %d rows (phase %d, level %d)",
@@ -434,13 +428,14 @@ def thomas_solve(system: TridiagonalSystem):
 def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     """Populate grid rows 1..n in place.
 
-    Repeats assemble + Thomas solve level by level, the solid's half-step
-    first, with the arithmetic of assemble_phase{1,2}_step and
-    thomas_solve, and keeps the solid's half level as grid.half for the
-    interface balance.  Each level's second differences are stored once,
-    in an array local to this call, beside one running advective sum, and
-    the weight rows are sliced from one lag table.  Recomputes from level
-    0, so the result does not depend on rows filled before the call.
+    Repeats assemble + Thomas solve level by level, from the history row 0
+    of _first_row (the solid's half-step), with the arithmetic of
+    assemble_phase{1,2}_step and thomas_solve, and keeps the solid's half
+    level as grid.half for the interface balance.  Each history row's
+    second differences are stored once, in an array local to this call,
+    beside one running advective sum seeded by row 0, and the weight rows
+    are sliced from one lag table.  Recomputes from level 0, so the result
+    does not depend on rows filled before the call.
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
@@ -448,13 +443,13 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     ubar = grid.ubar
     gq = coeffs[3]
     d2 = np.empty((n + 1, grid.m - 1))
-    d2[0] = _differences(ubar[0])[0]
-    adv = np.zeros(grid.m - 1)
     try:
-        half, half_terms, violations = _half_row(grid, coeffs)
+        first, violations = _first_row(grid, coeffs)
+        d2[0], dc = _differences(first)
+        adv = gq[0] * dc
         for k in range(n):
             sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, adv,
-                                                  _step_weights(grid, table, k), half_terms)
+                                                  _step_weights(grid, table, k))
             violations += v
             ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
             d2[k + 1], dc = _differences(ubar[k + 1])
@@ -470,7 +465,7 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
         raise InvalidStateError(
             f"non-finite values while advancing phase {grid.phase} (p={grid.p:.6g})"
         )
-    grid.half = half
+    grid.half = first if grid.phase == 2 else None
     grid.filled_through = n
     return grid
 

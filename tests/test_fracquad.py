@@ -102,9 +102,10 @@ class TestSplitStartWeights:
 
     @staticmethod
     def oracle(f_half, nodes, alpha, dtau):
-        # nodes[0] is unused: level 0 carries no weight.  Constant nodes[1]
-        # over [0, dtau] is piecewise linear, so the trapezoid oracle covers
-        # it; the first half-interval is then corrected to f_half exactly.
+        # nodes[0] stands in for the half-level sample, which the oracle
+        # takes as f_half: level 0 carries no weight.  Constant nodes[1] over
+        # [0, dtau] is piecewise linear, so the trapezoid oracle covers it;
+        # the first half-interval is then corrected to f_half exactly.
         import mpmath as mp
 
         flat = np.array(nodes, dtype=float)
@@ -120,11 +121,12 @@ class TestSplitStartWeights:
     @pytest.mark.parametrize("k", [0, 1, 5, 399, 2000])
     def test_exact_on_split_start_samples(self, alpha, k, rng):
         dtau = 0.01
-        c, w_half = fracquad.lag_table(k, alpha, dtau).split(k)
+        c = fracquad.lag_table(k, alpha, dtau).split(k)
         nodes = rng.standard_normal(k + 2)
         f_half = rng.standard_normal()
-        got = float(np.dot(c, nodes)) + w_half * f_half
-        assert c[0] == 0.0
+        nodes[0] = f_half
+        got = float(np.dot(c, nodes))
+        assert c[0] == fracquad.half_weight(k + 1.0, alpha, dtau)
         assert got == pytest.approx(self.oracle(f_half, nodes, alpha, dtau), rel=1e-10)
 
     def test_first_half_step_weight(self):
@@ -135,10 +137,9 @@ class TestSplitStartWeights:
 
     def test_alpha_one_is_backward_euler_pair(self):
         dtau = 0.3
-        c, w_half = fracquad.lag_table(0, 1.0, dtau).split(0)
-        np.testing.assert_allclose(c, [0.0, dtau / 2.0], rtol=1e-14)
-        assert w_half == pytest.approx(dtau / 2.0, rel=1e-14)
+        c = fracquad.lag_table(0, 1.0, dtau).split(0)
+        np.testing.assert_allclose(c, [dtau / 2.0, dtau / 2.0], rtol=1e-14)
 
     def test_matches_trapezoid_beyond_first_interval(self):
-        c, _ = fracquad.lag_table(9, 0.5, 0.05).split(9)
+        c = fracquad.lag_table(9, 0.5, 0.05).split(9)
         np.testing.assert_array_equal(c[2:], fracquad.trap_weights(9, 0.5, 0.05).c[2:])

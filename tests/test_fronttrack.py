@@ -26,25 +26,24 @@ def advanced_pair(p, mesh, params):
 
 
 def reference_flux(grid):
-    """One phase's front flux per level, and the solid's at its half level (liquid: None)."""
+    """One phase's front flux per level; the solid's sample 0 is at its half level."""
     f = scheme.recover_physical(grid)
     if grid.phase == 1:
         m1 = grid.m
         flux = np.empty(grid.mesh.n + 1)
         flux[0] = 0.0
         flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
-        return flux, None
+        return flux
     flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
     width = scheme._half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
-    return flux, (grid.half[1] - grid.half[0]) * width / grid.v[1]
+    flux[0] = (grid.half[1] - grid.half[0]) * width / grid.v[1]
+    return flux
 
 
-def reference_term(table, k, flux, flux_half):
-    """The flux integrated up to level k: product trapezoid, or split start with a half level."""
-    if flux_half is None:
-        return np.dot(table.trap(k - 1), flux[:k + 1])
-    w, w_half = table.split(k - 1)
-    return np.dot(w, flux[:k + 1]) + w_half * flux_half
+def reference_term(table, k, grid, flux):
+    """The flux integrated up to level k: product trapezoid, or split start from the half level."""
+    w = table.trap(k - 1) if grid.phase == 1 else table.split(k - 1)
+    return np.dot(w, flux[:k + 1])
 
 
 def reference_series(g1, g2):
@@ -52,8 +51,8 @@ def reference_series(g1, g2):
     table = fracquad.lag_table(g1.mesh.n - 1, g1.params.alpha, g1.dtau)
     flux1, flux2 = reference_flux(g1), reference_flux(g2)
     ga = math.gamma(g1.params.alpha)
-    return [float((g1.params.lambda2 / ga) * reference_term(table, k, *flux2)
-                  - (g1.params.lambda1 / ga) * reference_term(table, k, *flux1))
+    return [float((g1.params.lambda2 / ga) * reference_term(table, k, g2, flux2)
+                  - (g1.params.lambda1 / ga) * reference_term(table, k, g1, flux1))
             for k in range(1, g1.mesh.n + 1)]
 
 
@@ -258,6 +257,20 @@ class TestBisectionSolve:
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, bracket=(2.0, 0.1))
         with pytest.raises(errors.InvalidInputError):
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, eps=0.0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 7.0, np.float64(7.0), 0, -3])
+    def test_rejects_max_iter_other_than_positive_integer(self, monkeypatch, max_iter):
+        solved = []
+        replace_candidate_solve(monkeypatch, lambda p: (solved.append(p), 1.0 - p)[1])
+        with pytest.raises(errors.InvalidInputError, match="max_iter"):
+            fronttrack.bisection_solve(params_for(0, 0.5), MESH, max_iter=max_iter)
+        assert solved == []
+
+    def test_accepts_numpy_integer_max_iter(self, monkeypatch):
+        replace_candidate_solve(monkeypatch, lambda p: 1.0 - p)
+        result = fronttrack.bisection_solve(
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-18, max_iter=np.int64(7))
+        assert result.iterations == 7
 
     def test_rejects_infinite_eps(self, monkeypatch):
         # any residual is below an infinite eps: the search would stop at p_a

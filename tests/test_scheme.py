@@ -24,6 +24,17 @@ class TestMeshConfig:
         with pytest.raises(errors.InvalidInputError, match=key):
             scheme.MeshConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["m1", "m2", "n"])
+    @pytest.mark.parametrize("value", [40.0, 8.5, np.float64(40.0), "40"])
+    def test_rejects_non_integral_size(self, key, value):
+        # a float size would pass the range checks and fail later inside numpy
+        with pytest.raises(errors.InvalidInputError, match=f"^{key} must be an integer"):
+            scheme.MeshConfig(**{key: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        mesh = scheme.MeshConfig(m1=np.int64(8), m2=np.int32(20), n=np.int64(6))
+        assert scheme.make_phase_grid(2, 0.8, mesh, params_for(0, 0.5)).ubar.shape == (7, 21)
+
 
 class TestGridConstruction:
     def test_phase1_rows(self):
@@ -259,30 +270,30 @@ class TestAdvance:
             # bit for bit: the stepper's stored differences and sliced weight
             # rows must reproduce the oracle's rebuilt ones exactly
             assert np.array_equal(fast.ubar, ref.ubar)
-            ref_half = scheme._half_row(ref, scheme._phase_coeffs(ref))[0]
+            ref_first = scheme._first_row(ref, scheme._phase_coeffs(ref))[0]
             if phase == 1:
-                assert fast.half is None and ref_half is None
+                assert fast.half is None and np.array_equal(ref_first, ref.ubar[0])
             else:
-                assert np.array_equal(fast.half, ref_half)
+                assert np.array_equal(fast.half, ref_first)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_running_advective_sum_is_rectangle_rule(self, alpha):
         # independent of the oracle's cumulative sum: each level k+1 of the
         # advanced grid solves its step with the advective history written
-        # as the rectangle rule gq[1:k+1] @ dc[1:k+1] over the grid's own rows
+        # as the rectangle rule gq[:k+1] @ dc[:k+1] over the grid's own
+        # history rows, row 0 from _first_row
         mesh = scheme.MeshConfig(m1=8, m2=40, n=400)
         params = params_for(1, alpha)
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             coeffs = scheme._phase_coeffs(g)
             gq = coeffs[3]
-            half_terms = scheme._half_row(g, coeffs)[1]
+            first = scheme._first_row(g, coeffs)[0]
             for k in (0, 1, 2, mesh.n // 2, mesh.n - 1):
-                d2, dc = scheme._differences(g.ubar[:k + 1])
-                adv = gq[1:k + 1] @ dc[1:k + 1]
-                weights = scheme._step_weights(g, fracquad.lag_table(k, alpha, g.dtau), k)
-                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, d2, adv, weights,
-                                                             half_terms)
+                d2, dc = scheme._differences(np.vstack((first, g.ubar[1:k + 1])))
+                adv = gq[:k + 1] @ dc
+                c = scheme._step_weights(g, fracquad.lag_table(k, alpha, g.dtau), k)
+                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, d2, adv, c)
                 row = scheme.thomas_solve(scheme.TridiagonalSystem(sub, diag, sup, rhs,
                                                                    size=g.m - 1))
                 scale = np.abs(g.ubar[k + 1]).max()
@@ -299,22 +310,18 @@ class TestAdvance:
         seen = {}
         step_system = scheme._step_system
 
-        def recording(grid, k, coeffs, d2, adv, weights, half_terms):
+        def recording(grid, k, coeffs, d2, adv, c):
             if k in ks:
-                seen[(grid.phase, k)] = weights
-            return step_system(grid, k, coeffs, d2, adv, weights, half_terms)
+                seen[(grid.phase, k)] = c
+            return step_system(grid, k, coeffs, d2, adv, c)
 
         monkeypatch.setattr(scheme, "_step_system", recording)
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             for k in ks:
-                c, w_half = seen[(phase, k)]
-                if phase == 1:
-                    assert w_half is None
-                    assert np.array_equal(c, fracquad.trap_weights(k, alpha, g.dtau).c)
-                else:
-                    c_ref, w_ref = fracquad.lag_table(k, alpha, g.dtau).split(k)
-                    assert np.array_equal(c, c_ref) and w_half == w_ref
+                ref = (fracquad.trap_weights(k, alpha, g.dtau).c if phase == 1
+                       else fracquad.lag_table(k, alpha, g.dtau).split(k))
+                assert np.array_equal(seen[(phase, k)], ref)
 
     def test_deterministic_rerun_bit_identical(self):
         params = params_for(0, 0.5)

@@ -35,6 +35,7 @@ RUNS = (
     ("numeric", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
     ("numeric", "--alpha", "1.0", "--m1", "20", "--m2", "100", "--n", "80"),
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "1600"),
+    ("profiles", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
     ("exact", "--alpha", "0.75"),
 )
 
