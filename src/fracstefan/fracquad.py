@@ -133,12 +133,16 @@ class LagTable:
         return c
 
 
-def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
-    """The weight rows of the steps k = 0..n on a grid with time step dtau."""
+def _check_alpha_dtau(alpha: float, dtau: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 < dtau < math.inf:
         raise InvalidInputError(f"dtau must be finite and > 0, got {dtau}")
+
+
+def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
+    """The weight rows of the steps k = 0..n on a grid with time step dtau."""
+    _check_alpha_dtau(alpha, dtau)
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     pref = dtau ** alpha / (alpha * (alpha + 1.0))
@@ -162,6 +166,7 @@ def half_weight(target: float, alpha: float, dtau: float) -> float:
     """
     if not target >= 0.5:
         raise InvalidInputError(f"target must be >= 0.5, got {target}")
+    _check_alpha_dtau(alpha, dtau)
     if target == 0.5:
         factor = 0.5 ** alpha
     else:

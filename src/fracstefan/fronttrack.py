@@ -42,11 +42,12 @@ from .scheme import (
     PhaseGrid,
     _half_width,
     _is_integer,
+    _recover,
     _step_weights,
     advance_phase,
     make_phase_grid,
     phase_key,
-    recover_physical,
+    recover_physical,  # noqa: F401  (perfbench's tracer wraps this module's binding)
 )
 
 __all__ = [
@@ -105,18 +106,18 @@ def _flux_terms(grid: PhaseGrid, levels) -> list:
     """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
 
     The flux is the one-sided difference quotient of the recovered
-    temperature at the front per history row of the stepper: flux[j] is
+    temperature at the front (the two front columns of recover_physical's
+    arrays, formed alone) per history row of the stepper: flux[j] is
     level j's for j >= 1, and flux[0] the solid's at the half level
     tau = dtau/2 kept by advance_phase; the weights are the stepper's rows.
     The level-0 liquid quotient is defined as zero: its numerator vanishes
     identically with empty initial liquid data, and the guard keeps 0 over
     a near-zero spacing from producing junk.
     """
-    f = recover_physical(grid)
-    hi, lo = (grid.m, grid.m - 1) if grid.phase == 1 else (1, 0)
+    u, x = _recover(grid, [grid.m - 1, grid.m] if grid.phase == 1 else [0, 1])
     flux = np.empty(grid.mesh.n + 1)
     flux[0] = 0.0
-    flux[1:] = (f.u[1:, hi] - f.u[1:, lo]) / (f.x[1:, hi] - f.x[1:, lo])
+    flux[1:] = (u[1:, 1] - u[1:, 0]) / (x[1:, 1] - x[1:, 0])
     if grid.phase == 2:
         # at tau = dtau/2 the node spacing is v[1] * width and u = half * width**2
         width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)

@@ -28,15 +28,20 @@ j >= 1 are levels j, so one weight row and one history sum serve both.
 
 advance_phase is the one stepper.  It stores the second differences of
 each history row once, after the row is solved, and builds the interior
-memory weights of all lags once per advance (fracquad.lag_table).  Each
-step slices its weight row from that table, sums the memory history as one
+memory weights of all lags once per advance (fracquad.lag_table).  The
+matrix of a step does not depend on the solution, so per block of levels,
+as arrays over the block, it forms the off-diagonals, the diagonal, the
+dominance count and the Thomas pivots and multipliers, eliminating one row
+of every level's system per vector operation (_factor).  Per level it
+slices the step's weight row from the table, sums the memory history as one
 BLAS mat-vec over the stored differences, adds the advective history, a
 running vector updated once per solved row (its weights do not depend on
-the target level), and solves the new level by Thomas elimination on
-Python floats.  One advance costs O(n**2 * m), in the memory mat-vec.  The
-assemble_phase{1,2}_step / thomas_solve pair performs the same arithmetic
-one step at a time, from differences rebuilt from the history rows and the
-weight row of a lag table of its own step, and serves as its stepwise oracle.
+the target level), folds in the boundary values and substitutes forward
+and back on Python floats (_substitute).  One advance costs O(n**2 * m), in
+the memory mat-vec.  The assemble_phase{1,2}_step / thomas_solve pair
+performs the same arithmetic one step at a time, from differences rebuilt
+from the history rows and the weight row of a lag table of its own step,
+and serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -72,6 +77,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Values in each array of one block of levels' systems in advance_phase
+# (256 KiB of doubles); a block holds this many // (m - 1) levels.
+_BLOCK_VALUES = 1 << 15
 
 
 def _is_integer(value) -> bool:
@@ -425,35 +434,90 @@ def thomas_solve(system: TridiagonalSystem):
     return _thomas(system.sub, system.diag, system.sup, system.rhs)
 
 
+def _factor(sub, sup, diag):
+    """Thomas pivots and multipliers of a block of levels' systems: (pivot, mult).
+
+    Row b of sub and sup holds one level's off-diagonals, diag[b] its scalar
+    diagonal.  Column i is eliminated for every level at once, with
+    _thomas's operations in _thomas's order, so each row carries the bits
+    _thomas forms for its level.  Like _thomas's Python floats, it warns of
+    no overflow or division by zero; past a zero pivot a row holds inf or
+    nan, which the stepper never reads: it raises at that level instead.
+    """
+    pivot = np.empty_like(sub)
+    mult = np.empty_like(sub)
+    pivot[:, 0] = diag
+    with np.errstate(all="ignore"):
+        np.divide(sup[:, 0], diag, out=mult[:, 0])
+        for i in range(1, sub.shape[1]):
+            np.subtract(diag, sub[:, i] * mult[:, i - 1], out=pivot[:, i])
+            np.divide(sup[:, i], pivot[:, i], out=mult[:, i])
+    return pivot, mult
+
+
+def _substitute(rhs, sub, pivot, mult):
+    """_thomas's forward and back substitution on lists of Python floats, in place on rhs."""
+    x = rhs[0] = rhs[0] / pivot[0]
+    for i in range(1, len(rhs)):
+        x = (rhs[i] - sub[i] * x) / pivot[i]
+        rhs[i] = x
+    for i in range(len(rhs) - 2, -1, -1):
+        x = rhs[i] - mult[i] * x
+        rhs[i] = x
+    return rhs
+
+
 def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     """Populate grid rows 1..n in place.
 
-    Repeats assemble + Thomas solve level by level, from the history row 0
-    of _first_row (the solid's half-step), with the arithmetic of
-    assemble_phase{1,2}_step and thomas_solve, and keeps the solid's half
-    level as grid.half for the interface balance.  Each history row's
-    second differences are stored once, in an array local to this call,
-    beside one running advective sum seeded by row 0, and the weight rows
-    are sliced from one lag table.  Recomputes from level 0, so the result
-    does not depend on rows filled before the call.
+    Solves level by level, from the history row 0 of _first_row (the
+    solid's half-step), with the arithmetic of assemble_phase{1,2}_step and
+    thomas_solve, and keeps the solid's half level as grid.half for the
+    interface balance.  Per block of levels it forms what does not depend on
+    the solution: off-diagonals, diagonal, dominance count, pivots and
+    multipliers (_factor).  Per level it forms the right-hand side (memory
+    mat-vec, running advective sum, boundary values) and substitutes
+    (_substitute).  Recomputes from level 0, so the result does not depend
+    on rows filled before the call.
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
+    tcoef, rfac, qfac_in, gq, init_mult = coeffs
     table = lag_table(n - 1, grid.params.alpha, grid.dtau)
     ubar = grid.ubar
-    gq = coeffs[3]
     d2 = np.empty((n + 1, grid.m - 1))
+    initial = ubar[0, 1:-1] * init_mult
+    block = max(1, _BLOCK_VALUES // (grid.m - 1))
     try:
         first, violations = _first_row(grid, coeffs)
         d2[0], dc = _differences(first)
         adv = gq[0] * dc
-        for k in range(n):
-            sub, diag, sup, rhs, v = _step_system(grid, k, coeffs, d2, adv,
-                                                  _step_weights(grid, table, k))
-            violations += v
-            ubar[k + 1, 1:-1] = _thomas(sub, diag, sup, rhs)
-            d2[k + 1], dc = _differences(ubar[k + 1])
-            adv = adv + gq[k + 1] * dc
+        for start in range(0, n, block):
+            levels = range(start, min(start + block, n))
+            targets = slice(start + 1, levels.stop + 1)
+            # the weight of the new level, c[k+1], sets the implicit part of each step
+            r = rfac * np.array([_step_weights(grid, table, k)[-1] for k in levels])
+            q = gq[targets, None] * qfac_in
+            sub = -r[:, None] + q
+            sup = -r[:, None] - q
+            diag = tcoef[targets] + 2.0 * r
+            violations += int(np.count_nonzero(np.abs(diag)[:, None] < np.abs(sub) + np.abs(sup)))
+            pivot, mult = _factor(sub, sup, diag)
+            zero = pivot == 0.0
+            zero_row = np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()
+            left = (sub[:, 0] * ubar[targets, 0]).tolist()
+            right = (sup[:, -1] * ubar[targets, -1]).tolist()
+            for b, k in enumerate(levels):
+                if zero_row[b] >= 0:
+                    raise ZeroPivotError(f"zero pivot at row {zero_row[b]}")
+                c = _step_weights(grid, table, k)
+                rhs = (initial + rfac * (c[:k + 1] @ d2[:k + 1]) + qfac_in * adv).tolist()
+                rhs[0] -= left[b]
+                rhs[-1] -= right[b]
+                ubar[k + 1, 1:-1] = _substitute(rhs, sub[b].tolist(), pivot[b].tolist(),
+                                                mult[b].tolist())
+                d2[k + 1], dc = _differences(ubar[k + 1])
+                adv = adv + gq[k + 1] * dc
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:
@@ -470,15 +534,18 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     return grid
 
 
-def recover_physical(grid: PhaseGrid) -> RecoveredField:
-    """Undo the auxiliary scaling and the front-fixing map, all levels at once."""
+def _recover(grid: PhaseGrid, cols):
+    """Physical temperature and position of the grid's columns cols at every level: (u, x)."""
     a = grid.params.alpha
     front = grid.p * grid.tau ** (a / 2.0)
+    v = grid.v[cols]
     if grid.phase == 1:
-        u = grid.ubar * (grid.tau ** a)[:, None]
-        x = grid.v[None, :] * front[:, None]
-    else:
-        width = grid.mesh.ratio - front
-        u = grid.ubar * (width ** 2)[:, None]
-        x = grid.v[None, :] * width[:, None] + front[:, None]
+        return grid.ubar[:, cols] * (grid.tau ** a)[:, None], v * front[:, None]
+    width = grid.mesh.ratio - front
+    return grid.ubar[:, cols] * (width ** 2)[:, None], v * width[:, None] + front[:, None]
+
+
+def recover_physical(grid: PhaseGrid) -> RecoveredField:
+    """Undo the auxiliary scaling and the front-fixing map, all levels at once."""
+    u, x = _recover(grid, slice(None))
     return RecoveredField(tau=grid.tau, x=x, u=u)

@@ -135,6 +135,16 @@ class TestSplitStartWeights:
         assert fracquad.half_weight(0.5, alpha, dtau) == pytest.approx(
             (dtau / 2.0) ** alpha / alpha, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha, dtau", [(1.0, math.nan), (0.5, -1.0), (0.5, 0.0),
+                                             (0.5, math.inf), (1.5, 0.1), (0.0, 0.1),
+                                             (math.nan, 0.1)])
+    def test_half_weight_rejects_alpha_and_dtau_as_lag_table(self, alpha, dtau):
+        # nan, complex, out-of-range values and ZeroDivisionError without the check
+        with pytest.raises(errors.InvalidInputError):
+            fracquad.half_weight(0.5, alpha, dtau)
+        with pytest.raises(errors.InvalidInputError):
+            fracquad.lag_table(0, alpha, dtau)
+
     def test_alpha_one_is_backward_euler_pair(self):
         dtau = 0.3
         c = fracquad.lag_table(0, 1.0, dtau).split(0)

@@ -1,5 +1,6 @@
 """Front-fixing steppers: assembly, Thomas solve, advance, recovery."""
 
+import logging
 from dataclasses import fields, replace
 
 import numpy as np
@@ -277,6 +278,70 @@ class TestAdvance:
                 assert np.array_equal(fast.half, ref_first)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_matches_stepwise_reference_across_blocks(self, alpha):
+        # advance_phase factors the systems of a block of levels at once; n
+        # spans two full blocks and a partial third, so the pivots of every
+        # block, not only the first, must carry the oracle's bits
+        m = 250
+        n = 2 * (scheme._BLOCK_VALUES // (m - 1)) + 3
+        mesh = scheme.MeshConfig(m1=m, m2=m, n=n)
+        params = params_for(1, alpha)
+        for phase in (1, 2):
+            fast = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+            ref = scheme.make_phase_grid(phase, 0.7, mesh, params)
+            assemble = scheme.assemble_phase1_step if phase == 1 else scheme.assemble_phase2_step
+            for k in range(n):
+                ref.ubar[k + 1, 1:-1] = scheme.thomas_solve(assemble(ref, k))
+                ref.filled_through = k + 1
+            assert np.array_equal(fast.ubar, ref.ubar)
+
+    def test_dominance_count_matches_stepwise_reference(self, caplog):
+        # the advance's warning counts the violations of every level, the
+        # solid's half-step included, as the oracle's systems do one by one
+        mesh = scheme.MeshConfig(m1=20, m2=100, n=4)
+        params = params_for(0, 0.75)
+        for phase, expected in ((1, 4), (2, 19)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fracstefan.scheme"):
+                grid = scheme.advance_phase(scheme.make_phase_grid(phase, 10.0, mesh, params))
+            logged = [record.args[0] for record in caplog.records
+                      if record.msg.startswith("diagonal dominance violated %d times")]
+            ref = scheme.make_phase_grid(phase, 10.0, mesh, params)
+            assemble = scheme.assemble_phase1_step if phase == 1 else scheme.assemble_phase2_step
+            oracle = 0
+            for k in range(mesh.n):
+                system = assemble(ref, k)  # at k = 0 the solid's half-step is counted in
+                oracle += system.dominance_violations
+                ref.ubar[k + 1] = grid.ubar[k + 1]
+                ref.filled_through = k + 1
+            assert logged == [oracle] == [expected]
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_zero_pivot_raises_at_its_level(self, phase, monkeypatch):
+        # a diagonal of exactly -2r at one level in the second block zeroes
+        # that level's first pivot: the levels before it are solved as
+        # without the defect, the level itself and those after are not
+        mesh = scheme.MeshConfig(m1=250, m2=250, n=150)
+        level = scheme._BLOCK_VALUES // (mesh.m1 - 1) + 10
+        params = params_for(0, 0.5)
+        clean = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+        phase_coeffs = scheme._phase_coeffs
+
+        def defective(grid):
+            tcoef, rfac, *rest = phase_coeffs(grid)
+            tcoef = tcoef.copy()
+            tcoef[level] = -2.0 * (rfac * fracquad.lag_table(0, grid.params.alpha, grid.dtau).pref)
+            return (tcoef, rfac, *rest)
+
+        monkeypatch.setattr(scheme, "_phase_coeffs", defective)
+        grid = scheme.make_phase_grid(phase, 0.7, mesh, params)
+        with pytest.raises(errors.ZeroPivotError,
+                           match=rf"^phase {phase}, p=0\.7: zero pivot at row 0$"):
+            scheme.advance_phase(grid)
+        assert np.array_equal(grid.ubar[:level], clean.ubar[:level])
+        assert not grid.ubar[level:, 1:-1].any()
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_running_advective_sum_is_rectangle_rule(self, alpha):
         # independent of the oracle's cumulative sum: each level k+1 of the
         # advanced grid solves its step with the advective history written
@@ -308,14 +373,15 @@ class TestAdvance:
         mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
         params = params_for(0, alpha)
         seen = {}
-        step_system = scheme._step_system
+        step_weights = scheme._step_weights
 
-        def recording(grid, k, coeffs, d2, adv, c):
+        def recording(grid, table, k):
+            c = step_weights(grid, table, k)
             if k in ks:
                 seen[(grid.phase, k)] = c
-            return step_system(grid, k, coeffs, d2, adv, c)
+            return c
 
-        monkeypatch.setattr(scheme, "_step_system", recording)
+        monkeypatch.setattr(scheme, "_step_weights", recording)
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             for k in ks:

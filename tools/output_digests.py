@@ -3,8 +3,9 @@
 Each run is `python3 -m fracstefan.cli ...` with PYTHONPATH set to the source
 directory, in a temporary directory of its own, which also holds the config
 file run.cfg (CONFIG) for the runs that name it.  One line is printed per
-output file the run writes (*.csv and run.txt) and one per run for its
-standard output:
+output file the run writes (*.csv and run.txt) and one per run for each of
+its standard output and standard error, which carries the logged warnings
+(such as the stepper's dominance counts):
 
     sha256  run  file
 
@@ -37,6 +38,7 @@ RUNS = (
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "1600"),
     ("profiles", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
     ("exact", "--alpha", "0.75"),
+    ("numeric", "--alpha", "0.75", "--m1", "20", "--m2", "100", "--n", "4", "--p-max", "10"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
@@ -50,7 +52,7 @@ def _sha256(data: bytes) -> str:
 
 
 def digests(src: Path, args: tuple) -> list:
-    """(sha256, file) for each output of one run, stdout last."""
+    """(sha256, file) for each output of one run, stdout and stderr last."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "run.cfg").write_text(CONFIG, encoding="utf-8")
@@ -59,7 +61,7 @@ def digests(src: Path, args: tuple) -> list:
         out_dir = Path(tmp, "out")
         files = sorted(out_dir.glob("*.csv")) + sorted(out_dir.glob("run.txt"))
         lines = [(_sha256(path.read_bytes()), path.name) for path in files]
-    return lines + [(_sha256(out.stdout), "<stdout>")]
+    return lines + [(_sha256(out.stdout), "<stdout>"), (_sha256(out.stderr), "<stderr>")]
 
 
 def main(argv=None) -> int:
