@@ -104,7 +104,8 @@ class LagTable:
     interior[n - lag] = pref * factor(lag) for lag = n, ..., 1, so the
     interior weights c[1..k] of the step to level k+1 are its last k
     entries.  trap(k) and split(k) give the same bits from every table with
-    n >= k.
+    n >= k.  The weight of the new level, c[k+1], is pref in every row but
+    split(0)'s, whose c[1] takes the first interval's remainder.
     """
 
     alpha: float
@@ -115,8 +116,8 @@ class LagTable:
     def trap(self, k: int) -> np.ndarray:
         """Product-trapezoidal weights c[j], j = 0..k+1, targeting level k+1."""
         size = self.interior.shape[0]
-        if not 0 <= k <= size:
-            raise InvalidInputError(f"k must lie in [0, {size}], got {k}")
+        if not (_is_integer(k) and 0 <= k <= size):
+            raise InvalidInputError(f"k must be an integer in [0, {size}], got {k!r}")
         c = np.empty(k + 2)
         c[0] = self.pref * _first_factor(k, self.alpha)
         c[1:k + 1] = self.interior[size - k:]
@@ -133,6 +134,11 @@ class LagTable:
         return c
 
 
+def _is_integer(value) -> bool:
+    """Whether operator.index accepts value: a Python or numpy integer, not a float."""
+    return hasattr(type(value), "__index__")
+
+
 def _check_alpha_dtau(alpha: float, dtau: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
@@ -143,8 +149,8 @@ def _check_alpha_dtau(alpha: float, dtau: float) -> None:
 def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
     """The weight rows of the steps k = 0..n on a grid with time step dtau."""
     _check_alpha_dtau(alpha, dtau)
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
+    if not (_is_integer(n) and n >= 0):
+        raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
     pref = dtau ** alpha / (alpha * (alpha + 1.0))
     lag = np.arange(n, 0, -1, dtype=np.float64)
     return LagTable(alpha=alpha, dtau=dtau, pref=pref,
@@ -153,8 +159,8 @@ def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
 
 def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:
     """Memory weights c[j], j = 0..k+1, for the step targeting level k+1."""
-    if k < 0:
-        raise InvalidInputError(f"k must be >= 0, got {k}")
+    if not (_is_integer(k) and k >= 0):
+        raise InvalidInputError(f"k must be an integer >= 0, got {k!r}")
     return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=lag_table(k, alpha, dtau).trap(k))
 
 
@@ -164,8 +170,8 @@ def half_weight(target: float, alpha: float, dtau: float) -> float:
     target is the time the weight points at, in units of dtau: 0.5 for the
     first half-step itself, k+1 for the step to level k+1.
     """
-    if not target >= 0.5:
-        raise InvalidInputError(f"target must be >= 0.5, got {target}")
+    if not 0.5 <= target < math.inf:
+        raise InvalidInputError(f"target must be finite and >= 0.5, got {target}")
     _check_alpha_dtau(alpha, dtau)
     if target == 0.5:
         factor = 0.5 ** alpha

@@ -36,12 +36,11 @@ from .errors import (
     InvalidStateError,
     NoSignChangeError,
 )
-from .fracquad import lag_table
+from .fracquad import _is_integer, lag_table
 from .scheme import (
     MeshConfig,
     PhaseGrid,
     _half_width,
-    _is_integer,
     _recover,
     _step_weights,
     advance_phase,

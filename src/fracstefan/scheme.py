@@ -28,20 +28,24 @@ j >= 1 are levels j, so one weight row and one history sum serve both.
 
 advance_phase is the one stepper.  It stores the second differences of
 each history row once, after the row is solved, and builds the interior
-memory weights of all lags once per advance (fracquad.lag_table).  The
-matrix of a step does not depend on the solution, so per block of levels,
-as arrays over the block, it forms the off-diagonals, the diagonal, the
-dominance count and the Thomas pivots and multipliers, eliminating one row
-of every level's system per vector operation (_factor).  Per level it
-slices the step's weight row from the table, sums the memory history as one
-BLAS mat-vec over the stored differences, adds the advective history, a
-running vector updated once per solved row (its weights do not depend on
-the target level), folds in the boundary values and substitutes forward
-and back on Python floats (_substitute).  One advance costs O(n**2 * m), in
-the memory mat-vec.  The assemble_phase{1,2}_step / thomas_solve pair
-performs the same arithmetic one step at a time, from differences rebuilt
-from the history rows and the weight row of a lag table of its own step,
-and serves as its stepwise oracle.
+memory weights of all lags once per advance (fracquad.lag_table).  It works
+per block of levels (_blocks).  The matrix of a step does not depend on the
+solution, so as arrays over the block it forms the off-diagonals, the
+diagonal, the dominance count and the Thomas pivots and multipliers,
+eliminating one row of every level's system per vector operation (_factor).
+It sums the part of the block's memory history that was solved before the
+block ahead, with one BLAS matrix product per run of the block's levels
+whose weight rows it slices from the table at once (_runs, _block_history;
+the splitting of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
+Comput. 6, with a dense product in place of their FFT).  Per level it adds
+the history rows solved within the block (_memory_sum), adds the advective
+history, a running vector updated once per solved row (its weights do not
+depend on the target level), folds in the boundary values and substitutes
+forward and back on Python floats (_substitute).  One advance costs
+O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
+thomas_solve pair performs the same arithmetic one step at a time, from
+differences rebuilt from the history rows and the weight rows of a lag
+table of its own run, and serves as its stepwise oracle.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .errors import (
     InvalidStateError,
     ZeroPivotError,
 )
-from .fracquad import LagTable, half_weight, lag_table
+from .fracquad import LagTable, _is_integer, half_weight, lag_table
 
 __all__ = [
     "MeshConfig",
@@ -78,14 +82,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Values in each array of one block of levels' systems in advance_phase
-# (256 KiB of doubles); a block holds this many // (m - 1) levels.
+# Values in each array advance_phase holds for many levels at once (256 KiB
+# of doubles): a block of levels' systems and memory sums holds this many
+# // (m - 1) levels, a run of its weight rows this many // (block end + 1).
 _BLOCK_VALUES = 1 << 15
-
-
-def _is_integer(value) -> bool:
-    """Whether operator.index accepts value: a Python or numpy integer, not a float."""
-    return hasattr(type(value), "__index__")
 
 
 @dataclass(frozen=True)
@@ -336,19 +336,63 @@ def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
     return table.trap(k) if grid.phase == 1 else table.split(k)
 
 
-def _step_system(grid: PhaseGrid, k: int, coeffs, d2, adv, c):
+def _blocks(grid: PhaseGrid) -> list:
+    """advance_phase's blocks of levels k, whose steps to k+1 it factors and sums together.
+
+    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1.
+    """
+    n = grid.mesh.n
+    block = max(1, _BLOCK_VALUES // (grid.m - 1))
+    return [range(start, min(start + block, n)) for start in range(0, n, block)]
+
+
+def _runs(levels: range) -> list:
+    """The runs of a block of levels whose weight rows advance_phase holds at once.
+
+    Ranges of _BLOCK_VALUES // (levels.stop + 1) levels, at least one,
+    covering the block: a weight row of the block has at most
+    levels.stop + 1 values.
+    """
+    run = max(1, _BLOCK_VALUES // (levels.stop + 1))
+    return [range(first, min(first + run, levels.stop))
+            for first in range(levels.start, levels.stop, run)]
+
+
+def _block_history(grid: PhaseGrid, table: LagTable, run: range, start: int, d2):
+    """Weight rows of a run's steps and their memory sums over rows 0..start: (rows, known).
+
+    rows[b] is _step_weights of the step from level k = run[b], and
+    known[b] is rows[b][:start+1] @ d2[:start+1], all rows summed by one
+    matrix product.  start is the first level of the run's block; row j of
+    d2 holds the second differences of history row j, j = 0..start at least.
+    """
+    rows = [_step_weights(grid, table, k) for k in run]
+    return rows, np.array([c[:start + 1] for c in rows]) @ d2[:start + 1]
+
+
+def _memory_sum(c, known, d2, start: int, k: int):
+    """The memory history c[:k+1] @ d2[:k+1] of the step from level k, split at history row start.
+
+    known is the sum over rows 0..start (_block_history); the rows solved
+    within the block, start+1..k, are added here.
+    """
+    return known + c[start + 1:k + 1] @ d2[start + 1:k + 1]
+
+
+def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
     """Tridiagonal system advancing the grid from history rows 0..k to level k+1.
 
-    coeffs is _phase_coeffs(grid).  Row j of d2 holds the second differences
-    of history row j, j = 0..k at least, and adv the advective history:
-    gq[j] times row j's centred differences, summed over j = 0..k in order
-    of j.  c is _step_weights of the step.  The boundary columns of the grid
-    must already be filled at level k+1.  Returns (sub, diag, sup, rhs,
+    coeffs is _phase_coeffs(grid).  memory is the memory history,
+    c[:k+1] @ d2[:k+1] with row j of d2 the second differences of history
+    row j (_memory_sum), and adv the advective history: gq[j] times row j's
+    centred differences, summed over j = 0..k in order of j.  c is
+    _step_weights of the step.  The boundary columns of the grid must
+    already be filled at level k+1.  Returns (sub, diag, sup, rhs,
     dominance_violations).
     """
     tcoef, rfac, qfac_in, gq, init_mult = coeffs
     ubar = grid.ubar
-    rhs = ubar[0, 1:-1] * init_mult + rfac * (c[:k + 1] @ d2[:k + 1]) + qfac_in * adv
+    rhs = ubar[0, 1:-1] * init_mult + rfac * memory + qfac_in * adv
     return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
                    ubar[k + 1, 0], ubar[k + 1, -1])
 
@@ -394,10 +438,16 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
         )
     coeffs = _phase_coeffs(grid)
     first, first_violations = _first_row(grid, coeffs)
-    c = _step_weights(grid, lag_table(k, grid.params.alpha, grid.dtau), k)
     d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
+    # the stepper's block and run of k, and its product over the run, for the stepper's bits
+    levels = next(block for block in _blocks(grid) if k in block)
+    run = next(run for run in _runs(levels) if k in run)
+    table = lag_table(run.stop - 1, grid.params.alpha, grid.dtau)
+    rows, known = _block_history(grid, table, run, levels.start, d2)
+    b = k - run.start
+    memory = _memory_sum(rows[b], known[b], d2, levels.start, k)
     adv = np.cumsum(coeffs[3][:k + 1, None] * dc, axis=0)[-1]
-    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, d2, adv, c)
+    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, memory, adv, rows[b])
     if k == 0:  # the solid's half-step is part of the step to level 1
         violations += first_violations
     if violations:
@@ -410,7 +460,14 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
 
 
 def assemble_phase1_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
-    """Implicit system advancing the liquid grid to time level k+1."""
+    """Implicit system advancing the liquid grid to time level k+1.
+
+    Its memory sum is split as advance_phase splits it, into the rows solved
+    before the step's block of levels, summed by one matrix product over the
+    step's run of levels, and the block's own rows (_blocks, _runs), so that
+    it carries the stepper's bits.  The cost of a call and the rounding of
+    its right-hand side therefore depend on _BLOCK_VALUES.
+    """
     if grid.phase != 1:
         raise InvalidInputError(f"expected a phase-1 grid, got phase {grid.phase}")
     return _assemble_step(grid, k)
@@ -420,7 +477,8 @@ def assemble_phase2_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     """Implicit system advancing the solid grid to time level k+1.
 
     The half level tau = dtau/2 is solved from level 0 on the way; at k = 0
-    the returned system is the second half-step.
+    the returned system is the second half-step.  The memory sum is split
+    as in assemble_phase1_step.
     """
     if grid.phase != 2:
         raise InvalidInputError(f"expected a phase-2 grid, got phase {grid.phase}")
@@ -473,12 +531,15 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     Solves level by level, from the history row 0 of _first_row (the
     solid's half-step), with the arithmetic of assemble_phase{1,2}_step and
     thomas_solve, and keeps the solid's half level as grid.half for the
-    interface balance.  Per block of levels it forms what does not depend on
-    the solution: off-diagonals, diagonal, dominance count, pivots and
-    multipliers (_factor).  Per level it forms the right-hand side (memory
-    mat-vec, running advective sum, boundary values) and substitutes
-    (_substitute).  Recomputes from level 0, so the result does not depend
-    on rows filled before the call.
+    interface balance.  Per block of levels (_blocks) it forms what does not
+    depend on the solution: off-diagonals, diagonal, dominance count, pivots
+    and multipliers (_factor).  Per run of the block's levels (_runs) it
+    slices the steps' weight rows and sums, in one matrix product, their
+    memory over the rows solved before the block (_block_history).  Per
+    level it forms the right-hand side (the memory sum over the block's own
+    rows, _memory_sum; the running advective sum; boundary values) and
+    substitutes (_substitute).  Recomputes from level 0, so the result does
+    not depend on rows filled before the call.
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
@@ -487,16 +548,17 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     ubar = grid.ubar
     d2 = np.empty((n + 1, grid.m - 1))
     initial = ubar[0, 1:-1] * init_mult
-    block = max(1, _BLOCK_VALUES // (grid.m - 1))
     try:
         first, violations = _first_row(grid, coeffs)
         d2[0], dc = _differences(first)
         adv = gq[0] * dc
-        for start in range(0, n, block):
-            levels = range(start, min(start + block, n))
+        for levels in _blocks(grid):
+            start = levels.start
             targets = slice(start + 1, levels.stop + 1)
             # the weight of the new level, c[k+1], sets the implicit part of each step
-            r = rfac * np.array([_step_weights(grid, table, k)[-1] for k in levels])
+            r = np.full(len(levels), rfac * table.pref)
+            if start == 0:  # c[k+1] is table.pref in every row but split(0)'s
+                r[0] = rfac * _step_weights(grid, table, 0)[-1]
             q = gq[targets, None] * qfac_in
             sub = -r[:, None] + q
             sup = -r[:, None] - q
@@ -507,17 +569,20 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
             zero_row = np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()
             left = (sub[:, 0] * ubar[targets, 0]).tolist()
             right = (sup[:, -1] * ubar[targets, -1]).tolist()
-            for b, k in enumerate(levels):
-                if zero_row[b] >= 0:
-                    raise ZeroPivotError(f"zero pivot at row {zero_row[b]}")
-                c = _step_weights(grid, table, k)
-                rhs = (initial + rfac * (c[:k + 1] @ d2[:k + 1]) + qfac_in * adv).tolist()
-                rhs[0] -= left[b]
-                rhs[-1] -= right[b]
-                ubar[k + 1, 1:-1] = _substitute(rhs, sub[b].tolist(), pivot[b].tolist(),
-                                                mult[b].tolist())
-                d2[k + 1], dc = _differences(ubar[k + 1])
-                adv = adv + gq[k + 1] * dc
+            for run in _runs(levels):
+                rows, known = _block_history(grid, table, run, start, d2)
+                for k, c, before in zip(run, rows, known):
+                    b = k - start
+                    if zero_row[b] >= 0:
+                        raise ZeroPivotError(f"zero pivot at row {zero_row[b]}")
+                    memory = _memory_sum(c, before, d2, start, k)
+                    rhs = (initial + rfac * memory + qfac_in * adv).tolist()
+                    rhs[0] -= left[b]
+                    rhs[-1] -= right[b]
+                    ubar[k + 1, 1:-1] = _substitute(rhs, sub[b].tolist(), pivot[b].tolist(),
+                                                    mult[b].tolist())
+                    d2[k + 1], dc = _differences(ubar[k + 1])
+                    adv = adv + gq[k + 1] * dc
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:

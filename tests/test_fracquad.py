@@ -89,6 +89,22 @@ class TestTrapWeights:
         with pytest.raises(errors.InvalidInputError):
             fracquad.trap_weights(-1, 0.5, 0.1)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(2.0), "2"])
+    def test_rejects_non_integral_step_count(self, k):
+        # a fractional count gave NaN weights (a negative base in the interior
+        # factor), an integral float a TypeError from np.empty
+        table = fracquad.lag_table(3, 0.5, 0.1)
+        for weights in (lambda: fracquad.trap_weights(k, 0.5, 0.1),
+                        lambda: fracquad.lag_table(k, 0.5, 0.1),
+                        lambda: table.trap(k), lambda: table.split(k)):
+            with pytest.raises(errors.InvalidInputError, match="must be an integer"):
+                weights()
+
+    def test_accepts_numpy_integer_step_count(self):
+        c = fracquad.trap_weights(3, 0.5, 0.1).c
+        assert np.array_equal(fracquad.trap_weights(np.int64(3), 0.5, 0.1).c, c)
+        assert np.array_equal(fracquad.lag_table(np.int32(5), 0.5, 0.1).trap(np.int64(3)), c)
+
     def test_rejects_infinite_dtau(self):
         # an infinite step would give all-inf trapezoid rows and NaN split rows
         with pytest.raises(errors.InvalidInputError, match="dtau"):
@@ -145,6 +161,12 @@ class TestSplitStartWeights:
         with pytest.raises(errors.InvalidInputError):
             fracquad.lag_table(0, alpha, dtau)
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan, 0.25, -1.0])
+    def test_half_weight_rejects_target(self, target):
+        # an infinite target returned nan (inf * 0)
+        with pytest.raises(errors.InvalidInputError, match="target"):
+            fracquad.half_weight(target, 0.5, 1.0)
+
     def test_alpha_one_is_backward_euler_pair(self):
         dtau = 0.3
         c = fracquad.lag_table(0, 1.0, dtau).split(0)
@@ -153,3 +175,11 @@ class TestSplitStartWeights:
     def test_matches_trapezoid_beyond_first_interval(self):
         c = fracquad.lag_table(9, 0.5, 0.05).split(9)
         np.testing.assert_array_equal(c[2:], fracquad.trap_weights(9, 0.5, 0.05).c[2:])
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_new_level_weight_is_pref_but_in_split_first_step(self, alpha):
+        # the stepper forms every step's implicit weight c[k+1] from this
+        table = fracquad.lag_table(40, alpha, 0.05)
+        assert table.trap(0)[-1] == table.pref
+        for k in range(1, 41):
+            assert table.trap(k)[-1] == table.split(k)[-1] == table.pref

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import params_for
 from fracstefan import analytic, errors, fracquad, fronttrack, scheme
@@ -208,6 +210,50 @@ class TestFrontResidual:
         with pytest.raises(errors.ZeroPivotError, match="candidate p=0.8: zero pivot"):
             fronttrack._solve_candidate(0.8, params, MESH, terms)
         assert list(terms) == [scheme.phase_key(1, 0.8, MESH, params)]
+
+
+def scaled_params(params, factor):
+    """params with kappa1, kappa2, lambda1 and lambda2 multiplied by factor."""
+    return replace(params, kappa1=factor * params.kappa1, kappa2=factor * params.kappa2,
+                   lambda1=factor * params.lambda1, lambda2=factor * params.lambda2)
+
+
+class TestScalingLaw:
+    """p is only a diffusivity scale.
+
+    With t = s * p**(-2/alpha) the Caputo derivative scales by p**2, so the
+    problem with front p * t**(alpha/2) and constants kappa_i, lambda_i is
+    the one with front s**(alpha/2) and constants kappa_i/p**2,
+    lambda_i/p**2.  Both routes obey the law without a reference value, at
+    every alpha; a hidden p in a time or memory rule breaks it.
+    """
+
+    constants = st.builds(
+        lambda alpha, k1, k2, l1, l2: analytic.PhysicalParams(
+            alpha=alpha, kappa1=k1, kappa2=k2, lambda1=l1, lambda2=l2),
+        st.floats(min_value=0.2, max_value=1.0), *[st.floats(min_value=0.5, max_value=2.0)] * 4)
+
+    @given(params=constants, p=st.floats(min_value=0.3, max_value=1.7))
+    @settings(max_examples=25, deadline=None)
+    def test_grid_residual_in_front_time(self, params, p):
+        mesh = scheme.MeshConfig(m1=12, m2=30, n=20)
+        scaled = fronttrack.front_residual(1.0, scaled_params(params, p ** -2), mesh)
+        assert fronttrack.front_residual(p, params, mesh) == pytest.approx(scaled, abs=1e-12)
+
+    @given(params=constants, p=st.floats(min_value=0.3, max_value=1.7))
+    @settings(max_examples=50, deadline=None)
+    def test_closed_form_residual_in_front_time(self, params, p):
+        scaled = analytic.transcendental_residual(1.0, scaled_params(params, p ** -2))
+        assert analytic.transcendental_residual(p, params) == pytest.approx(
+            p * scaled, rel=1e-12, abs=1e-12)
+
+    @given(params=constants, c=st.floats(min_value=0.5, max_value=2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_exact_root_scales_by_c(self, params, c):
+        # each root lies within tol/2 = 5e-11 of the bisection's midpoint
+        root = analytic.solve_p_exact(params, bracket=(0.05, 5.0))
+        scaled = analytic.solve_p_exact(scaled_params(params, c * c), bracket=(0.05 * c, 5.0 * c))
+        assert scaled == pytest.approx(c * root, abs=(1.0 + c) * 1e-10)
 
 
 class TestBisectionSolve:

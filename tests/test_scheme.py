@@ -1,6 +1,7 @@
 """Front-fixing steppers: assembly, Thomas solve, advance, recovery."""
 
 import logging
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -294,6 +295,55 @@ class TestAdvance:
                 ref.ubar[k + 1, 1:-1] = scheme.thomas_solve(assemble(ref, k))
                 ref.filled_through = k + 1
             assert np.array_equal(fast.ubar, ref.ubar)
+        # the second block's memory products run over two runs of its levels
+        assert [len(scheme._runs(levels)) for levels in scheme._blocks(fast)] == [1, 2, 1]
+
+    @pytest.mark.parametrize(("m", "n", "phase"), [(3, 2000, 1), (50, 1600, 2)])
+    def test_memory_bounded_by_block_values(self, m, n, phase):
+        # besides the stored differences, advance_phase holds a few arrays of
+        # at most _BLOCK_VALUES values, however long the time axis: at m = 3
+        # one block spans all 2000 levels, whose whole weight rows would be
+        # 16 MB
+        g = scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=m, m2=m, n=n),
+                                   params_for(1, 0.5))
+        tracemalloc.start()
+        try:
+            scheme.advance_phase(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = (n + 1) * (m - 1) * 8
+        assert peak <= stored + 12 * scheme._BLOCK_VALUES * 8
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_block_split_memory_sum_is_plain_sum(self, alpha, monkeypatch):
+        # the oracle takes the stepper's split, so tie the split to the
+        # definition: at every level of three blocks, the stepper's memory
+        # sum (rows before the block in one product, the block's own rows
+        # per level) equals c[:k+1] @ d2[:k+1] over rebuilt rows, to
+        # 1e-13 of |c| @ |d2|, the scale of a reordered sum's rounding
+        m = 250
+        mesh = scheme.MeshConfig(m1=m, m2=m, n=2 * (scheme._BLOCK_VALUES // (m - 1)) + 3)
+        params = params_for(1, alpha)
+        memory_sum = scheme._memory_sum
+        sums = {}
+
+        def recording(c, known, d2, start, k):
+            sums[k] = memory = memory_sum(c, known, d2, start, k)
+            return memory
+
+        monkeypatch.setattr(scheme, "_memory_sum", recording)
+        for phase in (1, 2):
+            sums.clear()
+            g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+            assert len(scheme._blocks(g)) == 3 and sorted(sums) == list(range(mesh.n))
+            first = scheme._first_row(g, scheme._phase_coeffs(g))[0]
+            d2 = scheme._differences(np.vstack((first, g.ubar[1:])))[0]
+            table = fracquad.lag_table(mesh.n - 1, alpha, g.dtau)
+            for k in range(mesh.n):
+                c = scheme._step_weights(g, table, k)[:k + 1]
+                bound = 1e-13 * (np.abs(c) @ np.abs(d2[:k + 1]))
+                assert (np.abs(sums[k] - c @ d2[:k + 1]) <= bound).all()
 
     def test_dominance_count_matches_stepwise_reference(self, caplog):
         # the advance's warning counts the violations of every level, the
@@ -358,7 +408,8 @@ class TestAdvance:
                 d2, dc = scheme._differences(np.vstack((first, g.ubar[1:k + 1])))
                 adv = gq[:k + 1] @ dc
                 c = scheme._step_weights(g, fracquad.lag_table(k, alpha, g.dtau), k)
-                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, d2, adv, c)
+                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, c[:k + 1] @ d2,
+                                                              adv, c)
                 row = scheme.thomas_solve(scheme.TridiagonalSystem(sub, diag, sup, rhs,
                                                                    size=g.m - 1))
                 scale = np.abs(g.ubar[k + 1]).max()

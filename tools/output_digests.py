@@ -39,6 +39,8 @@ RUNS = (
     ("profiles", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
     ("exact", "--alpha", "0.75"),
     ("numeric", "--alpha", "0.75", "--m1", "20", "--m2", "100", "--n", "4", "--p-max", "10"),
+    # both phases span three of the stepper's blocks of levels (330 each at m = 100)
+    ("numeric", "--alpha", "0.5", "--m1", "100", "--m2", "100", "--n", "800"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
