@@ -67,8 +67,7 @@ MODES = {
 _SETTINGS = {
     "alpha": float, "lambda1": float, "lambda2": float, "kappa1": float,
     "kappa2": float, "theta_inf": float, "ratio": float, "m1": int, "m2": int,
-    "n": int, "tau0_factor": float, "p_min": float, "p_max": float,
-    "epsilon": float, "max_iter": int,
+    "n": int, "p_min": float, "p_max": float, "epsilon": float, "max_iter": int,
 }
 
 _DEFAULTS = {

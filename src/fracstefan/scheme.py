@@ -3,14 +3,18 @@
 Each phase is mapped onto a fixed unit interval in space: the liquid by
 v1 = x / (p * tau**(alpha/2)), which pins the moving front at v1 = 1, the
 solid by v2 = (x - S) / (L - S), which pins it at v2 = 0 and the truncated
-far boundary at v2 = 1.  On the resulting uniform (v, tau) grid an
+far boundary at v2 = 1.  On the resulting uniform (v, s) grid an
 auxiliary scaling of the temperature turns each governing equation into an
 implicit scheme whose right-hand side carries the full memory of earlier
 levels through the product-trapezoidal weights.
 
-The front coefficient p enters the grid itself: the time step is
-dtau = 1 / (n * p**(2/alpha)), so the prescribed front reaches x = 1
-exactly at the final level.
+Every grid is stepped in the front's own time s = tau * p**(2/alpha), on
+the fixed levels s_k = k/n: the front x = p * tau**(alpha/2) becomes
+s**(alpha/2), which starts at x = 0 at level 0 and reaches x = 1 at the
+final level, and the Caputo derivative scales by p**2.  So p is only a
+diffusivity scale: it enters a step only as kappa_i/p**2 (_diffusivity),
+and the interface balance only as lambda_i/p**2.  PhaseGrid.tau and dtau
+keep the physical times, for callers.
 
 The solid's first step is two implicit half-steps (Rannacher 1984,
 Numer. Math. 43).  Its level-0 row jumps from the interface value 0 to the
@@ -90,20 +94,17 @@ _BLOCK_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Grid resolution and domain-truncation settings.
+    """Grid resolution and domain truncation.
 
-    ratio is the truncated solid extent L relative to the reference length;
-    tau0_factor places the artificial start time tau_0 = tau0_factor * dtau
-    strictly inside the first step, small enough not to distort the memory
-    sums yet far enough from zero that the tau**(-alpha) boundary data stays
-    finite.
+    m1 and m2 are the liquid's and the solid's space intervals, n the time
+    levels after level 0, and ratio the truncated solid extent L relative
+    to the reference length: the solid spans L - s**(alpha/2) >= L - 1.
     """
 
     m1: int = 100
     m2: int = 500
     n: int = 400
     ratio: float = 10.0
-    tau0_factor: float = 1e-3
 
     def __post_init__(self):
         problems = []
@@ -116,15 +117,13 @@ class MeshConfig:
                 problems.append(f"{name} must be >= {least}{note}, got {value}")
         if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
             problems.append(f"ratio must be finite and > 1, got {self.ratio}")
-        if not 0.0 < self.tau0_factor < 1.0:
-            problems.append(f"tau0_factor must be in (0, 1), got {self.tau0_factor}")
         if problems:
             raise InvalidInputError("; ".join(problems))
 
 
 @dataclass
 class PhaseGrid:
-    """Auxiliary-function values of one phase on the fixed (v, tau) rectangle."""
+    """Auxiliary-function values of one phase on the fixed (v, s) rectangle."""
 
     phase: int
     p: float
@@ -135,7 +134,7 @@ class PhaseGrid:
     v: np.ndarray = field(repr=False)
     ubar: np.ndarray = field(repr=False)
     filled_through: int = 0
-    # the solid's row at tau = dtau/2, kept by advance_phase; None for the liquid
+    # the solid's row at s = 1/(2n), kept by advance_phase; None for the liquid
     half: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -145,6 +144,11 @@ class PhaseGrid:
     @property
     def dv(self) -> float:
         return 1.0 / self.m
+
+    @property
+    def s(self) -> np.ndarray:
+        """The levels' front time s_k = k/n."""
+        return np.arange(self.mesh.n + 1) / self.mesh.n
 
 
 class RecoveredField(NamedTuple):
@@ -167,25 +171,20 @@ class TridiagonalSystem:
     dominance_violations: int = 0
 
 
-def _tau_grid(mesh: MeshConfig, dtau: float) -> np.ndarray:
-    tau = np.empty(mesh.n + 1)
-    tau[0] = mesh.tau0_factor * dtau
-    tau[1:] = dtau * np.arange(1, mesh.n + 1, dtype=np.float64)
-    return tau
-
-
 def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
                     params: PhysicalParams) -> PhaseGrid:
     """Allocate one phase grid with initial and boundary rows populated.
 
-    Level 0 sits at tau_0 = tau0_factor * dtau > 0.  The liquid grid starts
-    all-zero (no liquid yet); its hot-boundary column starts at level 1,
-    so its level-0 corner holds the initial value.  The solid grid holds the
-    far-field value, constant in x, except at the interface node, which
-    holds the interface value 0: at tau_0 that is boundary data.  The
-    solid's start never samples that corner (see the module docstring).
-    Raises DegenerateInputError when the time step is not a finite positive
-    double (p so large or so small that p**(2/alpha) leaves double range).
+    Level k sits at front time s_k = k/n and physical time tau_k = k * dtau,
+    dtau = 1/(n * p**(2/alpha)); level 0 is s = 0, where the front starts.
+    The liquid grid starts all-zero (no liquid yet); its hot-boundary column
+    starts at level 1, so its level-0 corner holds the initial value.  The
+    solid grid holds the far-field value, constant in x, except at the
+    interface node, which holds the interface value 0.  The solid's start
+    never samples that corner (see the module docstring).  Raises
+    DegenerateInputError when the physical time step is not a finite
+    positive double (p so large or so small that p**(2/alpha) leaves double
+    range).
     """
     if phase not in (1, 2):
         raise InvalidInputError(f"phase must be 1 or 2, got {phase}")
@@ -202,85 +201,82 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
             f"time step 1/(n*p**(2/alpha)) is not a finite positive double "
             f"(p={p}, alpha={a}, n={mesh.n})"
         )
-    tau = _tau_grid(mesh, dtau)
-    v = np.linspace(0.0, 1.0, m + 1)
-    ubar = np.zeros((mesh.n + 1, m + 1))
+    grid = PhaseGrid(phase=phase, p=p, mesh=mesh, params=params, dtau=dtau,
+                     tau=dtau * np.arange(mesh.n + 1.0), v=np.linspace(0.0, 1.0, m + 1),
+                     ubar=np.zeros((mesh.n + 1, m + 1)))
+    scale = _frame(grid)[1]
     if phase == 1:
-        ubar[1:, 0] = tau[1:] ** (-a)
+        grid.ubar[1:, 0] = 1.0 / scale[1:]
     else:
-        L = mesh.ratio
-        width = L - p * tau ** (a / 2.0)
-        if width.min() <= 0.0:
-            raise DegenerateInputError(
-                f"front reaches the truncated boundary L={L} within the grid "
-                f"(p={p}, alpha={a})"
-            )
-        ubar[0, 1:] = params.theta_inf / width[0] ** 2
-        ubar[1:, m] = params.theta_inf / width[1:] ** 2
-    return PhaseGrid(phase=phase, p=p, mesh=mesh, params=params,
-                     dtau=dtau, tau=tau, v=v, ubar=ubar)
+        grid.ubar[0, 1:] = params.theta_inf / scale[0]
+        grid.ubar[1:, m] = params.theta_inf / scale[1:]
+    return grid
+
+
+def _diffusivity(phase: int, p: float, params: PhysicalParams) -> float:
+    """kappa_i/p**2, the phase's diffusivity in front time: the one way p enters a grid."""
+    return (params.kappa1 if phase == 1 else params.kappa2) / (p * p)
 
 
 def phase_key(phase: int, p: float, mesh: MeshConfig, params: PhysicalParams) -> tuple:
     """Every value that one phase's advanced grid depends on.
 
     Two grids of the same phase with equal keys advance to the same rows,
-    bit for bit, and grids with different keys do not.  The liquid depends
-    neither on kappa2, theta_inf nor ratio, and not on tau0_factor either:
-    tau_0 only scales its level-0 row, which is zero.  The solid does not
-    depend on kappa1, and neither phase on lambda1 or lambda2.
+    bit for bit, and grids with different keys do not.  p and the phase's
+    kappa enter only as _diffusivity, kappa_i/p**2.  The liquid depends
+    neither on kappa2, theta_inf nor ratio, the solid not on kappa1, and
+    neither phase on lambda1 or lambda2.
     """
     if phase == 1:
-        return (1, p, params.alpha, params.kappa1, mesh.m1, mesh.n)
-    return (2, p, params.alpha, params.kappa2, params.theta_inf, mesh.m2, mesh.n,
-            mesh.ratio, mesh.tau0_factor)
+        return (1, _diffusivity(1, p, params), params.alpha, mesh.m1, mesh.n)
+    return (2, _diffusivity(2, p, params), params.alpha, params.theta_inf, mesh.m2, mesh.n,
+            mesh.ratio)
 
 
-def _half_width(p: float, dtau: float, L: float, alpha: float) -> float:
-    """Solid width L - S at tau = dtau/2."""
-    return L - p * (dtau / 2.0) ** (alpha / 2.0)
+def _frame(grid: PhaseGrid):
+    """The front x = s**(alpha/2) and the factor u/ubar at every level: (front, scale).
+
+    scale is s**alpha in the liquid and the squared width (L - front)**2 in
+    the solid; it is also a step's time coefficient.
+    """
+    front = grid.s ** (grid.params.alpha / 2.0)
+    if grid.phase == 1:
+        return front, grid.s ** grid.params.alpha
+    return front, (grid.mesh.ratio - front) ** 2
+
+
+def _half_width(grid: PhaseGrid) -> float:
+    """Solid width L - S at s = 1/(2n)."""
+    return grid.mesh.ratio - (0.5 / grid.mesh.n) ** (grid.params.alpha / 2.0)
 
 
 def _phase_coeffs(grid: PhaseGrid):
     """Per-grid constants feeding the generic implicit step.
 
-    Returns (tcoef, rfac, qfac_in, gq, init_mult): the time coefficient on
-    the diagonal, the memory prefactor, the per-interior-node advective
-    factor, the per-level advective time factor, and the multiplier on the
-    initial row.  The advective history is a right-endpoint rectangle sum:
-    gq[j] carries the width of the rectangle ending at history row j, in
-    units of dtau.  So the liquid's gq[0] is zero, and on the solid gq[0]
-    (the half level) and gq[1] are halved: its first interval is two half-steps.
+    Returns (tcoef, rfac, qfac_in, gq): the time coefficient on the
+    diagonal (_frame's scale, so tcoef[0] multiplies the initial row), the
+    memory prefactor, the per-interior-node advective factor and the
+    per-level advective time factor.  The advective history is a
+    right-endpoint rectangle sum: gq[j] carries the width of the rectangle
+    ending at history row j, in units of the step 1/n.  So the liquid's
+    gq[0] is zero, and on the solid gq[0] (the half level) and gq[1] are
+    halved: its first interval is two half-steps.
     """
     a = grid.params.alpha
-    p = grid.p
-    tau = grid.tau
-    dv = grid.dv
+    ds = 1.0 / grid.mesh.n
+    tcoef = _frame(grid)[1]
+    rfac = _diffusivity(grid.phase, grid.p, grid.params) / (math.gamma(a) * grid.dv ** 2)
+    s = grid.s  # the time each history row samples
     if grid.phase == 1:
-        tcoef = tau ** a
-        rfac = grid.params.kappa1 / (p * p * math.gamma(a) * dv * dv)
-        qfac_in = a * np.arange(1, grid.m, dtype=np.float64) * grid.dtau / 4.0
-        gq = np.empty_like(tau)
-        gq[0] = 0.0
-        gq[1:] = tau[1:] ** (a - 1.0)
-        init_mult = tau[0] ** a
+        qfac_in = a * np.arange(1, grid.m, dtype=np.float64) * ds / 4.0
+        gq = np.zeros_like(s)
+        gq[1:] = s[1:] ** (a - 1.0)
     else:
-        L = grid.mesh.ratio
-        width = L - p * tau ** (a / 2.0)
-        tcoef = width ** 2
-        rfac = grid.params.kappa2 / (math.gamma(a) * dv * dv)
-        vi = grid.v[1:-1]
-        qfac_in = a * p * (vi - 1.0) * grid.dtau / (4.0 * dv)
-        gq = np.empty_like(tau)
-        gq[0] = 0.5 * _solid_gq(grid.dtau / 2.0, p, L, a)
-        gq[1:] = _solid_gq(tau[1:], p, L, a)
-        gq[1] *= 0.5
-        init_mult = width[0] ** 2
-    return tcoef, rfac, qfac_in, gq, init_mult
-
-
-def _solid_gq(tau, p, L, alpha):
-    return p * tau ** (alpha - 1.0) - L * tau ** (alpha / 2.0 - 1.0)
+        qfac_in = a * (grid.v[1:-1] - 1.0) * ds / (4.0 * grid.dv)
+        s[0] = ds / 2.0
+        gq = s ** (a - 1.0) - grid.mesh.ratio * s ** (a / 2.0 - 1.0)
+        gq[:2] *= 0.5
+    return tcoef, rfac, qfac_in, gq
 
 
 def _system(rhs, r_imp, q_imp, diag_value, left, right):
@@ -306,7 +302,7 @@ def _differences(rows):
 def _first_row(grid: PhaseGrid, coeffs):
     """Row 0 of the phase's history, its first memory sample: (row, violations).
 
-    The liquid's is level 0.  The solid's is its row at tau = dtau/2, solved
+    The liquid's is level 0.  The solid's is its row at s = 1/(2n), solved
     from level 0 by a fully implicit half-step: level 0 enters only as the
     initial datum, never as a sample of the memory or advective integrand.
     The boundary values are level 0's at the same physical temperature (the
@@ -315,13 +311,12 @@ def _first_row(grid: PhaseGrid, coeffs):
     """
     if grid.phase == 1:
         return grid.ubar[0], 0
-    _, rfac, qfac_in, gq, init_mult = coeffs
-    a = grid.params.alpha
-    width = _half_width(grid.p, grid.dtau, grid.mesh.ratio, a)
-    half = grid.ubar[0] * (init_mult / width ** 2)
+    tcoef, rfac, qfac_in, gq = coeffs
+    width = _half_width(grid)
+    half = grid.ubar[0] * (tcoef[0] / width ** 2)
+    r_imp = rfac * half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
     sub, diag, sup, rhs, violations = _system(
-        grid.ubar[0, 1:-1] * init_mult, rfac * half_weight(0.5, a, grid.dtau),
-        qfac_in * gq[0], width ** 2, half[0], half[-1])
+        grid.ubar[0, 1:-1] * tcoef[0], r_imp, qfac_in * gq[0], width ** 2, half[0], half[-1])
     half[1:-1] = _thomas(sub, diag, sup, rhs)
     return half, violations
 
@@ -390,9 +385,9 @@ def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
     already be filled at level k+1.  Returns (sub, diag, sup, rhs,
     dominance_violations).
     """
-    tcoef, rfac, qfac_in, gq, init_mult = coeffs
+    tcoef, rfac, qfac_in, gq = coeffs
     ubar = grid.ubar
-    rhs = ubar[0, 1:-1] * init_mult + rfac * memory + qfac_in * adv
+    rhs = ubar[0, 1:-1] * tcoef[0] + rfac * memory + qfac_in * adv
     return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
                    ubar[k + 1, 0], ubar[k + 1, -1])
 
@@ -442,7 +437,7 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     # the stepper's block and run of k, and its product over the run, for the stepper's bits
     levels = next(block for block in _blocks(grid) if k in block)
     run = next(run for run in _runs(levels) if k in run)
-    table = lag_table(run.stop - 1, grid.params.alpha, grid.dtau)
+    table = lag_table(run.stop - 1, grid.params.alpha, 1.0 / grid.mesh.n)
     rows, known = _block_history(grid, table, run, levels.start, d2)
     b = k - run.start
     memory = _memory_sum(rows[b], known[b], d2, levels.start, k)
@@ -476,7 +471,7 @@ def assemble_phase1_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
 def assemble_phase2_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     """Implicit system advancing the solid grid to time level k+1.
 
-    The half level tau = dtau/2 is solved from level 0 on the way; at k = 0
+    The half level s = 1/(2n) is solved from level 0 on the way; at k = 0
     the returned system is the second half-step.  The memory sum is split
     as in assemble_phase1_step.
     """
@@ -543,11 +538,11 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
-    tcoef, rfac, qfac_in, gq, init_mult = coeffs
-    table = lag_table(n - 1, grid.params.alpha, grid.dtau)
+    tcoef, rfac, qfac_in, gq = coeffs
+    table = lag_table(n - 1, grid.params.alpha, 1.0 / n)
     ubar = grid.ubar
     d2 = np.empty((n + 1, grid.m - 1))
-    initial = ubar[0, 1:-1] * init_mult
+    initial = ubar[0, 1:-1] * tcoef[0]
     try:
         first, violations = _first_row(grid, coeffs)
         d2[0], dc = _differences(first)
@@ -600,14 +595,17 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
 
 
 def _recover(grid: PhaseGrid, cols):
-    """Physical temperature and position of the grid's columns cols at every level: (u, x)."""
-    a = grid.params.alpha
-    front = grid.p * grid.tau ** (a / 2.0)
+    """Physical temperature and position of the grid's columns cols at every level: (u, x).
+
+    Both are read through s (_frame), so they do not depend on p.
+    """
+    front, scale = _frame(grid)
+    u = grid.ubar[:, cols] * scale[:, None]
     v = grid.v[cols]
     if grid.phase == 1:
-        return grid.ubar[:, cols] * (grid.tau ** a)[:, None], v * front[:, None]
+        return u, v * front[:, None]
     width = grid.mesh.ratio - front
-    return grid.ubar[:, cols] * (width ** 2)[:, None], v * width[:, None] + front[:, None]
+    return u, v * width[:, None] + front[:, None]
 
 
 def recover_physical(grid: PhaseGrid) -> RecoveredField:

@@ -16,8 +16,7 @@ TINY_ARGV = ["--alpha", "1.0", "--m1", "8", "--m2", "20", "--n", "12"]
 FLAG_VALUES = {
     "alpha": "0.75", "lambda1": "1.5", "lambda2": "2", "kappa1": "2", "kappa2": "1.5",
     "theta_inf": "-0.25", "ratio": "12", "m1": "9", "m2": "21", "n": "13",
-    "tau0_factor": "0.002", "p_min": "0.2", "p_max": "1.9", "epsilon": "0.002",
-    "max_iter": "50",
+    "p_min": "0.2", "p_max": "1.9", "epsilon": "0.002", "max_iter": "50",
 }
 
 

@@ -37,7 +37,7 @@ def reference_flux(grid):
         flux[1:] = (f.u[1:, m1] - f.u[1:, m1 - 1]) / (f.x[1:, m1] - f.x[1:, m1 - 1])
         return flux
     flux = (f.u[:, 1] - f.u[:, 0]) / (f.x[:, 1] - f.x[:, 0])
-    width = scheme._half_width(grid.p, grid.dtau, grid.mesh.ratio, grid.params.alpha)
+    width = scheme._half_width(grid)
     flux[0] = (grid.half[1] - grid.half[0]) * width / grid.v[1]
     return flux
 
@@ -49,12 +49,15 @@ def reference_term(table, k, grid, flux):
 
 
 def reference_series(g1, g2):
-    """The balance S[1..n], composed term by term with the operands in their original order."""
-    table = fracquad.lag_table(g1.mesh.n - 1, g1.params.alpha, g1.dtau)
+    """The balance S[1..n], composed term by term with the operands in their original order.
+
+    The terms are integrated over front time s, steps 1/n; p enters as lambda_i/p**2.
+    """
+    table = fracquad.lag_table(g1.mesh.n - 1, g1.params.alpha, 1.0 / g1.mesh.n)
     flux1, flux2 = reference_flux(g1), reference_flux(g2)
-    ga = math.gamma(g1.params.alpha)
-    return [float((g1.params.lambda2 / ga) * reference_term(table, k, g2, flux2)
-                  - (g1.params.lambda1 / ga) * reference_term(table, k, g1, flux1))
+    scale = g1.p * g1.p * math.gamma(g1.params.alpha)
+    return [float((g1.params.lambda2 / scale) * reference_term(table, k, g2, flux2)
+                  - (g1.params.lambda1 / scale) * reference_term(table, k, g1, flux1))
             for k in range(1, g1.mesh.n + 1)]
 
 
@@ -97,8 +100,8 @@ class TestStefanFrontValue:
         (1.0, {"alpha": 1.0}, {}),  # at p = 1, dtau = 1/n for every alpha
         (1.0, {"lambda2": 2.0}, {}),
         (1.0, {"kappa1": 3.0}, {}),
-        (0.8, {}, {"tau0_factor": 1e-2}),
-    ], ids=["alpha", "lambda2", "kappa1", "tau0_factor"])
+        (0.8, {}, {"ratio": 12.0}),
+    ], ids=["alpha", "lambda2", "kappa1", "ratio"])
     @pytest.mark.parametrize("balance", [fronttrack.stefan_front_value,
                                          fronttrack.front_series], ids=["value", "series"])
     def test_pair_from_other_params_or_mesh_rejected(self, p, solid_params, solid_mesh,
@@ -139,7 +142,8 @@ class TestStefanFrontValue:
         f2 = scheme.recover_physical(g2)
         for j in range(1, PROD_MESH.n + 1):
             tau = float(g1.tau[j])
-            g1.ubar[j] = analytic.u1_classical(f1.x[j], tau, p, params.kappa1) / tau
+            # the liquid's ubar is u / s**alpha, s = j/n
+            g1.ubar[j] = analytic.u1_classical(f1.x[j], tau, p, params.kappa1) / (j / PROD_MESH.n)
             g2.ubar[j] = analytic.u2_classical(
                 f2.x[j], tau, p, params.kappa2, params.theta_inf
             ) / (PROD_MESH.ratio - p * math.sqrt(tau)) ** 2

@@ -16,11 +16,11 @@ SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
 class TestMeshConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(errors.InvalidInputError) as excinfo:
-            scheme.MeshConfig(m1=0, ratio=0.5, tau0_factor=2.0)
+            scheme.MeshConfig(m1=0, n=0, ratio=0.5)
         message = str(excinfo.value)
-        assert "m1" in message and "ratio" in message and "tau0_factor" in message
+        assert "m1" in message and "n must" in message and "ratio" in message
 
-    @pytest.mark.parametrize("key", ["ratio", "tau0_factor"])
+    @pytest.mark.parametrize("key", ["ratio"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, key, value):
         with pytest.raises(errors.InvalidInputError, match=key):
@@ -44,7 +44,9 @@ class TestGridConstruction:
         g = scheme.make_phase_grid(1, 0.8, SMALL_MESH, params)
         assert g.dtau == pytest.approx(1.0 / (SMALL_MESH.n * 0.8 ** 4.0))
         np.testing.assert_array_equal(g.ubar[0], 0.0)  # corner takes initial data
-        np.testing.assert_allclose(g.ubar[1:, 0], g.tau[1:] ** -0.5, rtol=1e-15)
+        # u = ubar * s**alpha is 1 on the hot boundary, s = k/n
+        s = np.arange(1, SMALL_MESH.n + 1) / SMALL_MESH.n
+        np.testing.assert_allclose(g.ubar[1:, 0], s ** -0.5, rtol=1e-15)
         np.testing.assert_array_equal(g.ubar[:, -1], 0.0)
 
     def test_phase2_rows(self):
@@ -56,10 +58,21 @@ class TestGridConstruction:
         np.testing.assert_allclose(g.ubar[1:, -1], params.theta_inf / width[1:] ** 2, rtol=1e-15)
         np.testing.assert_array_equal(g.ubar[1:, 0], 0.0)
 
-    def test_tau_grid_offset_start(self):
+    def test_tau_grid_starts_at_zero(self):
+        # level 0 sits where the front starts: s = 0 and tau = 0
         g = scheme.make_phase_grid(1, 1.0, SMALL_MESH, params_for(0, 1.0))
-        assert g.tau[0] == pytest.approx(SMALL_MESH.tau0_factor * g.dtau)
+        assert g.tau[0] == 0.0 and g.s[0] == 0.0
         np.testing.assert_allclose(g.tau[1:], g.dtau * np.arange(1, SMALL_MESH.n + 1))
+
+    @pytest.mark.parametrize("p", [1e-3, 1e3])
+    def test_solid_width_positive_at_smallest_ratio(self, p):
+        # in front time the width ratio - s**(alpha/2) is at least ratio - 1,
+        # which MeshConfig keeps > 0, whatever p: no width check is needed
+        mesh = scheme.MeshConfig(m1=4, m2=4, n=20, ratio=np.nextafter(1.0, 2.0))
+        g = scheme.make_phase_grid(2, p, mesh, params_for(0, 0.5))
+        width = mesh.ratio - g.s ** 0.25
+        assert (width > 0.0).all() and width.min() == mesh.ratio - 1.0
+        assert np.isfinite(g.ubar).all()
 
     def test_rejects_bad_phase_and_p(self):
         with pytest.raises(errors.InvalidInputError):
@@ -94,7 +107,7 @@ class TestPhaseKey:
     #: One other valid value per PhysicalParams and MeshConfig field, and for p.
     PERTURBED = {"alpha": 0.75, "kappa1": 2.0, "kappa2": 2.0, "lambda1": 2.0,
                  "lambda2": 2.0, "theta_inf": -0.25, "m1": 9, "m2": 21, "n": 13,
-                 "ratio": 12.0, "tau0_factor": 2e-3, "p": 0.9}
+                 "ratio": 12.0, "p": 0.9}
 
     @staticmethod
     def advanced(phase, p, mesh, params):
@@ -124,6 +137,18 @@ class TestPhaseKey:
             (phase == 1 or np.array_equal(grid.half, other.half))
         assert (other_key == key) == same_grid
 
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_p_and_kappa_with_equal_kappa_over_p_squared(self, phase):
+        # p enters a grid only as kappa_i/p**2: doubling p and quadrupling
+        # both kappas keeps that quotient bit for bit, so key and grid agree
+        mesh, params = scheme.MeshConfig(m1=8, m2=20, n=12), params_for(0, 0.5)
+        key, grid = self.advanced(phase, 0.8, mesh, params)
+        scaled = replace(params, kappa1=4.0 * params.kappa1, kappa2=4.0 * params.kappa2)
+        other_key, other = self.advanced(phase, 1.6, mesh, scaled)
+        assert other_key == key
+        assert np.array_equal(grid.ubar, other.ubar)
+        assert phase == 1 or np.array_equal(grid.half, other.half)
+
 
 class TestAssembly:
     def test_first_step_rhs_is_boundary_coupling_only(self):
@@ -134,18 +159,19 @@ class TestAssembly:
         system = scheme.assemble_phase1_step(g, 0)
         r_imp = -0.5 * (system.sub[0] + system.sup[0])
         q_1 = 0.5 * (system.sub[0] - system.sup[0])
-        expected_first = (r_imp - q_1) * g.tau[1] ** -0.5
+        expected_first = (r_imp - q_1) * (1.0 / SMALL_MESH.n) ** -0.5
         assert system.rhs[0] == pytest.approx(expected_first, rel=1e-13)
         np.testing.assert_allclose(system.rhs[1:], 0.0, atol=1e-300)
 
     def test_alpha_one_memory_endpoint_weight(self):
         # at alpha = 1 the implicit-side memory coefficient reduces to
-        # dtau*kappa1 / (2 p^2 dv^2)
+        # ds*kappa1 / (2 p^2 dv^2), with the step ds = 1/n in front time
         params = params_for(0, 1.0)
         g = scheme.make_phase_grid(1, 0.9, SMALL_MESH, params)
         system = scheme.assemble_phase1_step(g, 0)
-        r_imp = 0.5 * (system.diag[0] - g.tau[1] ** 1.0)
-        expected = g.dtau * params.kappa1 / (2.0 * 0.9 ** 2 * g.dv ** 2)
+        ds = 1.0 / SMALL_MESH.n
+        r_imp = 0.5 * (system.diag[0] - ds ** 1.0)
+        expected = ds * params.kappa1 / (2.0 * 0.9 ** 2 * g.dv ** 2)
         assert r_imp == pytest.approx(expected, rel=1e-13)
 
     def test_phase2_advective_factor_vanishes_at_outer_coordinate(self):
@@ -153,10 +179,10 @@ class TestAssembly:
         # interior factors are strictly negative
         params = params_for(0, 0.5)
         g = scheme.make_phase_grid(2, 0.8, SMALL_MESH, params)
-        _, _, qfac_in, _, _ = scheme._phase_coeffs(g)
+        _, _, qfac_in, _ = scheme._phase_coeffs(g)
         assert (qfac_in < 0.0).all()
         assert qfac_in[-1] == pytest.approx(
-            0.5 * 0.8 * (g.v[-2] - 1.0) * g.dtau / (4.0 * g.dv), rel=1e-13)
+            0.5 * (g.v[-2] - 1.0) / SMALL_MESH.n / (4.0 * g.dv), rel=1e-13)
 
     def test_requires_history_rows(self):
         g = scheme.make_phase_grid(1, 0.8, SMALL_MESH, params_for(0, 0.5))
@@ -339,7 +365,7 @@ class TestAdvance:
             assert len(scheme._blocks(g)) == 3 and sorted(sums) == list(range(mesh.n))
             first = scheme._first_row(g, scheme._phase_coeffs(g))[0]
             d2 = scheme._differences(np.vstack((first, g.ubar[1:])))[0]
-            table = fracquad.lag_table(mesh.n - 1, alpha, g.dtau)
+            table = fracquad.lag_table(mesh.n - 1, alpha, 1.0 / mesh.n)
             for k in range(mesh.n):
                 c = scheme._step_weights(g, table, k)[:k + 1]
                 bound = 1e-13 * (np.abs(c) @ np.abs(d2[:k + 1]))
@@ -380,7 +406,8 @@ class TestAdvance:
         def defective(grid):
             tcoef, rfac, *rest = phase_coeffs(grid)
             tcoef = tcoef.copy()
-            tcoef[level] = -2.0 * (rfac * fracquad.lag_table(0, grid.params.alpha, grid.dtau).pref)
+            pref = fracquad.lag_table(0, grid.params.alpha, 1.0 / grid.mesh.n).pref
+            tcoef[level] = -2.0 * (rfac * pref)
             return (tcoef, rfac, *rest)
 
         monkeypatch.setattr(scheme, "_phase_coeffs", defective)
@@ -407,7 +434,7 @@ class TestAdvance:
             for k in (0, 1, 2, mesh.n // 2, mesh.n - 1):
                 d2, dc = scheme._differences(np.vstack((first, g.ubar[1:k + 1])))
                 adv = gq[:k + 1] @ dc
-                c = scheme._step_weights(g, fracquad.lag_table(k, alpha, g.dtau), k)
+                c = scheme._step_weights(g, fracquad.lag_table(k, alpha, 1.0 / mesh.n), k)
                 sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, c[:k + 1] @ d2,
                                                               adv, c)
                 row = scheme.thomas_solve(scheme.TridiagonalSystem(sub, diag, sup, rhs,
@@ -436,9 +463,21 @@ class TestAdvance:
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             for k in ks:
-                ref = (fracquad.trap_weights(k, alpha, g.dtau).c if phase == 1
-                       else fracquad.lag_table(k, alpha, g.dtau).split(k))
+                ref = (fracquad.trap_weights(k, alpha, 1.0 / mesh.n).c if phase == 1
+                       else fracquad.lag_table(k, alpha, 1.0 / mesh.n).split(k))
                 assert np.array_equal(seen[(phase, k)], ref)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_stepper_is_p_free(self, alpha):
+        # p enters a step only as kappa_i/p**2; at p = 2 both p**2 and
+        # kappa/4 are exact, so (p, kappa) and (1, kappa/4) advance alike
+        params = params_for(1, alpha)
+        quarter = replace(params, kappa1=params.kappa1 / 4.0, kappa2=params.kappa2 / 4.0)
+        for phase in (1, 2):
+            g = scheme.advance_phase(scheme.make_phase_grid(phase, 2.0, SMALL_MESH, params))
+            ref = scheme.advance_phase(scheme.make_phase_grid(phase, 1.0, SMALL_MESH, quarter))
+            assert np.array_equal(g.ubar, ref.ubar)
+            assert phase == 1 or np.array_equal(g.half, ref.half)
 
     def test_deterministic_rerun_bit_identical(self):
         params = params_for(0, 0.5)

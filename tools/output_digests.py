@@ -41,6 +41,8 @@ RUNS = (
     ("numeric", "--alpha", "0.75", "--m1", "20", "--m2", "100", "--n", "4", "--p-max", "10"),
     # both phases span three of the stepper's blocks of levels (330 each at m = 100)
     ("numeric", "--alpha", "0.5", "--m1", "100", "--m2", "100", "--n", "800"),
+    # a solid truncated at L = 3, whose width L - s**(alpha/2) nears L - 1
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "80", "--ratio", "3"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
