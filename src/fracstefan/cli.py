@@ -97,12 +97,20 @@ class RunConfig:
     extra_rows: tuple
 
 
+def float_list(text: str) -> tuple:
+    """Comma-separated floats; empty parts are skipped, so "" and "," are the empty tuple.
+
+    The type of --profile-times: argparse's error for a malformed value names it.
+    """
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
 def _parse_value(key: str, text: str):
     text = text.strip()
     if key in _SETTINGS:
         return _SETTINGS[key](text)
     if key == "profile_times":
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return float_list(text)
     if key == "extra_rows":
         rows = []
         for chunk in text.split(";"):
@@ -236,13 +244,6 @@ def _error_token(exc: Exception) -> str:
     return name.removesuffix("Error")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _render_table(title: str, header, rows) -> str:
     # 4-decimal view of the CSV content for the terminal
     lines = [title]
@@ -256,6 +257,26 @@ def _render_table(title: str, header, rows) -> str:
                 cells.append(f"{cell:>16}")
         lines.append("  ".join(cells))
     return "\n".join(lines)
+
+
+def _emit(config: RunConfig, tables: dict) -> dict:
+    """Write each table as name.csv, then run.txt, then print the titled tables.
+
+    tables maps a name to (title, header, rows); a table titled None is
+    written but not printed.  Returns the CSV paths by name.
+    """
+    paths = {}
+    for name, (_, header, rows) in tables.items():
+        paths[name] = config.output_dir / f"{name}.csv"
+        with open(paths[name], "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    _write_metadata(config)
+    for title, header, rows in tables.values():
+        if title is not None:
+            print(_render_table(title, header, rows))
+    return paths
 
 
 def run_tables(config: RunConfig) -> dict:
@@ -305,23 +326,12 @@ def run_tables(config: RunConfig) -> dict:
         numeric_rows.append(prefix + numeric_cells)
         time_rows.append(prefix + time_cells)
 
-    paths = {
-        "table1": config.output_dir / "table1.csv",
-        "table2": config.output_dir / "table2.csv",
-        "table3": config.output_dir / "table3.csv",
-    }
-    _write_csv(paths["table1"], _table_header("p_exact"), exact_rows)
-    _write_csv(paths["table2"], _table_header("p_numeric"), numeric_rows)
-    _write_csv(paths["table3"], _table_header("tau_final"), time_rows)
-    _write_metadata(config)
-
-    print(_render_table("front coefficient, transcendental equation:",
-                        _table_header("p_exact"), exact_rows))
-    print(_render_table("front coefficient, grid solver:",
-                        _table_header("p_numeric"), numeric_rows))
-    print(_render_table("time to reach x=1, grid solver:",
-                        _table_header("tau_final"), time_rows))
-    return paths
+    return _emit(config, {
+        "table1": ("front coefficient, transcendental equation:",
+                   _table_header("p_exact"), exact_rows),
+        "table2": ("front coefficient, grid solver:", _table_header("p_numeric"), numeric_rows),
+        "table3": ("time to reach x=1, grid solver:", _table_header("tau_final"), time_rows),
+    })
 
 
 def _resolve_profile_levels(config: RunConfig, tau) -> list:
@@ -367,8 +377,7 @@ def run_profiles(config: RunConfig) -> dict:
         )
     p_num = result.p
     g1, g2 = result.grids
-    f1 = recover_physical(g1)
-    f2 = recover_physical(g2)
+    recovered = (recover_physical(g1), recover_physical(g2))
 
     sol_exact = None
     try:
@@ -379,15 +388,12 @@ def run_profiles(config: RunConfig) -> dict:
     levels = _resolve_profile_levels(config, g1.tau)
     profile_rows = []
     for j in levels:
-        tau_j = g1.tau[j]
-        for f, phase in ((f1, "1"), (f2, "2")):
-            profile_rows += [[_fmt(tau_j), _fmt(x), _fmt(u), phase, "numeric"]
-                             for x, u in zip(f.x[j], f.u[j])]
-        for f, fn, phase in ((f1, u1_exact, "1"), (f2, u2_exact, "2")):
-            for x in f.x[j]:
-                exact = _exact_value(fn, x, tau_j, sol_exact)
-                profile_rows.append([_fmt(tau_j), _fmt(x), "" if exact is None else _fmt(exact),
-                                     phase, "exact"])
+        tau = _fmt(g1.tau[j])
+        phases = list(zip("12", _samples(recovered, j, sol_exact)))
+        profile_rows += [[tau, _fmt(x), _fmt(u), phase, "numeric"]
+                         for phase, samples in phases for x, u, _ in samples]
+        profile_rows += [[tau, _fmt(x), "" if exact is None else _fmt(exact), phase, "exact"]
+                         for phase, samples in phases for x, _, exact in samples]
 
     series = front_series(g1, g2)
     a = params.alpha
@@ -397,13 +403,10 @@ def run_profiles(config: RunConfig) -> dict:
         front_rows.append([_fmt(tau_j), _fmt(series[j]),
                            _fmt(p_num * tau_j ** (a / 2.0))])
 
-    paths = {
-        "profiles": config.output_dir / "profiles.csv",
-        "front": config.output_dir / "front.csv",
-    }
-    _write_csv(paths["profiles"], ["tau", "x", "u", "phase", "source"], profile_rows)
-    _write_csv(paths["front"], ["tau", "S_numeric", "S_exact"], front_rows)
-    _write_metadata(config)
+    paths = _emit(config, {
+        "profiles": (None, ["tau", "x", "u", "phase", "source"], profile_rows),
+        "front": (None, ["tau", "S_numeric", "S_exact"], front_rows),
+    })
     print(f"p_numeric = {_fmt(p_num)} (|1 - S| = {abs(result.residual):.3e}, "
           f"{result.iterations} iterations)")
     if sol_exact is not None:
@@ -422,6 +425,17 @@ def _exact_value(fn, x, tau, sol: ExactSolution | None):
         return None
 
 
+def _samples(recovered, j: int, sol: ExactSolution | None) -> list:
+    """Per phase, (x, u, exact) at every node of level j.
+
+    recovered is the (liquid, solid) pair of recovered fields; exact is the
+    closed form of sol at (x, tau_j), or None (_exact_value).
+    """
+    tau = recovered[0].tau[j]
+    return [[(x, u, _exact_value(fn, x, tau, sol)) for x, u in zip(f.x[j], f.u[j])]
+            for f, fn in zip(recovered, (u1_exact, u2_exact))]
+
+
 def _profile_errors(grids, sol_exact: ExactSolution):
     """Max-abs deviation of the recovered temperatures from the exact route.
 
@@ -430,20 +444,15 @@ def _profile_errors(grids, sol_exact: ExactSolution):
     are skipped where their phase region or series range ends.
     """
     g1, g2 = grids
-    f1 = recover_physical(g1)
-    f2 = recover_physical(g2)
+    recovered = (recover_physical(g1), recover_physical(g2))
     n = g1.mesh.n
     stride = max(1, n // 8)
-    levels = sorted(set(range(stride, n + 1, stride)) | {n})
-    worst = []
-    for f, fn in ((f1, u1_exact), (f2, u2_exact)):
-        err = 0.0
-        for j in levels:
-            for x, u in zip(f.x[j], f.u[j]):
-                exact = _exact_value(fn, x, g1.tau[j], sol_exact)
+    worst = [0.0, 0.0]
+    for j in sorted(set(range(stride, n + 1, stride)) | {n}):
+        for phase, samples in enumerate(_samples(recovered, j, sol_exact)):
+            for _, u, exact in samples:
                 if exact is not None:
-                    err = max(err, abs(exact - u))
-        worst.append(err)
+                    worst[phase] = max(worst[phase], abs(exact - u))
     return tuple(worst)
 
 
@@ -462,6 +471,8 @@ def run_convergence(config: RunConfig, levels: int) -> Path:
     sol_exact = solve_exact(params, config.bracket)
     p_exact = sol_exact.p
 
+    header = ["level", "m1", "m2", "n", "p_exact", "p_num", "p_abs_err", "u1_max_err",
+              "u2_max_err", "status"]
     rows = []
     base = config.mesh
     for level in range(levels):
@@ -484,14 +495,7 @@ def run_convergence(config: RunConfig, levels: int) -> Path:
         rows.append(row)
         logger.info("convergence level %d done", level)
 
-    path = config.output_dir / "convergence.csv"
-    _write_csv(path, ["level", "m1", "m2", "n", "p_exact", "p_num",
-                      "p_abs_err", "u1_max_err", "u2_max_err", "status"], rows)
-    _write_metadata(config)
-    print(_render_table("mesh refinement scan:", ["level", "m1", "m2", "n",
-                        "p_exact", "p_num", "p_abs_err", "u1_max_err",
-                        "u2_max_err", "status"], rows))
-    return path
+    return _emit(config, {"convergence": ("mesh refinement scan:", header, rows)})["convergence"]
 
 
 def _flag(key: str) -> str:
@@ -536,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
         for key, kind in _SETTINGS.items():
             cmd.add_argument(_flag(key), dest=key, type=kind, default=None)
-        cmd.add_argument("--profile-times", dest="profile_times", default=None,
-                         help="comma-separated sample times")
+        cmd.add_argument("--profile-times", dest="profile_times", type=float_list,
+                         default=None, help="comma-separated sample times")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         cmd.add_argument("-v", "--verbose", action="store_true")
         if name == "convergence":
@@ -552,13 +556,7 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    overrides = {key: getattr(args, key) for key in _SETTINGS}
-    if args.profile_times is not None:
-        try:
-            overrides["profile_times"] = _parse_value("profile_times", args.profile_times)
-        except ValueError as exc:
-            print(f"error: bad --profile-times: {exc}", file=sys.stderr)
-            return 2
+    overrides = {key: getattr(args, key) for key in [*_SETTINGS, "profile_times"]}
     try:
         config = parse_config(args.config, overrides, mode=args.command,
                               output_dir=args.out)

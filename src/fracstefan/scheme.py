@@ -35,21 +35,27 @@ each history row once, after the row is solved, and builds the interior
 memory weights of all lags once per advance (fracquad.lag_table).  It works
 per block of levels (_blocks).  The matrix of a step does not depend on the
 solution, so as arrays over the block it forms the off-diagonals, the
-diagonal, the dominance count and the Thomas pivots and multipliers,
-eliminating one row of every level's system per vector operation (_factor).
-It sums the part of the block's memory history that was solved before the
-block ahead, with one BLAS matrix product per run of the block's levels
-whose weight rows it slices from the table at once (_runs, _block_history;
-the splitting of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
-Comput. 6, with a dense product in place of their FFT).  Per level it adds
-the history rows solved within the block (_memory_sum), adds the advective
-history, a running vector updated once per solved row (its weights do not
-depend on the target level), folds in the boundary values and substitutes
-forward and back on Python floats (_substitute).  One advance costs
-O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
-thomas_solve pair performs the same arithmetic one step at a time, from
-differences rebuilt from the history rows and the weight rows of a lag
-table of its own run, and serves as its stepwise oracle.
+diagonal and the dominance count (_rows) and the Thomas pivots and
+multipliers, eliminating one row of every level's system per vector
+operation (_factor).  It sums the part of the block's memory history that
+was solved before the block ahead, with one BLAS matrix product per run of
+the block's levels whose weight rows it slices from the table at once
+(_runs, _block_history; the splitting of Hairer, Lubich & Schlichte 1985,
+SIAM J. Sci. Stat. Comput. 6, with a dense product in place of their
+FFT).  Per level it adds the history rows solved within the block
+(_memory_sum), adds the advective history, a running vector updated once
+per solved row (its weights do not depend on the target level), folds in
+the boundary values and substitutes forward and back on Python floats
+(_substitute).  One advance costs O(n**2 * m), in the memory products.
+The assemble_phase{1,2}_step / thomas_solve pair performs the same
+arithmetic one step at a time, from differences rebuilt from the history
+rows and the weight rows of a lag table of its own run, and serves as its
+stepwise oracle.
+
+One row builder (_rows) serves every implicit step, the stepper's blocks,
+the solid's half-step and the oracle's, and one substitution (_substitute)
+every solve: _thomas forms one system's pivots, checked for zeros, and
+hands them on.
 """
 
 from __future__ import annotations
@@ -184,7 +190,8 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
     never samples that corner (see the module docstring).  Raises
     DegenerateInputError when the physical time step is not a finite
     positive double (p so large or so small that p**(2/alpha) leaves double
-    range).
+    range) or when the memory prefactor is not finite (p so small that
+    kappa_i/p**2 times m**2 overflows).
     """
     if phase not in (1, 2):
         raise InvalidInputError(f"phase must be 1 or 2, got {phase}")
@@ -204,6 +211,11 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
     grid = PhaseGrid(phase=phase, p=p, mesh=mesh, params=params, dtau=dtau,
                      tau=dtau * np.arange(mesh.n + 1.0), v=np.linspace(0.0, 1.0, m + 1),
                      ubar=np.zeros((mesh.n + 1, m + 1)))
+    if not math.isfinite(_prefactor(grid)):
+        raise DegenerateInputError(
+            f"memory prefactor kappa{phase}/(p**2*Gamma(alpha)*dv**2) is not a finite "
+            f"double (p={p}, alpha={a}, m{phase}={m})"
+        )
     scale = _frame(grid)[1]
     if phase == 1:
         grid.ubar[1:, 0] = 1.0 / scale[1:]
@@ -216,6 +228,12 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
 def _diffusivity(phase: int, p: float, params: PhysicalParams) -> float:
     """kappa_i/p**2, the phase's diffusivity in front time: the one way p enters a grid."""
     return (params.kappa1 if phase == 1 else params.kappa2) / (p * p)
+
+
+def _prefactor(grid: PhaseGrid) -> float:
+    """The memory prefactor kappa_i/(p**2 * Gamma(alpha) * dv**2) of every step."""
+    return _diffusivity(grid.phase, grid.p, grid.params) / (
+        math.gamma(grid.params.alpha) * grid.dv ** 2)
 
 
 def phase_key(phase: int, p: float, mesh: MeshConfig, params: PhysicalParams) -> tuple:
@@ -265,7 +283,7 @@ def _phase_coeffs(grid: PhaseGrid):
     a = grid.params.alpha
     ds = 1.0 / grid.mesh.n
     tcoef = _frame(grid)[1]
-    rfac = _diffusivity(grid.phase, grid.p, grid.params) / (math.gamma(a) * grid.dv ** 2)
+    rfac = _prefactor(grid)
     s = grid.s  # the time each history row samples
     if grid.phase == 1:
         qfac_in = a * np.arange(1, grid.m, dtype=np.float64) * ds / 4.0
@@ -279,18 +297,20 @@ def _phase_coeffs(grid: PhaseGrid):
     return tcoef, rfac, qfac_in, gq
 
 
-def _system(rhs, r_imp, q_imp, diag_value, left, right):
-    """Implicit tridiagonal rows for one target level, boundary values folded in.
+def _rows(r, q, diag):
+    """Implicit tridiagonal rows of a block of B >= 1 steps: (sub, sup, diag, violations).
 
-    Returns (sub, diag, sup, rhs, dominance_violations).
+    Step b has the implicit memory coefficient r[b], the advective factors
+    q[b] of its interior nodes and the time coefficient diag[b]; sub and sup
+    hold each step's off-diagonals, diag its scalar diagonal, and violations
+    counts the rows of all steps that are not diagonally dominant.  The
+    callers fold the boundary values into their right-hand sides.
     """
-    sub = -r_imp + q_imp
-    sup = -r_imp - q_imp
-    diag = np.full(rhs.shape[0], diag_value + 2.0 * r_imp)
-    rhs[0] -= sub[0] * left
-    rhs[-1] -= sup[-1] * right
-    violations = int(np.count_nonzero(np.abs(diag) < np.abs(sub) + np.abs(sup)))
-    return sub, diag, sup, rhs, violations
+    sub = -r[:, None] + q
+    sup = -r[:, None] - q
+    diag = diag + 2.0 * r
+    violations = int(np.count_nonzero(np.abs(diag)[:, None] < np.abs(sub) + np.abs(sup)))
+    return sub, sup, diag, violations
 
 
 def _differences(rows):
@@ -314,10 +334,13 @@ def _first_row(grid: PhaseGrid, coeffs):
     tcoef, rfac, qfac_in, gq = coeffs
     width = _half_width(grid)
     half = grid.ubar[0] * (tcoef[0] / width ** 2)
-    r_imp = rfac * half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
-    sub, diag, sup, rhs, violations = _system(
-        grid.ubar[0, 1:-1] * tcoef[0], r_imp, qfac_in * gq[0], width ** 2, half[0], half[-1])
-    half[1:-1] = _thomas(sub, diag, sup, rhs)
+    r = rfac * half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
+    (sub,), (sup,), diag, violations = _rows(np.array([r]), (qfac_in * gq[0])[None],
+                                             np.array([width ** 2]))
+    rhs = grid.ubar[0, 1:-1] * tcoef[0]
+    rhs[0] -= sub[0] * half[0]
+    rhs[-1] -= sup[-1] * half[-1]
+    half[1:-1] = _thomas(sub, np.full(grid.m - 1, diag[0]), sup, rhs)
     return half, violations
 
 
@@ -387,40 +410,32 @@ def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
     """
     tcoef, rfac, qfac_in, gq = coeffs
     ubar = grid.ubar
+    (sub,), (sup,), diag, violations = _rows(np.array([rfac * c[k + 1]]),
+                                             (qfac_in * gq[k + 1])[None], tcoef[k + 1:k + 2])
     rhs = ubar[0, 1:-1] * tcoef[0] + rfac * memory + qfac_in * adv
-    return _system(rhs, rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1],
-                   ubar[k + 1, 0], ubar[k + 1, -1])
+    rhs[0] -= sub[0] * ubar[k + 1, 0]
+    rhs[-1] -= sup[-1] * ubar[k + 1, -1]
+    return sub, np.full(grid.m - 1, diag[0]), sup, rhs, violations
 
 
 def _thomas(sub, diag, sup, rhs):
     """Thomas elimination for a tridiagonal system; O(size).
 
-    sub[0] and sup[-1] are ignored.  Raises ZeroPivotError on a vanishing
-    pivot, which signals a non-dominant assembly upstream.  The loops run
-    on Python floats, which perform the same IEEE double operations as
-    numpy scalars at a fraction of the indexing cost.
+    sub[0] and sup[-1] are ignored.  Forms the pivots and multipliers in
+    _factor's order and raises ZeroPivotError on a vanishing pivot, which
+    signals a non-dominant assembly upstream; then substitutes (_substitute).
+    The loop runs on Python floats, which perform the same IEEE double
+    operations as numpy scalars at a fraction of the indexing cost.
     """
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    n = len(diag)
-    pivot = diag[0]
-    if pivot == 0.0:
-        raise ZeroPivotError("zero pivot at row 0")
-    c_prev = sup[0] / pivot
-    x_prev = rhs[0] / pivot
-    cp = [c_prev]
-    xp = [x_prev]
-    for i in range(1, n):
-        s = sub[i]
-        pivot = diag[i] - s * c_prev
+    sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
+    pivots, mults = [], []
+    for i, d in enumerate(diag):
+        pivot = d - sub[i] * mults[-1] if i else d
         if pivot == 0.0:
             raise ZeroPivotError(f"zero pivot at row {i}")
-        c_prev = sup[i] / pivot
-        x_prev = (rhs[i] - s * x_prev) / pivot
-        cp.append(c_prev)
-        xp.append(x_prev)
-    for i in range(n - 2, -1, -1):
-        xp[i] -= cp[i] * xp[i + 1]
-    return np.array(xp)
+        pivots.append(pivot)
+        mults.append(sup[i] / pivot)
+    return np.array(_substitute(rhs.tolist(), sub, pivots, mults))
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -509,7 +524,11 @@ def _factor(sub, sup, diag):
 
 
 def _substitute(rhs, sub, pivot, mult):
-    """_thomas's forward and back substitution on lists of Python floats, in place on rhs."""
+    """The forward and back substitution of every solve, in place on rhs.
+
+    All four are lists of Python floats; pivot and mult are the Thomas
+    pivots and multipliers of _thomas or of a row of _factor.
+    """
     x = rhs[0] = rhs[0] / pivot[0]
     for i in range(1, len(rhs)):
         x = (rhs[i] - sub[i] * x) / pivot[i]
@@ -527,8 +546,8 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     solid's half-step), with the arithmetic of assemble_phase{1,2}_step and
     thomas_solve, and keeps the solid's half level as grid.half for the
     interface balance.  Per block of levels (_blocks) it forms what does not
-    depend on the solution: off-diagonals, diagonal, dominance count, pivots
-    and multipliers (_factor).  Per run of the block's levels (_runs) it
+    depend on the solution: off-diagonals, diagonal, dominance count (_rows),
+    pivots and multipliers (_factor).  Per run of the block's levels (_runs) it
     slices the steps' weight rows and sums, in one matrix product, their
     memory over the rows solved before the block (_block_history).  Per
     level it forms the right-hand side (the memory sum over the block's own
@@ -554,11 +573,8 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
             r = np.full(len(levels), rfac * table.pref)
             if start == 0:  # c[k+1] is table.pref in every row but split(0)'s
                 r[0] = rfac * _step_weights(grid, table, 0)[-1]
-            q = gq[targets, None] * qfac_in
-            sub = -r[:, None] + q
-            sup = -r[:, None] - q
-            diag = tcoef[targets] + 2.0 * r
-            violations += int(np.count_nonzero(np.abs(diag)[:, None] < np.abs(sub) + np.abs(sup)))
+            sub, sup, diag, count = _rows(r, gq[targets, None] * qfac_in, tcoef[targets])
+            violations += count
             pivot, mult = _factor(sub, sup, diag)
             zero = pivot == 0.0
             zero_row = np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()

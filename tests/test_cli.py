@@ -481,6 +481,14 @@ class TestMain:
         assert cli.main(["exact", f"--theta-inf={plain}"]) == 0
         assert attached == capsys.readouterr().out
 
+    def test_malformed_profile_times_flag_exit_code(self, capsys):
+        # parsed by argparse like every other flag: usage, then the flag's error
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["profiles", "--profile-times", "a,b"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --profile-times: invalid float_list value: 'a,b'" in err
+
     def test_negative_value_after_ambiguous_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["exact", "--p-m", "-1e-3"])

@@ -1,0 +1,29 @@
+"""The package namespace holds only the names its documented users import."""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import fracstefan
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_names(source: str) -> set:
+    """Names that source takes by `from fracstefan import ...`, submodules left out."""
+    names = {alias.name for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom) and node.module == "fracstefan"
+             for alias in node.names}
+    return {name for name in names if importlib.util.find_spec(f"fracstefan.{name}") is None}
+
+
+def test_namespace_is_what_the_readme_example_and_the_gate_import():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = "\n".join(re.findall(r"```python\n(.*?)```", readme, flags=re.S))
+    gate = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    used = imported_names(example) | imported_names(gate)
+    assert {"MeshConfig", "bisection_solve", "trap_weights"} <= used
+    # __version__ is the package's own, which run.txt records
+    assert sorted(fracstefan.__all__) == sorted(used | {"__version__"})
+    assert all(hasattr(fracstefan, name) for name in fracstefan.__all__)

@@ -90,6 +90,17 @@ class TestGridConstruction:
             with pytest.raises(errors.DegenerateInputError, match="time step"):
                 scheme.make_phase_grid(phase, p, SMALL_MESH, params_for(0, alpha))
 
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_rejects_overflowing_memory_prefactor(self, phase):
+        # at alpha = 1 and p = 1e-154 the time step is representable, but
+        # kappa_i/p**2 times m**2 is not: a typed error naming p, raised
+        # before any numpy warning; two decades of p higher still advances
+        params = analytic.PhysicalParams(alpha=1.0, kappa1=2.0)
+        with pytest.raises(errors.DegenerateInputError, match=r"memory prefactor.*p=1e-154"):
+            scheme.make_phase_grid(phase, 1e-154, SMALL_MESH, params)
+        g = scheme.advance_phase(scheme.make_phase_grid(phase, 1e-150, SMALL_MESH, params))
+        assert np.isfinite(g.ubar).all()
+
     def test_rejects_interval_count_without_interior(self):
         with pytest.raises(errors.InvalidInputError, match="interior"):
             scheme.MeshConfig(m1=1, m2=30, n=10)

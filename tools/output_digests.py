@@ -37,6 +37,9 @@ RUNS = (
     ("numeric", "--alpha", "1.0", "--m1", "20", "--m2", "100", "--n", "80"),
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "1600"),
     ("profiles", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
+    # two sample times inside (0, tau_n], tau_n about 2.9
+    ("profiles", "--alpha", "0.75", "--lambda2", "2.0", "--m1", "20", "--m2", "100", "--n", "80",
+     "--profile-times", "0.5,2"),
     ("exact", "--alpha", "0.75"),
     ("numeric", "--alpha", "0.75", "--m1", "20", "--m2", "100", "--n", "4", "--p-max", "10"),
     # both phases span three of the stepper's blocks of levels (330 each at m = 100)
