@@ -45,17 +45,20 @@ SIAM J. Sci. Stat. Comput. 6, with a dense product in place of their
 FFT).  Per level it adds the history rows solved within the block
 (_memory_sum), adds the advective history, a running vector updated once
 per solved row (its weights do not depend on the target level), folds in
-the boundary values and substitutes forward and back on Python floats
-(_substitute).  One advance costs O(n**2 * m), in the memory products.
-The assemble_phase{1,2}_step / thomas_solve pair performs the same
-arithmetic one step at a time, from differences rebuilt from the history
-rows and the weight rows of a lag table of its own run, and serves as its
-stepwise oracle.
+the boundary values and substitutes forward and back by recursive doubling
+(_scan; Stone 1973, J. ACM 20): each sweep is one vector multiply-add per
+offset s = 1, 2, 4, ... below m - 1.  Its coefficients are products of the
+Thomas multipliers, which depend only on the matrix, so they are formed
+per chunk of the block's levels (_coefficients).  One advance costs
+O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
+thomas_solve pair performs the same arithmetic one step at a time, from
+differences rebuilt from the history rows and the weight rows of a lag
+table of its own run, and serves as its stepwise oracle.
 
 One row builder (_rows) serves every implicit step, the stepper's blocks,
-the solid's half-step and the oracle's, and one substitution (_substitute)
-every solve: _thomas forms one system's pivots, checked for zeros, and
-hands them on.
+the solid's half-step and the oracle's, and one factorization (_factor)
+and one substitution (_scan) every solve: _thomas factors one system as a
+block of one, checks its pivots for zeros and scans.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ logger = logging.getLogger(__name__)
 
 # Values in each array advance_phase holds for many levels at once (256 KiB
 # of doubles): a block of levels' systems and memory sums holds this many
-# // (m - 1) levels, a run of its weight rows this many // (block end + 1).
+# // (m - 1) levels, a run of its weight rows this many // (block end + 1),
+# and a chunk of its scan coefficients, per sweep, this many // _width(m - 1).
 _BLOCK_VALUES = 1 << 15
 
 
@@ -319,6 +323,7 @@ def _differences(rows):
             rows[..., 2:] - rows[..., :-2])
 
 
+@np.errstate(all="ignore")
 def _first_row(grid: PhaseGrid, coeffs):
     """Row 0 of the phase's history, its first memory sample: (row, violations).
 
@@ -327,16 +332,17 @@ def _first_row(grid: PhaseGrid, coeffs):
     initial datum, never as a sample of the memory or advective integrand.
     The boundary values are level 0's at the same physical temperature (the
     boundary data do not change in time), so the half level is a function of
-    level 0 alone.  coeffs is _phase_coeffs(grid).
+    level 0 alone.  coeffs is _phase_coeffs(grid).  Like advance_phase it
+    warns of no overflow: a row that overflows is left non-finite.
     """
     if grid.phase == 1:
         return grid.ubar[0], 0
     tcoef, rfac, qfac_in, gq = coeffs
     width = _half_width(grid)
-    half = grid.ubar[0] * (tcoef[0] / width ** 2)
     r = rfac * half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
     (sub,), (sup,), diag, violations = _rows(np.array([r]), (qfac_in * gq[0])[None],
                                              np.array([width ** 2]))
+    half = grid.ubar[0] * (tcoef[0] / width ** 2)
     rhs = grid.ubar[0, 1:-1] * tcoef[0]
     rhs[0] -= sub[0] * half[0]
     rhs[-1] -= sup[-1] * half[-1]
@@ -418,24 +424,22 @@ def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
     return sub, np.full(grid.m - 1, diag[0]), sup, rhs, violations
 
 
+@np.errstate(all="ignore")
 def _thomas(sub, diag, sup, rhs):
-    """Thomas elimination for a tridiagonal system; O(size).
+    """Thomas elimination for one tridiagonal system; O(size log size).
 
-    sub[0] and sup[-1] are ignored.  Forms the pivots and multipliers in
-    _factor's order and raises ZeroPivotError on a vanishing pivot, which
-    signals a non-dominant assembly upstream; then substitutes (_substitute).
-    The loop runs on Python floats, which perform the same IEEE double
-    operations as numpy scalars at a fraction of the indexing cost.
+    sub[0] and sup[-1] are ignored.  Factors the system as a block of one
+    (_factor), raises ZeroPivotError on a vanishing pivot, which signals a
+    non-dominant assembly upstream, and substitutes with the stepper's scan
+    (_coefficients, _scan), so a level's system solves to the stepper's bits.
     """
-    sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
-    pivots, mults = [], []
-    for i, d in enumerate(diag):
-        pivot = d - sub[i] * mults[-1] if i else d
-        if pivot == 0.0:
-            raise ZeroPivotError(f"zero pivot at row {i}")
-        pivots.append(pivot)
-        mults.append(sup[i] / pivot)
-    return np.array(_substitute(rhs.tolist(), sub, pivots, mults))
+    size = len(diag)
+    pivot, mult = _factor(sub[None], sup[None], diag[None])
+    row = _zero_rows(pivot)[0]
+    if row >= 0:
+        raise ZeroPivotError(f"zero pivot at row {row}")
+    forward, back = _coefficients(sub[None], pivot, mult, np.empty(2 * _width(size)))
+    return _scan(rhs, pivot[0], forward, back, 0, _scan_views(size))
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -496,49 +500,111 @@ def assemble_phase2_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
 
 
 def thomas_solve(system: TridiagonalSystem):
-    """Solve one assembled tridiagonal system in O(size)."""
+    """Solve one assembled tridiagonal system in O(size log size)."""
     if system.size < 1:
         raise InvalidInputError(f"system size must be >= 1, got {system.size}")
     return _thomas(system.sub, system.diag, system.sup, system.rhs)
 
 
 def _factor(sub, sup, diag):
-    """Thomas pivots and multipliers of a block of levels' systems: (pivot, mult).
+    """Thomas pivots and multipliers of a block of systems: (pivot, mult).
 
-    Row b of sub and sup holds one level's off-diagonals, diag[b] its scalar
-    diagonal.  Column i is eliminated for every level at once, with
-    _thomas's operations in _thomas's order, so each row carries the bits
-    _thomas forms for its level.  Like _thomas's Python floats, it warns of
-    no overflow or division by zero; past a zero pivot a row holds inf or
-    nan, which the stepper never reads: it raises at that level instead.
+    Row b of sub, sup and diag holds the diagonals of one system; the
+    stepper passes each level's scalar diagonal broadcast along its row.
+    Column i is eliminated for every system at once.  Past a zero pivot a
+    row holds inf or nan, which no solve reads: the callers raise at that
+    system instead (_zero_rows).  They silence numpy's warnings (np.errstate)
+    for it and for the scan.
     """
     pivot = np.empty_like(sub)
     mult = np.empty_like(sub)
-    pivot[:, 0] = diag
-    with np.errstate(all="ignore"):
-        np.divide(sup[:, 0], diag, out=mult[:, 0])
-        for i in range(1, sub.shape[1]):
-            np.subtract(diag, sub[:, i] * mult[:, i - 1], out=pivot[:, i])
-            np.divide(sup[:, i], pivot[:, i], out=mult[:, i])
+    pivot[:, 0] = diag[:, 0]
+    np.divide(sup[:, 0], pivot[:, 0], out=mult[:, 0])
+    # column i of each array, and the multipliers of column i - 1
+    for s, u, d, p, m, previous in zip(sub.T[1:], sup.T[1:], diag.T[1:], pivot.T[1:],
+                                       mult.T[1:], mult.T):
+        np.multiply(s, previous, out=p)
+        np.subtract(d, p, out=p)
+        np.divide(u, p, out=m)
     return pivot, mult
 
 
-def _substitute(rhs, sub, pivot, mult):
-    """The forward and back substitution of every solve, in place on rhs.
+def _zero_rows(pivot) -> list:
+    """Per system (row of pivot), its first row with a zero pivot, or -1."""
+    zero = pivot == 0.0
+    return np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()
 
-    All four are lists of Python floats; pivot and mult are the Thomas
-    pivots and multipliers of _thomas or of a row of _factor.
+
+def _offsets(size: int) -> list:
+    """The scan's offsets s = 1, 2, 4, ... below a system's size."""
+    return [1 << j for j in range((size - 1).bit_length())]
+
+
+def _width(size: int) -> int:
+    """Values of one system's scan coefficients of one sweep (_coefficients)."""
+    return sum(size - s for s in _offsets(size))
+
+
+def _coefficients(sub, pivot, mult, buffer):
+    """The scan coefficients of a chunk of systems, held in buffer: (forward, back).
+
+    Row b of sub, pivot and mult holds one system's subdiagonal, pivots and
+    multipliers (_factor).  forward[j] and back[j] belong to the offset
+    s = 2**j (_offsets): row b of forward[j] holds F_s[s:], of back[j]
+    G_s[:-s], where F_1 = -sub/pivot and G_1 = -mult, and the doubling
+    F_2s[i] = F_s[i] * F_s[i-s], G_2s[i] = G_s[i] * G_s[i+s] (Stone 1973,
+    J. ACM 20).  buffer holds at least 2 * len(sub) * _width(size) values.
     """
-    x = rhs[0] = rhs[0] / pivot[0]
-    for i in range(1, len(rhs)):
-        x = (rhs[i] - sub[i] * x) / pivot[i]
-        rhs[i] = x
-    for i in range(len(rhs) - 2, -1, -1):
-        x = rhs[i] - mult[i] * x
-        rhs[i] = x
-    return rhs
+    count, size = sub.shape
+    forward, back, used = [], [], 0
+    for s in _offsets(size):
+        f, g = buffer[used:used + 2 * count * (size - s)].reshape(2, count, size - s)
+        used += 2 * count * (size - s)
+        if s == 1:
+            np.divide(sub[:, 1:], pivot[:, 1:], out=f)
+            np.negative(f, out=f)
+            np.negative(mult[:, :-1], out=g)
+        else:
+            h = s // 2
+            np.multiply(forward[-1][:, h:], forward[-1][:, :-h], out=f)
+            np.multiply(back[-1][:, :-h], back[-1][:, h:], out=g)
+        forward.append(f)
+        back.append(g)
+    return forward, back
 
 
+def _scan_views(size: int):
+    """A solution vector y and, per offset s (_offsets), (y[:-s], y[s:], product[s:]): (y, views).
+
+    product is a scratch vector of the same size; _scan works on the views,
+    which are sliced once, not at every solve.
+    """
+    y = np.empty(size)
+    product = np.empty(size)
+    return y, [(y[:-s], y[s:], product[s:]) for s in _offsets(size)]
+
+
+def _scan(rhs, pivot, forward, back, b, scan):
+    """The forward and back substitution of every solve: the solution, in y of scan.
+
+    pivot holds the pivots of system b of forward and back (_coefficients),
+    scan is _scan_views(size).  From y = rhs / pivot, the forward sweep
+    y[i] = rhs[i]/pivot[i] + F_1[i] * y[i-1] adds F_s[i] * y[i-s] for each
+    offset s in turn, and the back sweep y[i] += G_1[i] * y[i+1] adds
+    G_s[i] * y[i+s]: each sweep is one vector multiply-add per offset.
+    """
+    y, views = scan
+    np.divide(rhs, pivot, out=y)
+    for f, (lower, upper, product) in zip(forward, views):
+        np.multiply(f[b], lower, out=product)
+        np.add(upper, product, out=upper)
+    for g, (lower, upper, product) in zip(back, views):
+        np.multiply(g[b], upper, out=product)
+        np.add(lower, product, out=lower)
+    return y
+
+
+@np.errstate(all="ignore")
 def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     """Populate grid rows 1..n in place.
 
@@ -547,20 +613,28 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
     thomas_solve, and keeps the solid's half level as grid.half for the
     interface balance.  Per block of levels (_blocks) it forms what does not
     depend on the solution: off-diagonals, diagonal, dominance count (_rows),
-    pivots and multipliers (_factor).  Per run of the block's levels (_runs) it
-    slices the steps' weight rows and sums, in one matrix product, their
-    memory over the rows solved before the block (_block_history).  Per
-    level it forms the right-hand side (the memory sum over the block's own
-    rows, _memory_sum; the running advective sum; boundary values) and
-    substitutes (_substitute).  Recomputes from level 0, so the result does
-    not depend on rows filled before the call.
+    pivots and multipliers (_factor), and per chunk of _BLOCK_VALUES //
+    _width(m - 1) of its levels their scan coefficients (_coefficients).  Per
+    run of the block's levels (_runs) it slices the steps' weight rows and
+    sums, in one matrix product, their memory over the rows solved before
+    the block (_block_history).  Per level it forms the right-hand side (the
+    memory sum over the block's own rows, _memory_sum; the running advective
+    sum; boundary values) and substitutes (_scan).  Recomputes from level 0,
+    so the result does not depend on rows filled before the call.  It warns
+    of no overflow (np.errstate): a row that overflows ends in
+    InvalidStateError.
     """
     n = grid.mesh.n
     coeffs = _phase_coeffs(grid)
     tcoef, rfac, qfac_in, gq = coeffs
     table = lag_table(n - 1, grid.params.alpha, 1.0 / n)
     ubar = grid.ubar
-    d2 = np.empty((n + 1, grid.m - 1))
+    size = grid.m - 1
+    d2 = np.empty((n + 1, size))
+    width = _width(size)
+    chunk = max(1, _BLOCK_VALUES // max(width, 1))
+    buffer = np.empty(2 * chunk * width)
+    scan = _scan_views(size)
     initial = ubar[0, 1:-1] * tcoef[0]
     try:
         first, violations = _first_row(grid, coeffs)
@@ -575,25 +649,26 @@ def advance_phase(grid: PhaseGrid) -> PhaseGrid:
                 r[0] = rfac * _step_weights(grid, table, 0)[-1]
             sub, sup, diag, count = _rows(r, gq[targets, None] * qfac_in, tcoef[targets])
             violations += count
-            pivot, mult = _factor(sub, sup, diag)
-            zero = pivot == 0.0
-            zero_row = np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()
-            left = (sub[:, 0] * ubar[targets, 0]).tolist()
-            right = (sup[:, -1] * ubar[targets, -1]).tolist()
+            left = sub[:, 0] * ubar[targets, 0]
+            right = sup[:, -1] * ubar[targets, -1]
+            pivot, mult = _factor(sub, sup, np.broadcast_to(diag[:, None], sub.shape))
+            zero_row = _zero_rows(pivot)
             for run in _runs(levels):
                 rows, known = _block_history(grid, table, run, start, d2)
                 for k, c, before in zip(run, rows, known):
                     b = k - start
                     if zero_row[b] >= 0:
                         raise ZeroPivotError(f"zero pivot at row {zero_row[b]}")
-                    memory = _memory_sum(c, before, d2, start, k)
-                    rhs = (initial + rfac * memory + qfac_in * adv).tolist()
+                    if b % chunk == 0:
+                        part = slice(b, b + chunk)
+                        forward, back = _coefficients(sub[part], pivot[part], mult[part], buffer)
+                    rhs = initial + rfac * _memory_sum(c, before, d2, start, k) + qfac_in * adv
                     rhs[0] -= left[b]
                     rhs[-1] -= right[b]
-                    ubar[k + 1, 1:-1] = _substitute(rhs, sub[b].tolist(), pivot[b].tolist(),
-                                                    mult[b].tolist())
+                    ubar[k + 1, 1:-1] = _scan(rhs, pivot[b], forward, back, b % chunk, scan)
                     d2[k + 1], dc = _differences(ubar[k + 1])
                     adv = adv + gq[k + 1] * dc
+            del sub, sup, pivot, mult  # before the next block's set-up
     except ZeroPivotError as exc:
         raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
     if violations:

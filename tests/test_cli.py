@@ -356,6 +356,13 @@ class TestMain:
         assert cli.main(argv) == 3
         assert "sign" in capsys.readouterr().err.lower()
 
+    def test_overflowing_far_field_exit_code(self, capsys):
+        argv = ["numeric", "--alpha", "0.5", "--theta-inf=-1.7e308", "--m1", "10", "--m2", "40",
+                "--n", "20"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "non-finite values" in err and "Warning" not in err
+
     def test_tables_command_writes_files(self, tmp_path, capsys):
         argv = ["tables", "--m1", "8", "--m2", "20", "--n", "12",
                 "--out", str(tmp_path)]

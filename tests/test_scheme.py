@@ -253,26 +253,60 @@ class TestThomasSolve:
             got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("dominant", [True, False])
+    @pytest.mark.parametrize("size", [1, 2, 3, 63, 64, 65, 255, 256, 257, 511, 512, 513])
+    def test_against_dense_solver_around_scan_offsets(self, rng, size, dominant):
+        # the scan's offsets are the powers of two below size: cover the
+        # sizes where one more offset starts; rows that are not diagonally
+        # dominant may lose accuracy only with the condition number
+        sub = rng.uniform(-1.0, 1.0, size)
+        sup = rng.uniform(-1.0, 1.0, size)
+        if dominant:
+            diag = 2.5 + np.abs(sub) + np.abs(sup)
+        else:
+            diag = rng.uniform(0.5, 1.5, size) * (np.abs(sub) + np.abs(sup)) + 0.1
+        rhs = rng.standard_normal(size)
+        dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        expected = np.linalg.solve(dense, rhs)
+        got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
+        bound = 1e-12 * (1.0 if dominant else np.linalg.cond(dense))
+        assert np.abs(got - expected).max() <= bound * np.abs(expected).max()
+
     def test_bit_identical_to_numpy_scalar_elimination(self, rng):
-        # reference: the same elimination indexing numpy arrays element by
-        # element; the float loop performs the same IEEE operations
+        # reference: the same pivots and doubling scan indexing numpy arrays
+        # element by element, in the stepper's order: F_1 = -(sub/pivot),
+        # G_1 = -mult, F_2s[i] = F_s[i]*F_s[i-s], G_2s[i] = G_s[i]*G_s[i+s],
+        # and each offset's step reads the previous step's values
         size = 40
         sub = rng.uniform(-1.0, 1.0, size)
         sup = rng.uniform(-1.0, 1.0, size)
         diag = 2.5 + np.abs(sub) + np.abs(sup)
         rhs = rng.standard_normal(size)
-        cp = np.empty(size)
-        xp = np.empty(size)
-        cp[0] = sup[0] / diag[0]
-        xp[0] = rhs[0] / diag[0]
+        pivot = np.empty(size)
+        mult = np.empty(size)
+        pivot[0] = diag[0]
+        mult[0] = sup[0] / pivot[0]
         for i in range(1, size):
-            pivot = diag[i] - sub[i] * cp[i - 1]
-            cp[i] = sup[i] / pivot
-            xp[i] = (rhs[i] - sub[i] * xp[i - 1]) / pivot
+            pivot[i] = diag[i] - sub[i] * mult[i - 1]
+            mult[i] = sup[i] / pivot[i]
+        forward = {1: {i: -(sub[i] / pivot[i]) for i in range(1, size)}}
+        back = {1: {i: -mult[i] for i in range(size - 1)}}
+        s = 1
+        while 2 * s < size:
+            forward[2 * s] = {i: forward[s][i] * forward[s][i - s] for i in range(2 * s, size)}
+            back[2 * s] = {i: back[s][i] * back[s][i + s] for i in range(size - 2 * s)}
+            s *= 2
         x = np.empty(size)
-        x[-1] = xp[-1]
-        for i in range(size - 2, -1, -1):
-            x[i] = xp[i] - cp[i] * x[i + 1]
+        for i in range(size):
+            x[i] = rhs[i] / pivot[i]
+        for s in sorted(forward):
+            before = x.copy()
+            for i in range(s, size):
+                x[i] = before[i] + forward[s][i] * before[i - s]
+        for s in sorted(back):
+            before = x.copy()
+            for i in range(size - s):
+                x[i] = before[i] + back[s][i] * before[i + s]
         got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
         assert np.array_equal(got, x)
 
@@ -402,6 +436,29 @@ class TestAdvance:
                 ref.ubar[k + 1] = grid.ubar[k + 1]
                 ref.filled_through = k + 1
             assert logged == [oracle] == [expected]
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_scan_chunks_do_not_change_bits(self, phase, monkeypatch):
+        # the scan coefficients are products within each level, so how the
+        # levels are chunked must not change a bit.  One block of 32 levels
+        # at m = 17 under both settings keeps the memory sums' split, which
+        # does move bits; at 2**9 the 32 levels' coefficients span four chunks
+        mesh = scheme.MeshConfig(m1=17, m2=17, n=32)
+        params = params_for(1, 0.5)
+        whole = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+        monkeypatch.setattr(scheme, "_BLOCK_VALUES", 2 ** 9)
+        chunked = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+        assert len(scheme._blocks(chunked)) == 1
+        assert 2 ** 9 // scheme._width(mesh.m1 - 1) == 10  # levels per chunk
+        assert np.array_equal(chunked.ubar, whole.ubar)
+
+    def test_overflowing_far_field_is_invalid_state(self):
+        # theta_inf times the solid's squared width overflows: the advance
+        # ends in its typed error, with no numpy warning on the way
+        params = analytic.PhysicalParams(alpha=0.5, theta_inf=-1.7e308)
+        grid = scheme.make_phase_grid(2, 0.7, scheme.MeshConfig(m1=10, m2=40, n=20), params)
+        with pytest.raises(errors.InvalidStateError, match="non-finite values"):
+            scheme.advance_phase(grid)
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_zero_pivot_raises_at_its_level(self, phase, monkeypatch):

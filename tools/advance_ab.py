@@ -1,0 +1,94 @@
+"""Alternating A/B timing of one phase advance from two source trees.
+
+For each mesh and phase, each round starts one fresh interpreter per tree,
+in alternating order.  Each interpreter imports fracstefan from its tree,
+advances the grid once untimed (so the allocator and numpy are warm), then
+times one `scheme.advance_phase` of a fresh grid with `time.perf_counter`.
+BLAS runs one thread.  Per mesh and phase it prints each tree's median and
+quartiles, the ratio of the medians (this tree over the other) and how many
+rounds each tree was faster in:
+
+    python3 tools/advance_ab.py --against PARENT/src
+    python3 tools/advance_ab.py --against PARENT/src --meshes 100/500/400 --phases 2 --rounds 11
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = """
+import sys, time
+from fracstefan.analytic import PhysicalParams
+from fracstefan.scheme import MeshConfig, advance_phase, make_phase_grid
+m1, m2, n, phase = map(int, sys.argv[1:5])
+alpha, p = map(float, sys.argv[5:7])
+mesh, params = MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
+advance_phase(make_phase_grid(phase, p, mesh, params))
+grid = make_phase_grid(phase, p, mesh, params)
+start = time.perf_counter()
+advance_phase(grid)
+print(time.perf_counter() - start)
+"""
+
+SINGLE_THREAD = {name: "1" for name in
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _time(src: Path, mesh: tuple, phase: int, alpha: float, p: float) -> float:
+    """Seconds of one advance in a fresh interpreter importing fracstefan from src."""
+    env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(src)}
+    args = [str(v) for v in (*mesh, phase, alpha, p)]
+    out = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def _summary(samples: list) -> str:
+    q1, median, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    return f"{1e3 * median:.2f} ms [{1e3 * q1:.2f}, {1e3 * q3:.2f}]"
+
+
+def _mesh(text: str) -> tuple:
+    m1, m2, n = (int(v) for v in text.split("/"))
+    return m1, m2, n
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, required=True,
+                        help="source directory of the other tree (for example PARENT/src)")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="source directory of this tree (default: src of this checkout)")
+    parser.add_argument("--meshes", default="50/250/200,100/500/400,50/250/1600",
+                        help="comma-separated m1/m2/n meshes (default: %(default)s)")
+    parser.add_argument("--phases", default="1,2", help="comma-separated phases (default: 1,2)")
+    parser.add_argument("--rounds", type=int, default=7, help="rounds per mesh and phase")
+    parser.add_argument("--alpha", type=float, default=0.5)
+    parser.add_argument("--p", type=float, default=0.74, help="front coefficient")
+    args = parser.parse_args(argv)
+    trees = {"this": args.src.resolve(), "other": args.against.resolve()}
+    print(f"this = {trees['this']}\nother = {trees['other']}\n"
+          f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
+          f"median [quartiles] of one advance")
+    for mesh in map(_mesh, args.meshes.split(",")):
+        for phase in map(int, args.phases.split(",")):
+            samples = {"this": [], "other": []}
+            for i in range(args.rounds):
+                for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
+                    samples[name].append(_time(trees[name], mesh, phase, args.alpha, args.p))
+            wins = sum(a < b for a, b in zip(samples["this"], samples["other"]))
+            ratio = statistics.median(samples["this"]) / statistics.median(samples["other"])
+            print(f"{'/'.join(map(str, mesh))} phase {phase}: this {_summary(samples['this'])}, "
+                  f"other {_summary(samples['other'])}, ratio {ratio:.2f}, "
+                  f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

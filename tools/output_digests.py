@@ -46,6 +46,8 @@ RUNS = (
     ("numeric", "--alpha", "0.5", "--m1", "100", "--m2", "100", "--n", "800"),
     # a solid truncated at L = 3, whose width L - s**(alpha/2) nears L - 1
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "80", "--ratio", "3"),
+    # a solid of 599 unknowns, whose scan runs ten offsets, up to 512
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "600", "--n", "40"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
