@@ -18,7 +18,8 @@ the first interval).  As in the stepper's history, the solid's flux sample
 quotient carries no weight.  A term depends only on its own phase's grid,
 which depends on p only through kappa_i/p**2, so front searches that share
 a dict of terms keyed by scheme.phase_key (the cells of a table) advance
-each distinct phase grid once.
+each distinct phase grid once.  A candidate whose two terms are both new
+advances its two grids in one level loop (scheme.advance_pair).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .scheme import (
     _half_width,
     _recover,
     _step_weights,
+    advance_pair,
     advance_phase,
     make_phase_grid,
     phase_key,
@@ -158,24 +160,27 @@ def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_t
     """1 - S(tau_n, p) for candidate p, and the grids it advanced: (residual, (g1, g2) | None).
 
     Each phase's term at level n is read from phase_terms under its
-    scheme.phase_key, or its grid is built and advanced and the term stored
-    there; the liquid comes first.  The grids are returned when both phases
-    were advanced.  Errors carry the candidate in their message, and a phase
-    that raises stores nothing.
+    scheme.phase_key, or its grid is built, advanced and the term stored
+    there.  Two missing phases advance together (advance_pair), one alone
+    (advance_phase).  The grids are returned when both phases were
+    advanced.  Errors carry the candidate in their message, and an advance
+    that raises stores nothing: a failed pair stores neither term.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
-    terms, grids = [], []
+    keys = [phase_key(phase, p, mesh, params) for phase in (1, 2)]
     try:
-        for phase in (1, 2):
-            key = phase_key(phase, p, mesh, params)
-            if key not in phase_terms:
-                grid = advance_phase(make_phase_grid(phase, p, mesh, params))
-                phase_terms[key] = _flux_terms(grid, [mesh.n])[0]
-                grids.append(grid)
-            terms.append(phase_terms[key])
+        grids = [make_phase_grid(phase, p, mesh, params)
+                 for phase, key in zip((1, 2), keys) if key not in phase_terms]
+        if len(grids) == 2:
+            advance_pair(*grids)
+        elif grids:
+            advance_phase(grids[0])
     except FracStefanError as exc:
         raise type(exc)(f"candidate p={p:.8g}: {exc}") from exc
+    for grid in grids:
+        phase_terms[keys[grid.phase - 1]] = _flux_terms(grid, [mesh.n])[0]
+    terms = [phase_terms[key] for key in keys]
     return 1.0 - _front_value(params, p, *terms), tuple(grids) if len(grids) == 2 else None
 
 

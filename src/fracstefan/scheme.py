@@ -25,19 +25,29 @@ physical node spacing), and the production mesh has about 3.6, which
 throws the first interior node above the melting temperature.  The
 half-steps use right-endpoint rules, so level 0 enters only as the initial
 datum, and every later step and the interface balance integrate the first
-interval the same way.  The half level is the solid's history row 0
-(_first_row), its first memory sample; the liquid's is level 0, which is
+interval the same way.  The half level is the solid's history row 0, its
+first memory sample (_first_system); the liquid's is level 0, which is
 zero, and its first step stays a single product-trapezoidal step.  Rows
 j >= 1 are levels j, so one weight row and one history sum serve both.
+The stepper solves history row 0 as the first system of its first block
+of levels: the solid's half-step, and for the liquid the identity that
+holds level 0.
 
-advance_phase is the one stepper.  It stores the second differences of
-each history row once, after the row is solved, and builds the interior
-memory weights of all lags once per advance (fracquad.lag_table).  It works
-per block of levels (_blocks).  The matrix of a step does not depend on the
-solution, so as arrays over the block it forms the off-diagonals, the
-diagonal and the dominance count (_rows) and the Thomas pivots and
-multipliers, eliminating one row of every level's system per vector
-operation (_factor).  It sums the part of the block's memory history that
+One level loop (_advance) is the stepper.  advance_phase runs it over one
+grid, and advance_pair over a candidate's liquid and solid at once, side by
+side in one joint row [liquid 0..m1 | solid 0..m2].  The two front nodes
+hold the melting value 0 and get identity rows, so the joint matrix is
+block diagonal and one factorization and one scan per level solve both
+phases, each to the bits of its own advance.  The loop stores the second
+differences of each history row once, after the row is solved, and builds
+the interior memory weights of all lags once per advance
+(fracquad.lag_table).  It works per block of levels (_blocks, of the
+larger grid).  The matrix of a step does not depend on the solution, so as
+arrays over the block it forms the off-diagonals, the diagonal and the
+dominance count (_rows, with each node's phase's coefficients) and the
+Thomas pivots and multipliers, eliminating one row of every level's system
+per vector operation (_factor).  Per phase (_memory_terms), on that
+phase's own blocks, it sums the part of the block's memory history that
 was solved before the block ahead, with one BLAS matrix product per run of
 the block's levels whose weight rows it slices from the table at once
 (_runs, _block_history; the splitting of Hairer, Lubich & Schlichte 1985,
@@ -47,24 +57,28 @@ FFT).  Per level it adds the history rows solved within the block
 per solved row (its weights do not depend on the target level), folds in
 the boundary values and substitutes forward and back by recursive doubling
 (_scan; Stone 1973, J. ACM 20): each sweep is one vector multiply-add per
-offset s = 1, 2, 4, ... below m - 1.  Its coefficients are products of the
-Thomas multipliers, which depend only on the matrix, so they are formed
-per chunk of the block's levels (_coefficients).  One advance costs
-O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
-thomas_solve pair performs the same arithmetic one step at a time, from
-differences rebuilt from the history rows and the weight rows of a lag
-table of its own run, and serves as its stepwise oracle.
+offset s = 1, 2, 4, ... below the number of unknowns.  Its coefficients
+are products of the Thomas multipliers, which depend only on the matrix,
+so they are formed per chunk of the block's levels (_coefficients).  The
+right-hand side, the differences and the advective update run once per
+level on the joint row.  One advance costs O(n**2 * m), in the memory
+products.  The assemble_phase{1,2}_step / thomas_solve pair performs the
+same arithmetic one step at a time, from differences rebuilt from the
+history rows and the weight rows of a lag table of its own run, and serves
+as its stepwise oracle.
 
-One row builder (_rows) serves every implicit step, the stepper's blocks,
-the solid's half-step and the oracle's, and one factorization (_factor)
-and one substitution (_scan) every solve: _thomas factors one system as a
-block of one, checks its pivots for zeros and scans.
+One row builder (_rows) serves every implicit step, the stepper's blocks
+(the solid's half-step among them) and the oracle's, and one
+factorization (_factor) and one substitution (_scan) every solve: _thomas
+factors one system as a block of one, checks its pivots for zeros and
+scans, for thomas_solve and the oracle's half-step (_first_row).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,6 +87,7 @@ import numpy as np
 from .analytic import PhysicalParams
 from .errors import (
     DegenerateInputError,
+    GridMismatchError,
     InvalidInputError,
     InvalidStateError,
     ZeroPivotError,
@@ -84,6 +99,7 @@ __all__ = [
     "PhaseGrid",
     "RecoveredField",
     "TridiagonalSystem",
+    "advance_pair",
     "advance_phase",
     "assemble_phase1_step",
     "assemble_phase2_step",
@@ -144,7 +160,7 @@ class PhaseGrid:
     v: np.ndarray = field(repr=False)
     ubar: np.ndarray = field(repr=False)
     filled_through: int = 0
-    # the solid's row at s = 1/(2n), kept by advance_phase; None for the liquid
+    # the solid's row at s = 1/(2n), kept by advance_phase and advance_pair; None for the liquid
     half: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -301,20 +317,26 @@ def _phase_coeffs(grid: PhaseGrid):
     return tcoef, rfac, qfac_in, gq
 
 
-def _rows(r, q, diag):
-    """Implicit tridiagonal rows of a block of B >= 1 steps: (sub, sup, diag, violations).
+def _rows(r, q, t):
+    """Implicit tridiagonal rows of one step or of a block of steps: (sub, sup, diag, violations).
 
-    Step b has the implicit memory coefficient r[b], the advective factors
-    q[b] of its interior nodes and the time coefficient diag[b]; sub and sup
-    hold each step's off-diagonals, diag its scalar diagonal, and violations
-    counts the rows of all steps that are not diagonally dominant.  The
+    q holds the advective factors of the interior nodes, one row per step
+    of a block; the implicit memory coefficient r and the time coefficient
+    t broadcast against it.  sub and sup hold the off-diagonals q - r and
+    -q - r, diag the diagonal t + 2r, and violations counts, per node (the
+    last axis), the rows that are not diagonally dominant.  sub is formed in
+    q's memory, so q must be an array the caller no longer needs.  The
     callers fold the boundary values into their right-hand sides.
     """
-    sub = -r[:, None] + q
-    sup = -r[:, None] - q
-    diag = diag + 2.0 * r
-    violations = int(np.count_nonzero(np.abs(diag)[:, None] < np.abs(sub) + np.abs(sup)))
-    return sub, sup, diag, violations
+    sup = -q
+    sup -= r
+    sub = q
+    sub -= r
+    diag = 2.0 * r
+    diag += t
+    excess = np.abs(sub)
+    excess += np.abs(sup)
+    return sub, sup, diag, np.count_nonzero(np.abs(diag) < excess, axis=0)
 
 
 def _differences(rows):
@@ -323,31 +345,45 @@ def _differences(rows):
             rows[..., 2:] - rows[..., :-2])
 
 
+def _first_system(grid: PhaseGrid):
+    """Time coefficient and implicit memory weight of the step to history row 0: (t, w).
+
+    The solid's row 0 is its half level: a fully implicit half-step from
+    level 0 to s = 1/(2n), whose time coefficient is the squared width there.
+    The liquid's row 0 is level 0 itself, which is zero, and its step is the
+    identity that holds it: t = 1 and no memory or advective weight (the
+    liquid's gq[0] is zero), and its right-hand side tcoef[0] * level 0 is 0.
+    """
+    if grid.phase == 1:
+        return 1.0, 0.0
+    return _half_width(grid) ** 2, half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
+
+
 @np.errstate(all="ignore")
 def _first_row(grid: PhaseGrid, coeffs):
-    """Row 0 of the phase's history, its first memory sample: (row, violations).
+    """Row 0 of the phase's history, its first memory sample, one step at a time: (row, violations).
 
     The liquid's is level 0.  The solid's is its row at s = 1/(2n), solved
-    from level 0 by a fully implicit half-step: level 0 enters only as the
-    initial datum, never as a sample of the memory or advective integrand.
-    The boundary values are level 0's at the same physical temperature (the
-    boundary data do not change in time), so the half level is a function of
-    level 0 alone.  coeffs is _phase_coeffs(grid).  Like advance_phase it
-    warns of no overflow: a row that overflows is left non-finite.
+    from level 0 by the half-step of _first_system: level 0 enters only as
+    the initial datum, never as a sample of the memory or advective
+    integrand.  The boundary values are level 0's at the same physical
+    temperature (the boundary data do not change in time), so the half
+    level is a function of level 0 alone.  advance_phase solves the same
+    system as the first of its block 0; this form serves the stepwise
+    oracle.  coeffs is _phase_coeffs(grid).  A row that overflows is left
+    non-finite, with no warning.
     """
     if grid.phase == 1:
         return grid.ubar[0], 0
     tcoef, rfac, qfac_in, gq = coeffs
-    width = _half_width(grid)
-    r = rfac * half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
-    (sub,), (sup,), diag, violations = _rows(np.array([r]), (qfac_in * gq[0])[None],
-                                             np.array([width ** 2]))
-    half = grid.ubar[0] * (tcoef[0] / width ** 2)
+    t, w = _first_system(grid)
+    sub, sup, diag, violations = _rows(rfac * w, qfac_in * gq[0], t)
+    half = grid.ubar[0] * (tcoef[0] / t)
     rhs = grid.ubar[0, 1:-1] * tcoef[0]
     rhs[0] -= sub[0] * half[0]
     rhs[-1] -= sup[-1] * half[-1]
-    half[1:-1] = _thomas(sub, np.full(grid.m - 1, diag[0]), sup, rhs)
-    return half, violations
+    half[1:-1] = _thomas(sub, np.full(grid.m - 1, diag), sup, rhs)
+    return half, int(violations)
 
 
 def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
@@ -416,12 +452,11 @@ def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
     """
     tcoef, rfac, qfac_in, gq = coeffs
     ubar = grid.ubar
-    (sub,), (sup,), diag, violations = _rows(np.array([rfac * c[k + 1]]),
-                                             (qfac_in * gq[k + 1])[None], tcoef[k + 1:k + 2])
+    sub, sup, diag, violations = _rows(rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1])
     rhs = ubar[0, 1:-1] * tcoef[0] + rfac * memory + qfac_in * adv
     rhs[0] -= sub[0] * ubar[k + 1, 0]
     rhs[-1] -= sup[-1] * ubar[k + 1, -1]
-    return sub, np.full(grid.m - 1, diag[0]), sup, rhs, violations
+    return sub, np.full(grid.m - 1, diag), sup, rhs, int(violations)
 
 
 @np.errstate(all="ignore")
@@ -439,7 +474,7 @@ def _thomas(sub, diag, sup, rhs):
     if row >= 0:
         raise ZeroPivotError(f"zero pivot at row {row}")
     forward, back = _coefficients(sub[None], pivot, mult, np.empty(2 * _width(size)))
-    return _scan(rhs, pivot[0], forward, back, 0, _scan_views(size))
+    return _scan(rhs, pivot[0], forward, back, 0, _scan_views(np.empty(size)))
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -573,25 +608,25 @@ def _coefficients(sub, pivot, mult, buffer):
     return forward, back
 
 
-def _scan_views(size: int):
-    """A solution vector y and, per offset s (_offsets), (y[:-s], y[s:], product[s:]): (y, views).
+def _scan_views(y):
+    """The solution vector y and, per offset s (_offsets), (y[:-s], y[s:], product[s:]): (y, views).
 
-    product is a scratch vector of the same size; _scan works on the views,
+    product is a scratch vector of y's size; _scan works on the views,
     which are sliced once, not at every solve.
     """
-    y = np.empty(size)
-    product = np.empty(size)
-    return y, [(y[:-s], y[s:], product[s:]) for s in _offsets(size)]
+    product = np.empty(len(y))
+    return y, [(y[:-s], y[s:], product[s:]) for s in _offsets(len(y))]
 
 
 def _scan(rhs, pivot, forward, back, b, scan):
     """The forward and back substitution of every solve: the solution, in y of scan.
 
     pivot holds the pivots of system b of forward and back (_coefficients),
-    scan is _scan_views(size).  From y = rhs / pivot, the forward sweep
-    y[i] = rhs[i]/pivot[i] + F_1[i] * y[i-1] adds F_s[i] * y[i-s] for each
-    offset s in turn, and the back sweep y[i] += G_1[i] * y[i+1] adds
-    G_s[i] * y[i+s]: each sweep is one vector multiply-add per offset.
+    scan is _scan_views of a vector of the system's size.  From
+    y = rhs / pivot, the forward sweep y[i] = rhs[i]/pivot[i] + F_1[i] * y[i-1]
+    adds F_s[i] * y[i-s] for each offset s in turn, and the back sweep
+    y[i] += G_1[i] * y[i+1] adds G_s[i] * y[i+s]: each sweep is one vector
+    multiply-add per offset.
     """
     y, views = scan
     np.divide(rhs, pivot, out=y)
@@ -604,85 +639,198 @@ def _scan(rhs, pivot, forward, back, b, scan):
     return y
 
 
-@np.errstate(all="ignore")
-def advance_phase(grid: PhaseGrid) -> PhaseGrid:
-    """Populate grid rows 1..n in place.
+def _memory_terms(grid: PhaseGrid, rfac: float, table: LagTable, d2, out):
+    """Write rfac times the memory history of the grid's next step into out, at each next().
 
-    Solves level by level, from the history row 0 of _first_row (the
-    solid's half-step), with the arithmetic of assemble_phase{1,2}_step and
-    thomas_solve, and keeps the solid's half level as grid.half for the
-    interface balance.  Per block of levels (_blocks) it forms what does not
-    depend on the solution: off-diagonals, diagonal, dominance count (_rows),
-    pivots and multipliers (_factor), and per chunk of _BLOCK_VALUES //
-    _width(m - 1) of its levels their scan coefficients (_coefficients).  Per
-    run of the block's levels (_runs) it slices the steps' weight rows and
-    sums, in one matrix product, their memory over the rows solved before
-    the block (_block_history).  Per level it forms the right-hand side (the
-    memory sum over the block's own rows, _memory_sum; the running advective
-    sum; boundary values) and substitutes (_scan).  Recomputes from level 0,
-    so the result does not depend on rows filled before the call.  It warns
-    of no overflow (np.errstate): a row that overflows ends in
-    InvalidStateError.
+    The first step solves history row 0, which has no history, and leaves
+    out as it is (zero).  The k-th step after it is the step from level k:
+    its memory is summed over rows 0..k of d2 as _blocks and _runs split it
+    (_block_history, _memory_sum), so d2 must hold those rows by then.
     """
-    n = grid.mesh.n
-    coeffs = _phase_coeffs(grid)
-    tcoef, rfac, qfac_in, gq = coeffs
-    table = lag_table(n - 1, grid.params.alpha, 1.0 / n)
-    ubar = grid.ubar
-    size = grid.m - 1
-    d2 = np.empty((n + 1, size))
-    width = _width(size)
-    chunk = max(1, _BLOCK_VALUES // max(width, 1))
-    buffer = np.empty(2 * chunk * width)
-    scan = _scan_views(size)
-    initial = ubar[0, 1:-1] * tcoef[0]
-    try:
-        first, violations = _first_row(grid, coeffs)
-        d2[0], dc = _differences(first)
-        adv = gq[0] * dc
-        for levels in _blocks(grid):
-            start = levels.start
-            targets = slice(start + 1, levels.stop + 1)
-            # the weight of the new level, c[k+1], sets the implicit part of each step
-            r = np.full(len(levels), rfac * table.pref)
-            if start == 0:  # c[k+1] is table.pref in every row but split(0)'s
-                r[0] = rfac * _step_weights(grid, table, 0)[-1]
-            sub, sup, diag, count = _rows(r, gq[targets, None] * qfac_in, tcoef[targets])
-            violations += count
-            left = sub[:, 0] * ubar[targets, 0]
-            right = sup[:, -1] * ubar[targets, -1]
-            pivot, mult = _factor(sub, sup, np.broadcast_to(diag[:, None], sub.shape))
-            zero_row = _zero_rows(pivot)
-            for run in _runs(levels):
-                rows, known = _block_history(grid, table, run, start, d2)
-                for k, c, before in zip(run, rows, known):
-                    b = k - start
-                    if zero_row[b] >= 0:
-                        raise ZeroPivotError(f"zero pivot at row {zero_row[b]}")
-                    if b % chunk == 0:
-                        part = slice(b, b + chunk)
-                        forward, back = _coefficients(sub[part], pivot[part], mult[part], buffer)
-                    rhs = initial + rfac * _memory_sum(c, before, d2, start, k) + qfac_in * adv
-                    rhs[0] -= left[b]
-                    rhs[-1] -= right[b]
-                    ubar[k + 1, 1:-1] = _scan(rhs, pivot[b], forward, back, b % chunk, scan)
-                    d2[k + 1], dc = _differences(ubar[k + 1])
-                    adv = adv + gq[k + 1] * dc
-            del sub, sup, pivot, mult  # before the next block's set-up
-    except ZeroPivotError as exc:
-        raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: {exc}") from exc
-    if violations:
-        logger.warning(
-            "diagonal dominance violated %d times while advancing phase %d (p=%.6g)",
-            violations, grid.phase, grid.p,
-        )
-    if not np.isfinite(grid.ubar).all():
+    yield
+    for levels in _blocks(grid):
+        for run in _runs(levels):
+            rows, known = _block_history(grid, table, run, levels.start, d2)
+            for k, c, before in zip(run, rows, known):
+                np.multiply(rfac, _memory_sum(c, before, d2, levels.start, k), out)
+                yield
+
+
+def _failure(grid: PhaseGrid, half):
+    """Where grid first holds a non-finite value: (level, no infinity there), or (inf, True).
+
+    half is the solid's half level, which counts as level 1/2, or None.
+    """
+    bad = ~np.isfinite(grid.ubar).all(axis=1)
+    level, row = (int(bad.argmax()), grid.ubar[bad.argmax()]) if bad.any() else (math.inf, None)
+    if half is not None and level >= 1 and not np.isfinite(half).all():
+        level, row = 0.5, half
+    return level, row is None or not np.isinf(row).any()
+
+
+@np.errstate(all="ignore")
+def _advance(grids) -> None:
+    """Populate rows 1..n of one grid, or of a liquid and a solid grid, in place.
+
+    The grids' rows stand side by side in one joint row (module docstring),
+    whose unknowns are every node but its two ends.  In a pair the two front
+    nodes get identity rows (diagonal 1, off-diagonals and right-hand side
+    0); every product across them is +-0, so while the values are finite
+    each grid's rows are the bits it gets alone.  Per node, the time and
+    implicit memory coefficients and the advective factors are the node's
+    phase's, and 1, 0 and 0 on the front nodes.  Each phase keeps its own
+    memory split (_memory_terms) and its own stored second differences.
+
+    The steps are taken per history row j: row 0 is _first_system's and row
+    j >= 1 is level j.  Per block of levels of the larger grid (_blocks),
+    whose first block also solves row 0, it forms the rows (_rows), pivots
+    and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
+    _width(unknowns) of its steps, the scan coefficients (_coefficients).
+    Per step it forms the right-hand side (initial term, memory term, the
+    running advective sum, boundary values) and substitutes (_scan).  It
+    raises ZeroPivotError naming the phase of the first zero pivot and logs
+    each phase's dominance count.  Non-finite values, which no warning
+    reports, raise InvalidStateError naming the phase that holds them at the
+    earliest level (_failure).  An overflow in one phase of a pair turns the
+    other's rows to nan at the same level (0 * inf across the front rows),
+    so on a tie it names the phase that holds an infinity there, and else
+    the liquid.
+    """
+    n = grids[0].mesh.n
+    table = lag_table(n - 1, grids[0].params.alpha, 1.0 / n)
+    # each grid's first node in the joint row, and its unknowns among the joint row's
+    starts = list(accumulate([grid.m + 1 for grid in grids[:-1]], initial=0))
+    interiors = [slice(o, o + grid.m - 1) for grid, o in zip(grids, starts)]
+    # per unknown, the column of its phase in the tables below; the front nodes take the last
+    column = np.concatenate([[len(grids)] + [i] * (grid.m - 1) + [len(grids)]
+                             for i, grid in enumerate(grids)])[1:-1]
+    size = len(column)
+    row = np.empty(size + 2)  # the joint history row being solved
+    initial, qfac, memory = np.zeros(size), np.zeros(size), np.zeros(size)
+    # per history row j and phase column: time coefficient, implicit memory
+    # coefficient and advective time factor; per grid its (left, right) boundary values
+    time = np.ones((n + 1, len(grids) + 1))
+    implicit, advective = np.zeros((2, n + 1, len(grids) + 1))
+    edges, stores, sums = [], [], []
+    for i, (grid, interior) in enumerate(zip(grids, interiors)):
+        tcoef, rfac, qfac_in, gq = _phase_coeffs(grid)
+        t, w = _first_system(grid)
+        initial[interior] = grid.ubar[0, 1:-1] * tcoef[0]
+        qfac[interior] = qfac_in
+        time[:, i] = tcoef
+        time[0, i] = t
+        implicit[:, i] = table.pref
+        implicit[:2, i] = w, _step_weights(grid, table, 0)[-1]
+        implicit[:, i] *= rfac
+        advective[:, i] = gq
+        edge = grid.ubar[:, [0, -1]]
+        edge[0] *= tcoef[0] / t
+        edges.append(edge)
+        # the grid's rows, its stored second differences, its unknowns and their values
+        stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), interior,
+                       row[1:-1][interior]))
+        sums.append(_memory_terms(grid, rfac, table, stores[-1][1], memory[interior]))
+    left_edge, right_edge = edges[0][:, 0], edges[-1][:, 1]
+    larger = max(grids, key=lambda grid: grid.m)
+    chunk = max(1, _BLOCK_VALUES // max(_width(size), 1))
+    buffer = np.empty(2 * chunk * _width(size))
+    scan = _scan_views(row[1:-1])
+    adv = np.zeros(size)
+    violations = [0] * len(grids)
+    for levels in _blocks(larger):
+        rows = range(levels.start + 1 if levels.start else 0, levels.stop + 1)
+        part = slice(rows.start, rows.stop)
+        q = np.take(advective[part], column, axis=1)
+        q *= qfac
+        sub, sup, diag, count = _rows(np.take(implicit[part], column, axis=1), q,
+                                      np.take(time[part], column, axis=1))
+        del q
+        violations = [v + int(count[interior].sum())
+                      for v, interior in zip(violations, interiors)]
+        left = sub[:, 0] * left_edge[part]
+        right = sup[:, -1] * right_edge[part]
+        pivot, mult = _factor(sub, sup, diag)
+        del sup, diag
+        zero_row = _zero_rows(pivot)
+        gq = np.take(advective[part], column, axis=1)
+        for b, j in enumerate(rows):
+            if zero_row[b] >= 0:
+                grid, interior = next((grid, interior) for grid, interior in zip(grids, interiors)
+                                      if zero_row[b] < interior.stop)
+                raise ZeroPivotError(f"phase {grid.phase}, p={grid.p:.6g}: "
+                                     f"zero pivot at row {zero_row[b] - interior.start}")
+            if b % chunk == 0:
+                forward, back = _coefficients(sub[b:b + chunk], pivot[b:b + chunk],
+                                              mult[b:b + chunk], buffer)
+            for history in sums:
+                next(history)
+            rhs = initial + memory + qfac * adv
+            rhs[0] -= left[b]
+            rhs[-1] -= right[b]
+            _scan(rhs, pivot[b], forward, back, b % chunk, scan)
+            row[0] = left_edge[j]
+            row[-1] = right_edge[j]
+            d2, dc = _differences(row)
+            for ubar, stored, interior, solved in stores:
+                stored[j] = d2[interior]
+                if j:
+                    ubar[j, 1:-1] = solved
+            if not j:
+                first = row.copy()
+            adv = adv + gq[b] * dc
+        del sub, pivot, mult, gq  # before the next block's set-up
+    for grid, count in zip(grids, violations):
+        if count:
+            logger.warning(
+                "diagonal dominance violated %d times while advancing phase %d (p=%.6g)",
+                count, grid.phase, grid.p,
+            )
+    halves = [first[o:o + grid.m + 1] if grid.phase == 2 else None
+              for grid, o in zip(grids, starts)]
+    failed = [_failure(grid, half) for grid, half in zip(grids, halves)]
+    if min(failed)[0] < math.inf:
+        grid = grids[failed.index(min(failed))]
         raise InvalidStateError(
             f"non-finite values while advancing phase {grid.phase} (p={grid.p:.6g})"
         )
-    grid.half = first if grid.phase == 2 else None
-    grid.filled_through = n
+    for grid, half in zip(grids, halves):
+        grid.half = half
+        grid.filled_through = n
+
+
+def advance_phase(grid: PhaseGrid) -> PhaseGrid:
+    """Populate grid rows 1..n in place and keep the solid's half level as grid.half.
+
+    Runs the stepper's level loop (_advance) over this one grid, with the
+    arithmetic of assemble_phase{1,2}_step and thomas_solve.  Recomputes from
+    level 0, so the result does not depend on rows filled before the call.
+    A zero pivot raises ZeroPivotError; a row that overflows ends in
+    InvalidStateError, with no numpy warning (np.errstate).
+    """
+    _advance((grid,))
     return grid
+
+
+def advance_pair(liquid: PhaseGrid, solid: PhaseGrid):
+    """Populate rows 1..n of a liquid and a solid grid in place, in one level loop: (liquid, solid).
+
+    The two grids must share n and alpha.  Each grid gets the rows, half
+    level and dominance warning that advance_phase gives it alone, bit for
+    bit while its values are finite; one factorization and one scan per
+    level solve both phases (_advance).  A zero pivot in either phase
+    raises ZeroPivotError naming it, and non-finite values raise
+    InvalidStateError naming the phase whose rows go non-finite first, so
+    when one phase fails neither grid is finished.
+    """
+    if (liquid.phase, solid.phase) != (1, 2):
+        raise GridMismatchError(f"expected phases (1, 2), got ({liquid.phase}, {solid.phase})")
+    if liquid.mesh.n != solid.mesh.n or liquid.params.alpha != solid.params.alpha:
+        raise GridMismatchError(
+            f"grids disagree: n {liquid.mesh.n} vs {solid.mesh.n}, "
+            f"alpha {liquid.params.alpha} vs {solid.params.alpha}"
+        )
+    _advance((liquid, solid))
+    return liquid, solid
 
 
 def _recover(grid: PhaseGrid, cols):

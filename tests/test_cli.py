@@ -267,17 +267,31 @@ class TestRunConvergence:
             cli.run_convergence(config, levels=1)
 
 
+def count_advances(monkeypatch, key):
+    """Count, by key(grid), every grid the front search advances, alone or as a pair."""
+    advanced = Counter()
+    advance, advance_pair = fronttrack.advance_phase, fronttrack.advance_pair
+
+    def counted(grid, *args, **kwargs):
+        advanced[key(grid)] += 1
+        return advance(grid, *args, **kwargs)
+
+    def counted_pair(liquid, solid):
+        advanced[key(liquid)] += 1
+        advanced[key(solid)] += 1
+        return advance_pair(liquid, solid)
+
+    monkeypatch.setattr(fronttrack, "advance_phase", counted)
+    monkeypatch.setattr(fronttrack, "advance_pair", counted_pair)
+    monkeypatch.setattr(cli, "advance_phase", counted)
+    return advanced
+
+
 class TestAdvanceCount:
     @pytest.mark.parametrize("mode", ["profiles", "convergence"])
     def test_each_candidate_advanced_once_per_phase(self, tmp_path, monkeypatch, mode):
         # the outputs read the search's converged grids; nothing is advanced again
-        advanced = Counter()
-        advance = fronttrack.advance_phase
-
-        def counted(grid, *args, **kwargs):
-            advanced[(grid.phase, grid.p, grid.mesh)] += 1
-            return advance(grid, *args, **kwargs)
-
+        advanced = count_advances(monkeypatch, lambda grid: (grid.phase, grid.p, grid.mesh))
         candidates = Counter()
         solve = cli.bisection_solve
 
@@ -288,8 +302,6 @@ class TestAdvanceCount:
                     candidates[(phase, p, mesh)] += 1
             return result
 
-        monkeypatch.setattr(fronttrack, "advance_phase", counted)
-        monkeypatch.setattr(cli, "advance_phase", counted)
         monkeypatch.setattr(cli, "bisection_solve", recorded)
         config = cli.parse_config(None, tiny_overrides(alpha=1.0), mode=mode,
                                   output_dir=tmp_path)
@@ -304,13 +316,8 @@ class TestAdvanceCount:
     def test_tables_advance_each_phase_grid_once(self, tmp_path, monkeypatch):
         # the cells share their phase solves, and each still reads the p, S
         # and history of a search of that cell alone
-        advanced = Counter()
-        advance = fronttrack.advance_phase
-
-        def counted(grid, *args, **kwargs):
-            advanced[scheme.phase_key(grid.phase, grid.p, grid.mesh, grid.params)] += 1
-            return advance(grid, *args, **kwargs)
-
+        advanced = count_advances(monkeypatch, lambda grid: scheme.phase_key(
+            grid.phase, grid.p, grid.mesh, grid.params))
         searches = []
         solve = cli.bisection_solve
 
@@ -319,7 +326,6 @@ class TestAdvanceCount:
             searches.append((params, mesh, args, result))
             return result
 
-        monkeypatch.setattr(fronttrack, "advance_phase", counted)
         monkeypatch.setattr(cli, "bisection_solve", recorded)
         config = cli.parse_config(None, tiny_overrides(), mode="tables", output_dir=tmp_path)
         cli.run_tables(config)

@@ -200,20 +200,31 @@ class TestFrontResidual:
             fronttrack.front_residual(-1.0, params, MESH)
 
     def test_failed_phase_stores_no_term(self, monkeypatch):
-        # the liquid's term is kept for later candidates, the failed solid's is not
-        advance = fronttrack.advance_phase
+        # a zero pivot in the solid: a pair that fails stores neither term,
+        # since its liquid rows were not finished either; a solid advanced
+        # alone, after the liquid's term was stored, stores nothing more
+        phase_coeffs = scheme._phase_coeffs
 
-        def failing_solid(grid):
+        def defective(grid):
+            tcoef, rfac, *rest = phase_coeffs(grid)
             if grid.phase == 2:
-                raise errors.ZeroPivotError("zero pivot at row 0")
-            return advance(grid)
+                tcoef = tcoef.copy()
+                tcoef[3] = -2.0 * (rfac * fracquad.lag_table(0, grid.params.alpha,
+                                                             1.0 / grid.mesh.n).pref)
+            return (tcoef, rfac, *rest)
 
-        monkeypatch.setattr(fronttrack, "advance_phase", failing_solid)
+        monkeypatch.setattr(scheme, "_phase_coeffs", defective)
         params = params_for(0, 0.5)
         terms = {}
-        with pytest.raises(errors.ZeroPivotError, match="candidate p=0.8: zero pivot"):
+        match = r"^candidate p=0\.8: phase 2, p=0\.8: zero pivot at row 0$"
+        with pytest.raises(errors.ZeroPivotError, match=match):
             fronttrack._solve_candidate(0.8, params, MESH, terms)
-        assert list(terms) == [scheme.phase_key(1, 0.8, MESH, params)]
+        assert terms == {}
+        liquid = scheme.phase_key(1, 0.8, MESH, params)
+        terms[liquid] = 0.0
+        with pytest.raises(errors.ZeroPivotError, match=match):
+            fronttrack._solve_candidate(0.8, params, MESH, terms)
+        assert list(terms) == [liquid]
 
 
 def scaled_params(params, factor):

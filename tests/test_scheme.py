@@ -1,6 +1,7 @@
 """Front-fixing steppers: assembly, Thomas solve, advance, recovery."""
 
 import logging
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -571,6 +572,122 @@ class TestAdvance:
                     worst = max(worst, abs(exact - f.u[j, i]))
             errs.append(worst)
         assert errs[1] <= errs[0]
+
+
+def phase_grids(p, mesh, params):
+    """A fresh liquid and solid grid of one candidate."""
+    return [scheme.make_phase_grid(phase, p, mesh, params) for phase in (1, 2)]
+
+
+class TestAdvancePair:
+    @pytest.mark.parametrize("m1, m2, n", [(50, 250, 200), (300, 40, 120)])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    @pytest.mark.parametrize("p", [0.1, 2.0])
+    def test_rows_and_half_match_separate_advances(self, m1, m2, n, alpha, p):
+        # one scan solves both phases, each with its own memory split: the
+        # products across the front rows are +-0, so each phase keeps the
+        # bits of its own advance.  The factor blocks follow the larger
+        # grid, so both phases span two of them; at 50/250 the liquid's
+        # memory split is one block, the solid's two
+        mesh = scheme.MeshConfig(m1=m1, m2=m2, n=n)
+        params = params_for(1, alpha)
+        alone = [scheme.advance_phase(grid) for grid in phase_grids(p, mesh, params)]
+        liquid, solid = scheme.advance_pair(*phase_grids(p, mesh, params))
+        assert len(scheme._blocks(max(alone, key=lambda grid: grid.m))) == 2
+        assert np.array_equal(liquid.ubar, alone[0].ubar)
+        assert np.array_equal(solid.ubar, alone[1].ubar)
+        assert liquid.half is None and np.array_equal(solid.half, alone[1].half)
+        assert liquid.filled_through == solid.filled_through == n
+
+    def test_dominance_warnings_match_separate_advances(self, caplog):
+        mesh = scheme.MeshConfig(m1=20, m2=100, n=4)
+        params = params_for(0, 0.75)
+        logged = []
+        for advance in (lambda grids: [scheme.advance_phase(grid) for grid in grids],
+                        lambda grids: scheme.advance_pair(*grids)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fracstefan.scheme"):
+                advance(phase_grids(10.0, mesh, params))
+            logged.append([record.getMessage() for record in caplog.records])
+        assert logged[0] == logged[1]
+        assert [line.split()[3] for line in logged[1]] == ["4", "19"]
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_zero_pivot_names_its_phase(self, phase, monkeypatch):
+        # as test_zero_pivot_raises_at_its_level, in one phase of a pair:
+        # both grids are solved through the level before, neither further
+        mesh = scheme.MeshConfig(m1=250, m2=250, n=150)
+        level = scheme._BLOCK_VALUES // (mesh.m1 - 1) + 10
+        params = params_for(0, 0.5)
+        clean = scheme.advance_pair(*phase_grids(0.7, mesh, params))
+        phase_coeffs = scheme._phase_coeffs
+
+        def defective(grid):
+            tcoef, rfac, *rest = phase_coeffs(grid)
+            if grid.phase == phase:
+                tcoef = tcoef.copy()
+                pref = fracquad.lag_table(0, grid.params.alpha, 1.0 / grid.mesh.n).pref
+                tcoef[level] = -2.0 * (rfac * pref)
+            return (tcoef, rfac, *rest)
+
+        monkeypatch.setattr(scheme, "_phase_coeffs", defective)
+        grids = phase_grids(0.7, mesh, params)
+        with pytest.raises(errors.ZeroPivotError,
+                           match=rf"^phase {phase}, p=0\.7: zero pivot at row 0$"):
+            scheme.advance_pair(*grids)
+        for grid, ref in zip(grids, clean):
+            assert np.array_equal(grid.ubar[:level], ref.ubar[:level])
+            assert not grid.ubar[level:, 1:-1].any()
+
+    @pytest.mark.parametrize(("m1", "m2", "n"), [(3, 3, 2000), (50, 50, 1600)])
+    def test_memory_bounded_by_block_values(self, m1, m2, n):
+        # the factor blocks hold _BLOCK_VALUES // (m - 1) levels of the
+        # larger grid, so their arrays span up to about twice _BLOCK_VALUES
+        # values (m1 = m2); each phase keeps its own memory products
+        grids = phase_grids(0.7, scheme.MeshConfig(m1=m1, m2=m2, n=n), params_for(1, 0.5))
+        tracemalloc.start()
+        try:
+            scheme.advance_pair(*grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = (n + 1) * (m1 - 1 + m2 - 1) * 8
+        assert peak <= stored + 24 * scheme._BLOCK_VALUES * 8
+
+    def test_overflowing_far_field_names_the_solid(self):
+        # the solid's half level overflows first (level 1/2); the nan that
+        # crosses into the liquid shows only from level 1
+        params = analytic.PhysicalParams(alpha=0.5, theta_inf=-1.7e308)
+        grids = phase_grids(0.7, scheme.MeshConfig(m1=10, m2=40, n=20), params)
+        with pytest.raises(errors.InvalidStateError,
+                           match=r"^non-finite values while advancing phase 2 \(p=0\.7\)$"):
+            scheme.advance_pair(*grids)
+        assert not np.isfinite(grids[0].ubar[1]).all()
+
+    @pytest.mark.parametrize(("phase", "column", "value"),
+                             [(2, -1, 1.7e308), (1, 0, math.nan), (2, -1, math.nan)])
+    def test_tie_names_the_phase_holding_an_infinity_else_the_liquid(self, phase, column,
+                                                                      value):
+        # a boundary value at level 5 turns that phase's rows non-finite
+        # there, and the other's too, through the front rows: an overflow
+        # (an infinity) is named, a nan in either phase names the liquid
+        grids = phase_grids(0.7, scheme.MeshConfig(m1=10, m2=40, n=20), params_for(0, 0.5))
+        grids[phase - 1].ubar[5, column] = value
+        named = 2 if value == 1.7e308 else 1
+        with pytest.raises(errors.InvalidStateError,
+                           match=rf"^non-finite values while advancing phase {named} "):
+            scheme.advance_pair(*grids)
+        for grid in grids:
+            assert np.isfinite(grid.ubar[:5]).all() and not np.isfinite(grid.ubar[5]).all()
+
+    def test_rejects_grids_of_other_phases_or_time_axes(self):
+        params = params_for(0, 0.5)
+        liquid, solid = phase_grids(0.7, SMALL_MESH, params)
+        with pytest.raises(errors.GridMismatchError, match="expected phases"):
+            scheme.advance_pair(solid, liquid)
+        longer = scheme.make_phase_grid(2, 0.7, replace(SMALL_MESH, n=SMALL_MESH.n + 1), params)
+        with pytest.raises(errors.GridMismatchError, match="n 20 vs 21"):
+            scheme.advance_pair(liquid, longer)
 
 
 class TestRecovery:

@@ -1,15 +1,18 @@
-"""Alternating A/B timing of one phase advance from two source trees.
+"""Alternating A/B timing of phase advances from two source trees.
 
 For each mesh and phase, each round starts one fresh interpreter per tree,
 in alternating order.  Each interpreter imports fracstefan from its tree,
 advances the grid once untimed (so the allocator and numpy are warm), then
 times one `scheme.advance_phase` of a fresh grid with `time.perf_counter`.
-BLAS runs one thread.  Per mesh and phase it prints each tree's median and
-quartiles, the ratio of the medians (this tree over the other) and how many
-rounds each tree was faster in:
+With --pair it times one candidate's two phases instead: `scheme.advance_pair`
+in this tree against two `scheme.advance_phase` calls in the other.  BLAS
+runs one thread.  Per mesh and phase (or pair) it prints each tree's median
+and quartiles, the ratio of the medians (this tree over the other) and how
+many rounds each tree was faster in:
 
     python3 tools/advance_ab.py --against PARENT/src
     python3 tools/advance_ab.py --against PARENT/src --meshes 100/500/400 --phases 2 --rounds 11
+    python3 tools/advance_ab.py --against PARENT/src --pair --meshes 50/250/200,100/500/400
 """
 
 from __future__ import annotations
@@ -24,25 +27,35 @@ from pathlib import Path
 CHILD = """
 import sys, time
 from fracstefan.analytic import PhysicalParams
-from fracstefan.scheme import MeshConfig, advance_phase, make_phase_grid
-m1, m2, n, phase = map(int, sys.argv[1:5])
+from fracstefan import scheme
+m1, m2, n = map(int, sys.argv[1:4])
+what = sys.argv[4]  # a phase, "pair" (advance_pair) or "both" (two advance_phase calls)
 alpha, p = map(float, sys.argv[5:7])
-mesh, params = MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
-advance_phase(make_phase_grid(phase, p, mesh, params))
-grid = make_phase_grid(phase, p, mesh, params)
-start = time.perf_counter()
-advance_phase(grid)
-print(time.perf_counter() - start)
+mesh, params = scheme.MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
+phases = (1, 2) if what in ("pair", "both") else (int(what),)
+
+def advance():
+    grids = [scheme.make_phase_grid(phase, p, mesh, params) for phase in phases]
+    start = time.perf_counter()
+    if what == "pair":
+        scheme.advance_pair(*grids)
+    else:
+        for grid in grids:
+            scheme.advance_phase(grid)
+    return time.perf_counter() - start
+
+advance()
+print(advance())
 """
 
 SINGLE_THREAD = {name: "1" for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _time(src: Path, mesh: tuple, phase: int, alpha: float, p: float) -> float:
-    """Seconds of one advance in a fresh interpreter importing fracstefan from src."""
+def _time(src: Path, mesh: tuple, what: str, alpha: float, p: float) -> float:
+    """Seconds of CHILD's advance what in a fresh interpreter importing fracstefan from src."""
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(src)}
-    args = [str(v) for v in (*mesh, phase, alpha, p)]
+    args = [str(v) for v in (*mesh, what, alpha, p)]
     out = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
                          capture_output=True, text=True, check=True)
     return float(out.stdout)
@@ -67,6 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("--meshes", default="50/250/200,100/500/400,50/250/1600",
                         help="comma-separated m1/m2/n meshes (default: %(default)s)")
     parser.add_argument("--phases", default="1,2", help="comma-separated phases (default: 1,2)")
+    parser.add_argument("--pair", action="store_true",
+                        help="time advance_pair here against two advance_phase calls there")
     parser.add_argument("--rounds", type=int, default=7, help="rounds per mesh and phase")
     parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--p", type=float, default=0.74, help="front coefficient")
@@ -75,15 +90,20 @@ def main(argv=None) -> int:
     print(f"this = {trees['this']}\nother = {trees['other']}\n"
           f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
           f"median [quartiles] of one advance")
+    # per timed case: its label and what each tree's CHILD advances
+    cases = ([("pair", {"this": "pair", "other": "both"})] if args.pair else
+             [(f"phase {phase}", {"this": phase, "other": phase})
+              for phase in args.phases.split(",")])
     for mesh in map(_mesh, args.meshes.split(",")):
-        for phase in map(int, args.phases.split(",")):
+        for label, what in cases:
             samples = {"this": [], "other": []}
             for i in range(args.rounds):
                 for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
-                    samples[name].append(_time(trees[name], mesh, phase, args.alpha, args.p))
+                    samples[name].append(_time(trees[name], mesh, what[name], args.alpha,
+                                               args.p))
             wins = sum(a < b for a, b in zip(samples["this"], samples["other"]))
             ratio = statistics.median(samples["this"]) / statistics.median(samples["other"])
-            print(f"{'/'.join(map(str, mesh))} phase {phase}: this {_summary(samples['this'])}, "
+            print(f"{'/'.join(map(str, mesh))} {label}: this {_summary(samples['this'])}, "
                   f"other {_summary(samples['other'])}, ratio {ratio:.2f}, "
                   f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}",
                   flush=True)

@@ -48,6 +48,8 @@ RUNS = (
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "80", "--ratio", "3"),
     # a solid of 599 unknowns, whose scan runs ten offsets, up to 512
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "600", "--n", "40"),
+    # a liquid larger than the solid: the pair's factor blocks follow the liquid
+    ("numeric", "--alpha", "0.5", "--m1", "300", "--m2", "40", "--n", "120"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
