@@ -111,10 +111,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Values in each array advance_phase holds for many levels at once (256 KiB
+# Values in each array the stepper holds for many levels at once (256 KiB
 # of doubles): a block of levels' systems and memory sums holds this many
-# // (m - 1) levels, a run of its weight rows this many // (block end + 1),
-# and a chunk of its scan coefficients, per sweep, this many // _width(m - 1).
+# // (m - 1) levels (of the larger grid, for the systems of a pair, so
+# their arrays hold up to about twice as many values), a run of its weight
+# rows this many // (block end + 1), and a chunk of its scan coefficients,
+# per sweep, this many // _width(unknowns).
 _BLOCK_VALUES = 1 << 15
 
 
