@@ -4,8 +4,8 @@ With a Caputo time derivative of order alpha the interface follows the
 power law S(tau) = p * tau**(alpha/2); the liquid and solid temperature
 profiles are ratios of Wright-function values of the similarity variable
 x / tau**(alpha/2), and p is the root of one transcendental equation.
-At alpha = 1 everything collapses to the classical erfc forms, which are
-used directly there (cheaper and better conditioned than the series).
+At alpha = 1 both Wright orders collapse to erfc and a Gaussian, used
+directly there (cheaper and better conditioned than the series).
 
 All operations are pure functions over immutable parameter records.
 """
@@ -96,25 +96,30 @@ class ExactSolution:
                      for kappa in (self.params.kappa1, self.params.kappa2))
 
 
-def _similarity(x: float, tau: float, kappa: float, alpha: float) -> float:
-    """W(-x / (sqrt(kappa) * tau**(alpha/2)); -alpha/2, 1), the profile both
-    phases share; at alpha = 1 its closed form erfc(x / (2 sqrt(kappa*tau))).
-    At x = p, tau = 1 it gives the front values that the profiles
-    (ExactSolution.front_values) and the front equation divide by."""
+def _similarity(x: float, tau: float, kappa: float, alpha: float,
+                slope: bool = False) -> float:
+    """W(-z; -alpha/2, delta), z = x / (sqrt(kappa) * tau**(alpha/2)): the profile
+    both phases share (delta = 1) or, with slope, minus its z-derivative (delta =
+    1 - alpha/2); at alpha = 1 erfc(y) and exp(-y**2)/sqrt(pi), y = z/2 = x /
+    (2 sqrt(kappa*tau)).  At x = p, tau = 1 they give the front values that
+    the profiles and the front equation divide by, and its numerators."""
     if alpha == 1.0:
-        return specfun.erfc(x / (2.0 * math.sqrt(kappa * tau)))
-    return specfun.wright(-x / (math.sqrt(kappa) * tau ** (alpha / 2.0)), -alpha / 2.0, 1.0)
+        y = x / (2.0 * math.sqrt(kappa * tau))
+        return math.exp(-y * y) / math.sqrt(math.pi) if slope else math.erfc(y)
+    delta = 1.0 - alpha / 2.0 if slope else 1.0
+    return specfun.wright(-x / (math.sqrt(kappa) * tau ** (alpha / 2.0)), -alpha / 2.0, delta)
 
 
 def transcendental_residual(p: float, params: PhysicalParams) -> float:
-    """LHS - RHS of the equation determining the front coefficient.
+    """LHS - RHS of the equation determining the front coefficient,
 
-    The denominators are the front values of the similarity profiles,
-    _similarity(p, 1, kappa), so they share its erfc-or-Wright switch; the
-    left-hand side and the numerators take the erfc form at alpha = 1 and
-    the Wright-series form otherwise.  Raises DegenerateInputError when a
-    denominator sits within roundoff of its singular value, and propagates
-    NonConvergenceError from the series.
+        p Gamma(1+alpha/2)/Gamma(1-alpha/2)
+            = lambda2 theta_inf W2'/(sqrt(kappa2) W2) - lambda1 W1'/(sqrt(kappa1) (W1 - 1)),
+
+    with Wi and Wi' the profile and slope orders of _similarity(p, 1,
+    kappa_i), closed forms included at alpha = 1.  Raises
+    DegenerateInputError when a denominator sits within roundoff of its
+    singular value, and propagates NonConvergenceError from the series.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
@@ -125,21 +130,11 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
         raise DegenerateInputError(
             f"front equation degenerate at p={p}: denominators {den1:.3e}, {den2:.3e}"
         )
-    if a == 1.0:
-        solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
-            math.sqrt(math.pi * k2) * den2
-        )
-        liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
-            math.sqrt(math.pi * k1) * den1
-        )
-        return 0.5 * p - (solid - liquid)
-    sq1 = math.sqrt(k1)
-    sq2 = math.sqrt(k2)
-    w1_num = specfun.wright(-p / sq1, -a / 2.0, 1.0 - a / 2.0)
-    w2_num = specfun.wright(-p / sq2, -a / 2.0, 1.0 - a / 2.0)
+    w1_num = _similarity(p, 1.0, k1, a, slope=True)
+    w2_num = _similarity(p, 1.0, k2, a, slope=True)
     lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
-    rhs = (params.lambda2 / sq2) * params.theta_inf * w2_num / den2 \
-        - (params.lambda1 / sq1) * w1_num / den1
+    rhs = (params.lambda2 / math.sqrt(k2)) * params.theta_inf * w2_num / den2 \
+        - (params.lambda1 / math.sqrt(k1)) * w1_num / den1
     return lhs - rhs
 
 

@@ -1,11 +1,12 @@
-"""Series evaluation of the two-parameter Wright function and friends.
+"""Series evaluation of the two-parameter Wright function, and 1/Gamma.
 
 The two-parameter Wright function
 
     W(z; gamma, delta) = sum_{k>=0} z**k / (k! * Gamma(gamma*k + delta))
 
 is entire in z for gamma > -1 and generalizes the complementary error
-function.  Two closed forms double as validation oracles here:
+function.  Two closed forms are the validation oracles of the tests, and
+analytic uses them (math.erfc, math.exp) in place of the series at alpha = 1:
 
     W(-z; -1/2, 1)   = erfc(z/2)
     W(-z; -1/2, 1/2) = exp(-z**2/4) / sqrt(pi)
@@ -38,7 +39,6 @@ from .errors import InvalidInputError, NonConvergenceError
 
 __all__ = [
     "WrightResult",
-    "erfc",
     "reciprocal_gamma",
     "wright",
     "wright_series",
@@ -73,11 +73,6 @@ def reciprocal_gamma(x: float) -> float:
     if g == 0.0:
         return math.copysign(math.inf, g)
     return 1.0 / g
-
-
-def erfc(x: float) -> float:
-    """Complementary error function (stdlib implementation, ~1 ulp)."""
-    return math.erfc(x)
 
 
 class WrightResult(NamedTuple):
@@ -122,6 +117,15 @@ def _coefficients(gamma: float, delta: float) -> tuple:
 
 # log k for k = 1.._MAX_TERMS, at index k (index 0 is unused)
 _LOG_K = (0.0, *(math.log(k) for k in range(1, _MAX_TERMS + 1)))
+
+
+def _failure(what, z, gamma, delta, partial, last_term, terms, note=None):
+    """The NonConvergenceError of a sum that stopped: what went wrong, the
+    argument and order, then the note in parentheses when there is one."""
+    note = f" ({note})" if note else ""
+    return NonConvergenceError(
+        f"Wright series {what} at z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g}{note}",
+        partial=partial, last_term=last_term, terms=terms)
 
 
 def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
@@ -187,13 +191,8 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
                 sign = -sign
             log_term = lw - math.lgamma(x)
             if log_term > _LOG_MAX:
-                raise NonConvergenceError(
-                    f"Wright series term {k} overflows at z={z:.6g}, "
-                    f"gamma={gamma:.6g}, delta={delta:.6g} (log |term| {log_term:.1f})",
-                    partial=total,
-                    last_term=term,
-                    terms=k,
-                )
+                raise _failure(f"term {k} overflows", z, gamma, delta, total, term, k,
+                               f"log |term| {log_term:.1f}")
             term = sign * math.exp(log_term)
         else:
             term = pw * rg
@@ -212,42 +211,21 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
                 run_bound = mag
             if run >= _STOP_RUN:
                 if peak * sys.float_info.epsilon > _CANCEL_TOL * size:
-                    raise NonConvergenceError(
-                        f"Wright series cancels below roundoff at z={z:.6g}, "
-                        f"gamma={gamma:.6g}, delta={delta:.6g} (largest term {peak:.3e}, "
-                        f"sum {total:.3e})",
-                        partial=total,
-                        last_term=term,
-                        terms=k + 1,
-                    )
+                    raise _failure("cancels below roundoff", z, gamma, delta, total, term,
+                                   k + 1, f"largest term {peak:.3e}, sum {total:.3e}")
                 if not math.isfinite(total):
-                    raise NonConvergenceError(
-                        f"Wright series sum overflows to {total} at z={z:.6g}, "
-                        f"gamma={gamma:.6g}, delta={delta:.6g} (largest term {peak:.3e})",
-                        partial=total,
-                        last_term=term,
-                        terms=k + 1,
-                    )
+                    raise _failure(f"sum overflows to {total}", z, gamma, delta, total, term,
+                                   k + 1, f"largest term {peak:.3e}")
                 roundoff = (k + 1) * sys.float_info.epsilon * max(peak, abs(total))
                 return WrightResult(total, max(run_bound, roundoff), k + 1)
         else:
             run = 0
             run_bound = 0.0
     if len(coefficients) <= _MAX_TERMS:
-        raise NonConvergenceError(
-            f"Wright series order overflows at term {len(coefficients)}: "
-            f"gamma*k + delta is not finite at z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g}",
-            partial=total,
-            last_term=term,
-            terms=len(coefficients),
-        )
-    raise NonConvergenceError(
-        f"Wright series not converged after {_MAX_TERMS} terms at "
-        f"z={z:.6g}, gamma={gamma:.6g}, delta={delta:.6g} (last term {term:.3e})",
-        partial=total,
-        last_term=term,
-        terms=_MAX_TERMS + 1,
-    )
+        raise _failure(f"order overflows at term {len(coefficients)}: gamma*k + delta is not "
+                       "finite", z, gamma, delta, total, term, len(coefficients))
+    raise _failure(f"not converged after {_MAX_TERMS} terms", z, gamma, delta, total, term,
+                   _MAX_TERMS + 1, f"last term {term:.3e}")
 
 
 def wright(z: float, gamma: float, delta: float) -> float:

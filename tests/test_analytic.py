@@ -201,14 +201,14 @@ def _inline_front_values(sol):
     a = sol.params.alpha
     sq = (math.sqrt(sol.params.kappa1), math.sqrt(sol.params.kappa2))
     if a == 1.0:
-        return tuple(specfun.erfc(sol.p / (2.0 * s)) for s in sq)
+        return tuple(math.erfc(sol.p / (2.0 * s)) for s in sq)
     return tuple(specfun.wright(-sol.p / s, -a / 2.0, 1.0) for s in sq)
 
 
 def _inline_point(x, tau, kappa, a):
     # the point value as u1_exact and u2_exact wrote it out before _similarity
     if a == 1.0:
-        return specfun.erfc(x / (2.0 * math.sqrt(kappa * tau)))
+        return math.erfc(x / (2.0 * math.sqrt(kappa * tau)))
     sq = math.sqrt(kappa)
     return specfun.wright(-x / (sq * tau ** (a / 2.0)), -a / 2.0, 1.0)
 
@@ -255,38 +255,68 @@ class TestSimilarityProfileBitForBit:
         assert (failures > 0) == (alpha < 1.0)
 
 
+class TestSlopeOrder:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_is_the_profile_x_derivative(self, alpha):
+        # d/dx W(-z; -a/2, 1) = -W(-z; -a/2, 1 - a/2) / (sqrt(kappa) tau**(a/2)),
+        # z = x / (sqrt(kappa) tau**(a/2)), against central differences
+        h = 1e-4
+        worst = 0.0
+        for kappa in (0.1, 1.0, 2.0):
+            for tau in (0.5, 1.0):
+                scale = math.sqrt(kappa) * tau ** (alpha / 2.0)
+                for i in range(21):
+                    x = i / 10.0
+                    central = (analytic._similarity(x + h, tau, kappa, alpha)
+                               - analytic._similarity(x - h, tau, kappa, alpha)) / (2.0 * h)
+                    slope = analytic._similarity(x, tau, kappa, alpha, slope=True)
+                    worst = max(worst, abs(central + slope / scale))
+        assert worst <= 1e-6
+
+
 def _reference_residual(p, params):
-    """transcendental_residual as it was before its denominators came from
-    _similarity: the erfc form and the Wright form written out in full."""
+    """transcendental_residual written out: one formula at every alpha over the
+    profile order W(-z; -a/2, 1) and the slope order W(-z; -a/2, 1 - a/2),
+    z = p/sqrt(kappa), which at alpha = 1 are erfc(y) and exp(-y**2)/sqrt(pi),
+    y = z/2."""
     if not p > 0.0:
         raise errors.InvalidInputError(f"front coefficient must be > 0, got {p}")
     a = params.alpha
-    if a == 1.0:
-        k1, k2 = params.kappa1, params.kappa2
-        ec2 = specfun.erfc(p / (2.0 * math.sqrt(k2)))
-        den1 = specfun.erfc(p / (2.0 * math.sqrt(k1))) - 1.0
-        if abs(ec2) < analytic._SINGULAR_TOL or abs(den1) < analytic._SINGULAR_TOL:
-            raise errors.DegenerateInputError("erfc denominators")
-        solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
-            math.sqrt(math.pi * k2) * ec2
-        )
-        liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
-            math.sqrt(math.pi * k1) * den1
-        )
-        return 0.5 * p - (solid - liquid)
     g = -a / 2.0
     sq1 = math.sqrt(params.kappa1)
     sq2 = math.sqrt(params.kappa2)
-    w1_den = specfun.wright(-p / sq1, g, 1.0) - 1.0
-    w2_den = specfun.wright(-p / sq2, g, 1.0)
+    y1, y2 = p / (2.0 * sq1), p / (2.0 * sq2)
+    if a == 1.0:
+        w1_den = math.erfc(y1) - 1.0
+        w2_den = math.erfc(y2)
+    else:
+        w1_den = specfun.wright(-p / sq1, g, 1.0) - 1.0
+        w2_den = specfun.wright(-p / sq2, g, 1.0)
     if abs(w1_den) < analytic._SINGULAR_TOL or abs(w2_den) < analytic._SINGULAR_TOL:
-        raise errors.DegenerateInputError("Wright denominators")
-    w1_num = specfun.wright(-p / sq1, g, 1.0 - a / 2.0)
-    w2_num = specfun.wright(-p / sq2, g, 1.0 - a / 2.0)
+        raise errors.DegenerateInputError("denominators")
+    if a == 1.0:
+        w1_num = math.exp(-y1 * y1) / math.sqrt(math.pi)
+        w2_num = math.exp(-y2 * y2) / math.sqrt(math.pi)
+    else:
+        w1_num = specfun.wright(-p / sq1, g, 1.0 - a / 2.0)
+        w2_num = specfun.wright(-p / sq2, g, 1.0 - a / 2.0)
     lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
     rhs = (params.lambda2 / sq2) * params.theta_inf * w2_num / w2_den \
         - (params.lambda1 / sq1) * w1_num / w1_den
     return lhs - rhs
+
+
+def _classical_residual(p, params):
+    """The alpha = 1 residual in its own erfc/exp form, with the sum of the
+    absolute values of its three terms."""
+    k1, k2 = params.kappa1, params.kappa2
+    solid = params.lambda2 * params.theta_inf * math.exp(-p * p / (4.0 * k2)) / (
+        math.sqrt(math.pi * k2) * math.erfc(p / (2.0 * math.sqrt(k2)))
+    )
+    liquid = params.lambda1 * math.exp(-p * p / (4.0 * k1)) / (
+        math.sqrt(math.pi * k1) * (math.erfc(p / (2.0 * math.sqrt(k1))) - 1.0)
+    )
+    return 0.5 * p - (solid - liquid), 0.5 * p + abs(solid) + abs(liquid)
 
 
 def _residual_outcome(fn, p, params):
@@ -319,6 +349,15 @@ class TestResidualBitForBit:
                     outcomes.add(got[0])
         failure = errors.DegenerateInputError if alpha == 1.0 else errors.NonConvergenceError
         assert {float, errors.InvalidInputError, failure} <= outcomes
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_alpha_one_matches_classical_form(self, row):
+        # the one formula moves the alpha = 1 residual by a few ulps of its terms
+        params = params_for(row, 1.0)
+        for i in range(1, 400):
+            p = i / 100.0
+            classical, size = _classical_residual(p, params)
+            assert abs(analytic.transcendental_residual(p, params) - classical) <= 2e-15 * size, p
 
     def test_table_roots(self, monkeypatch):
         roots = [analytic.solve_p_exact(params_for(row, alpha))

@@ -50,6 +50,10 @@ RUNS = (
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "600", "--n", "40"),
     # a liquid larger than the solid: the pair's factor blocks follow the liquid
     ("numeric", "--alpha", "0.5", "--m1", "300", "--m2", "40", "--n", "120"),
+    # the alpha = 1 closed forms at large arguments: a root at small diffusivities,
+    # and a solid far field with erfc arguments up to about 16
+    ("exact", "--alpha", "1.0", "--kappa1", "0.1", "--kappa2", "0.1"),
+    ("profiles", "--alpha", "1.0", "--kappa2", "0.1", "--m1", "20", "--m2", "100", "--n", "80"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
