@@ -101,7 +101,8 @@ def _check_pair(g1: PhaseGrid, g2: PhaseGrid) -> None:
             f"{g1.filled_through} and {g2.filled_through}"
         )
     if g2.half is None:
-        raise InvalidStateError("solid grid holds no half level; advance it with advance_phase")
+        raise InvalidStateError(
+            "solid grid holds no half level; advance it with advance_phase or advance_pair")
 
 
 def _flux_terms(grid: PhaseGrid, levels) -> list:

@@ -26,12 +26,12 @@ throws the first interior node above the melting temperature.  The
 half-steps use right-endpoint rules, so level 0 enters only as the initial
 datum, and every later step and the interface balance integrate the first
 interval the same way.  The half level is the solid's history row 0, its
-first memory sample (_first_system); the liquid's is level 0, which is
-zero, and its first step stays a single product-trapezoidal step.  Rows
-j >= 1 are levels j, so one weight row and one history sum serve both.
-The stepper solves history row 0 as the first system of its first block
-of levels: the solid's half-step, and for the liquid the identity that
-holds level 0.
+first memory sample; the liquid's is level 0, which is zero, and its first
+step stays a single product-trapezoidal step.  Rows j >= 1 are levels j,
+so one weight row and one history sum serve both.  Every history row is
+solved by a step whose coefficients _phase_coeffs sets, row 0 among them:
+the solid's half-step, and for the liquid the identity that holds level 0.
+The stepper solves it as the first system of its first block of levels.
 
 One level loop (_advance) is the stepper.  advance_phase runs it over one
 grid, and advance_pair over a candidate's liquid and solid at once, side by
@@ -69,9 +69,9 @@ as its stepwise oracle.
 
 One row builder (_rows) serves every implicit step, the stepper's blocks
 (the solid's half-step among them) and the oracle's, and one
-factorization (_factor) and one substitution (_scan) every solve: _thomas
-factors one system as a block of one, checks its pivots for zeros and
-scans, for thomas_solve and the oracle's half-step (_first_row).
+factorization (_factor) and one substitution (_scan) every solve:
+thomas_solve factors one system as a block of one, checks its pivots for
+zeros and scans, for every system of the oracle, row 0's among them.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from __future__ import annotations
 import logging
 import math
 from itertools import accumulate
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -291,32 +291,53 @@ def _half_width(grid: PhaseGrid) -> float:
 
 
 def _phase_coeffs(grid: PhaseGrid):
-    """Per-grid constants feeding the generic implicit step.
+    """The coefficients of the step that solves each history row j, set here alone.
 
-    Returns (tcoef, rfac, qfac_in, gq): the time coefficient on the
-    diagonal (_frame's scale, so tcoef[0] multiplies the initial row), the
-    memory prefactor, the per-interior-node advective factor and the
-    per-level advective time factor.  The advective history is a
-    right-endpoint rectangle sum: gq[j] carries the width of the rectangle
-    ending at history row j, in units of the step 1/n.  So the liquid's
-    gq[0] is zero, and on the solid gq[0] (the half level) and gq[1] are
-    halved: its first interval is two half-steps.
+    Returns (time, implicit, gq, edges, rfac, qfac_in, initial): per row j
+    the time coefficient, the implicit memory coefficient (rfac times the
+    weight of the row being solved: row 1's from the first _step_weights
+    row, later rows' pref), the advective time factor and the (left, right)
+    boundary values; then the memory prefactor, the per-interior-node
+    advective factor and the right-hand side's level-0 term
+    ubar[0, 1:-1] * scale[0] (_frame's scale, the time coefficient of rows
+    j >= 1).
+
+    The solid's row 0 is its half level: a fully implicit half-step from
+    level 0 to s = 1/(2n), with the squared width there as time coefficient
+    and level 0's boundary values at the same physical temperature (the
+    boundary data do not change in time), so it depends on level 0 alone.
+    The liquid's row 0 is level 0, which is zero, held by the identity
+    step: time 1 and no memory, advection or boundary values.
+
+    The advective history is a right-endpoint rectangle sum: gq[j] carries
+    the width of the rectangle ending at history row j, in units of the
+    step 1/n.  So the liquid's gq[0] is zero, and on the solid gq[0] (the
+    half level) and gq[1] are halved: its first interval is two half-steps.
     """
     a = grid.params.alpha
     ds = 1.0 / grid.mesh.n
-    tcoef = _frame(grid)[1]
+    scale = _frame(grid)[1]
+    time = scale.copy()
     rfac = _prefactor(grid)
+    table = lag_table(0, a, ds)
+    implicit = np.full(grid.mesh.n + 1, table.pref)
+    implicit[1] = _step_weights(grid, table, 0)[-1]
+    edges = grid.ubar[:, [0, -1]]
     s = grid.s  # the time each history row samples
     if grid.phase == 1:
         qfac_in = a * np.arange(1, grid.m, dtype=np.float64) * ds / 4.0
         gq = np.zeros_like(s)
         gq[1:] = s[1:] ** (a - 1.0)
+        time[0], implicit[0] = 1.0, 0.0  # level 0 and its edges are zero
     else:
         qfac_in = a * (grid.v[1:-1] - 1.0) * ds / (4.0 * grid.dv)
         s[0] = ds / 2.0
         gq = s ** (a - 1.0) - grid.mesh.ratio * s ** (a / 2.0 - 1.0)
         gq[:2] *= 0.5
-    return tcoef, rfac, qfac_in, gq
+        time[0], implicit[0] = _half_width(grid) ** 2, half_weight(0.5, a, ds)
+        edges[0] *= scale[0] / time[0]
+    implicit *= rfac
+    return time, implicit, gq, edges, rfac, qfac_in, grid.ubar[0, 1:-1] * scale[0]
 
 
 def _rows(r, q, t):
@@ -345,47 +366,6 @@ def _differences(rows):
     """(second, centred) differences of rows over the interior nodes, per row."""
     return (rows[..., :-2] - 2.0 * rows[..., 1:-1] + rows[..., 2:],
             rows[..., 2:] - rows[..., :-2])
-
-
-def _first_system(grid: PhaseGrid):
-    """Time coefficient and implicit memory weight of the step to history row 0: (t, w).
-
-    The solid's row 0 is its half level: a fully implicit half-step from
-    level 0 to s = 1/(2n), whose time coefficient is the squared width there.
-    The liquid's row 0 is level 0 itself, which is zero, and its step is the
-    identity that holds it: t = 1 and no memory or advective weight (the
-    liquid's gq[0] is zero), and its right-hand side tcoef[0] * level 0 is 0.
-    """
-    if grid.phase == 1:
-        return 1.0, 0.0
-    return _half_width(grid) ** 2, half_weight(0.5, grid.params.alpha, 1.0 / grid.mesh.n)
-
-
-@np.errstate(all="ignore")
-def _first_row(grid: PhaseGrid, coeffs):
-    """Row 0 of the phase's history, its first memory sample, one step at a time: (row, violations).
-
-    The liquid's is level 0.  The solid's is its row at s = 1/(2n), solved
-    from level 0 by the half-step of _first_system: level 0 enters only as
-    the initial datum, never as a sample of the memory or advective
-    integrand.  The boundary values are level 0's at the same physical
-    temperature (the boundary data do not change in time), so the half
-    level is a function of level 0 alone.  advance_phase solves the same
-    system as the first of its block 0; this form serves the stepwise
-    oracle.  coeffs is _phase_coeffs(grid).  A row that overflows is left
-    non-finite, with no warning.
-    """
-    if grid.phase == 1:
-        return grid.ubar[0], 0
-    tcoef, rfac, qfac_in, gq = coeffs
-    t, w = _first_system(grid)
-    sub, sup, diag, violations = _rows(rfac * w, qfac_in * gq[0], t)
-    half = grid.ubar[0] * (tcoef[0] / t)
-    rhs = grid.ubar[0, 1:-1] * tcoef[0]
-    rhs[0] -= sub[0] * half[0]
-    rhs[-1] -= sup[-1] * half[-1]
-    half[1:-1] = _thomas(sub, np.full(grid.m - 1, diag), sup, rhs)
-    return half, int(violations)
 
 
 def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
@@ -441,42 +421,23 @@ def _memory_sum(c, known, d2, start: int, k: int):
     return known + c[start + 1:k + 1] @ d2[start + 1:k + 1]
 
 
-def _step_system(grid: PhaseGrid, k: int, coeffs, memory, adv, c):
-    """Tridiagonal system advancing the grid from history rows 0..k to level k+1.
+def _step_system(j: int, coeffs, memory, adv) -> TridiagonalSystem:
+    """Tridiagonal system solving history row j from the rows before it.
 
-    coeffs is _phase_coeffs(grid).  memory is the memory history,
-    c[:k+1] @ d2[:k+1] with row j of d2 the second differences of history
-    row j (_memory_sum), and adv the advective history: gq[j] times row j's
-    centred differences, summed over j = 0..k in order of j.  c is
-    _step_weights of the step.  The boundary columns of the grid must
-    already be filled at level k+1.  Returns (sub, diag, sup, rhs,
-    dominance_violations).
+    coeffs is _phase_coeffs of the grid, whose row j it takes.  memory is
+    the memory history of the step to row j >= 1, c[:j] @ d2[:j] with c its
+    _step_weights and row i of d2 the second differences of history row i
+    (_memory_sum), and adv the advective history: gq[i] times row i's
+    centred differences, summed over i = 0..j-1 in order of i.  Row 0 has
+    no history: both are zero.
     """
-    tcoef, rfac, qfac_in, gq = coeffs
-    ubar = grid.ubar
-    sub, sup, diag, violations = _rows(rfac * c[k + 1], qfac_in * gq[k + 1], tcoef[k + 1])
-    rhs = ubar[0, 1:-1] * tcoef[0] + rfac * memory + qfac_in * adv
-    rhs[0] -= sub[0] * ubar[k + 1, 0]
-    rhs[-1] -= sup[-1] * ubar[k + 1, -1]
-    return sub, np.full(grid.m - 1, diag), sup, rhs, int(violations)
-
-
-@np.errstate(all="ignore")
-def _thomas(sub, diag, sup, rhs):
-    """Thomas elimination for one tridiagonal system; O(size log size).
-
-    sub[0] and sup[-1] are ignored.  Factors the system as a block of one
-    (_factor), raises ZeroPivotError on a vanishing pivot, which signals a
-    non-dominant assembly upstream, and substitutes with the stepper's scan
-    (_coefficients, _scan), so a level's system solves to the stepper's bits.
-    """
-    size = len(diag)
-    pivot, mult = _factor(sub[None], sup[None], diag[None])
-    row = _zero_rows(pivot)[0]
-    if row >= 0:
-        raise ZeroPivotError(f"zero pivot at row {row}")
-    forward, back = _coefficients(sub[None], pivot, mult, np.empty(2 * _width(size)))
-    return _scan(rhs, pivot[0], forward, back, 0, _scan_views(np.empty(size)))
+    time, implicit, gq, edges, rfac, qfac_in, initial = coeffs
+    sub, sup, diag, violations = _rows(implicit[j], qfac_in * gq[j], time[j])
+    rhs = initial + rfac * memory + qfac_in * adv
+    rhs[0] -= sub[0] * edges[j, 0]
+    rhs[-1] -= sup[-1] * edges[j, 1]
+    return TridiagonalSystem(sub=sub, diag=np.full(len(rhs), diag), sup=sup, rhs=rhs,
+                             size=len(rhs), dominance_violations=int(violations))
 
 
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -488,7 +449,9 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
             f"cannot assemble step targeting level {k + 1}"
         )
     coeffs = _phase_coeffs(grid)
-    first, first_violations = _first_row(grid, coeffs)
+    gq, edges = coeffs[2:4]
+    start = _step_system(0, coeffs, 0.0, 0.0)
+    first = np.concatenate((edges[0, :1], thomas_solve(start), edges[0, 1:]))
     d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
     # the stepper's block and run of k, and its product over the run, for the stepper's bits
     levels = next(block for block in _blocks(grid) if k in block)
@@ -497,17 +460,17 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     rows, known = _block_history(grid, table, run, levels.start, d2)
     b = k - run.start
     memory = _memory_sum(rows[b], known[b], d2, levels.start, k)
-    adv = np.cumsum(coeffs[3][:k + 1, None] * dc, axis=0)[-1]
-    sub, diag, sup, rhs, violations = _step_system(grid, k, coeffs, memory, adv, rows[b])
+    adv = np.cumsum(gq[:k + 1, None] * dc, axis=0)[-1]
+    system = _step_system(k + 1, coeffs, memory, adv)
     if k == 0:  # the solid's half-step is part of the step to level 1
-        violations += first_violations
-    if violations:
+        system = replace(system, dominance_violations=system.dominance_violations
+                         + start.dominance_violations)
+    if system.dominance_violations:
         logger.warning(
             "diagonal dominance violated on %d of %d rows (phase %d, level %d)",
-            violations, grid.m - 1, grid.phase, k + 1,
+            system.dominance_violations, grid.m - 1, grid.phase, k + 1,
         )
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs,
-                             size=grid.m - 1, dominance_violations=violations)
+    return system
 
 
 def assemble_phase1_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
@@ -536,11 +499,24 @@ def assemble_phase2_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     return _assemble_step(grid, k)
 
 
+@np.errstate(all="ignore")
 def thomas_solve(system: TridiagonalSystem):
-    """Solve one assembled tridiagonal system in O(size log size)."""
+    """Solve one assembled tridiagonal system by Thomas elimination in O(size log size).
+
+    sub[0] and sup[-1] are ignored.  Factors the system as a block of one
+    (_factor), raises ZeroPivotError on a vanishing pivot, which signals a
+    non-dominant assembly upstream, and substitutes with the stepper's scan
+    (_coefficients, _scan), so a level's system solves to the stepper's bits.
+    """
     if system.size < 1:
         raise InvalidInputError(f"system size must be >= 1, got {system.size}")
-    return _thomas(system.sub, system.diag, system.sup, system.rhs)
+    sub, size = system.sub[None], len(system.diag)
+    pivot, mult = _factor(sub, system.sup[None], system.diag[None])
+    row = _zero_rows(pivot)[0]
+    if row >= 0:
+        raise ZeroPivotError(f"zero pivot at row {row}")
+    forward, back = _coefficients(sub, pivot, mult, np.empty(2 * _width(size)))
+    return _scan(system.rhs, pivot[0], forward, back, 0, _scan_views(np.empty(size)))
 
 
 def _factor(sub, sup, diag):
@@ -683,8 +659,10 @@ def _advance(grids) -> None:
     phase's, and 1, 0 and 0 on the front nodes.  Each phase keeps its own
     memory split (_memory_terms) and its own stored second differences.
 
-    The steps are taken per history row j: row 0 is _first_system's and row
-    j >= 1 is level j.  Per block of levels of the larger grid (_blocks),
+    The steps are taken per history row j (row 0 the solid's half level or
+    the liquid's level 0, row j >= 1 level j), with the coefficients that
+    _phase_coeffs sets for each row, copied into per-phase columns of the
+    loop's tables.  Per block of levels of the larger grid (_blocks),
     whose first block also solves row 0, it forms the rows (_rows), pivots
     and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
     _width(unknowns) of its steps, the scan coefficients (_coefficients).
@@ -713,21 +691,10 @@ def _advance(grids) -> None:
     # coefficient and advective time factor; per grid its (left, right) boundary values
     time = np.ones((n + 1, len(grids) + 1))
     implicit, advective = np.zeros((2, n + 1, len(grids) + 1))
-    edges, stores, sums = [], [], []
+    edges, stores, sums = [None] * len(grids), [], []
     for i, (grid, interior) in enumerate(zip(grids, interiors)):
-        tcoef, rfac, qfac_in, gq = _phase_coeffs(grid)
-        t, w = _first_system(grid)
-        initial[interior] = grid.ubar[0, 1:-1] * tcoef[0]
-        qfac[interior] = qfac_in
-        time[:, i] = tcoef
-        time[0, i] = t
-        implicit[:, i] = table.pref
-        implicit[:2, i] = w, _step_weights(grid, table, 0)[-1]
-        implicit[:, i] *= rfac
-        advective[:, i] = gq
-        edge = grid.ubar[:, [0, -1]]
-        edge[0] *= tcoef[0] / t
-        edges.append(edge)
+        (time[:, i], implicit[:, i], advective[:, i], edges[i], rfac, qfac[interior],
+         initial[interior]) = _phase_coeffs(grid)
         # the grid's rows, its stored second differences, its unknowns and their values
         stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), interior,
                        row[1:-1][interior]))

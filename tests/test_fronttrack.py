@@ -206,12 +206,10 @@ class TestFrontResidual:
         phase_coeffs = scheme._phase_coeffs
 
         def defective(grid):
-            tcoef, rfac, *rest = phase_coeffs(grid)
+            time, implicit, *rest = phase_coeffs(grid)
             if grid.phase == 2:
-                tcoef = tcoef.copy()
-                tcoef[3] = -2.0 * (rfac * fracquad.lag_table(0, grid.params.alpha,
-                                                             1.0 / grid.mesh.n).pref)
-            return (tcoef, rfac, *rest)
+                time[3] = -2.0 * implicit[3]
+            return (time, implicit, *rest)
 
         monkeypatch.setattr(scheme, "_phase_coeffs", defective)
         params = params_for(0, 0.5)

@@ -14,6 +14,14 @@ from fracstefan import analytic, errors, fracquad, scheme
 SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
 
 
+def first_row(grid):
+    """History row 0 of grid, solved from level 0 as the stepwise oracle solves it."""
+    coeffs = scheme._phase_coeffs(grid)
+    solved = scheme.thomas_solve(scheme._step_system(0, coeffs, 0.0, 0.0))
+    edges = coeffs[3][0]
+    return np.concatenate((edges[:1], solved, edges[1:]))
+
+
 class TestMeshConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(errors.InvalidInputError) as excinfo:
@@ -186,12 +194,37 @@ class TestAssembly:
         expected = ds * params.kappa1 / (2.0 * 0.9 ** 2 * g.dv ** 2)
         assert r_imp == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_phase_coeffs_rows_match_their_definitions(self, alpha):
+        # each history row's step coefficients, row 0 among them, are set in
+        # one place; pin them to their definitions bit for bit
+        mesh = scheme.MeshConfig(m1=8, m2=20, n=12)
+        ds = 1.0 / mesh.n
+        table = fracquad.lag_table(0, alpha, ds)
+        solid = scheme.make_phase_grid(2, 0.7, mesh, params_for(1, alpha))
+        time, implicit, _, edges, rfac, _, initial = scheme._phase_coeffs(solid)
+        scale = scheme._frame(solid)[1]
+        assert time[0] == scheme._half_width(solid) ** 2
+        assert np.array_equal(time[1:], scale[1:])
+        assert implicit[0] == rfac * fracquad.half_weight(0.5, alpha, ds)
+        assert implicit[1] == rfac * table.split(0)[1]
+        assert np.array_equal(implicit[2:], np.full(mesh.n - 1, rfac * table.pref))
+        assert np.array_equal(edges[0], solid.ubar[0, [0, -1]] * (mesh.ratio ** 2 / time[0]))
+        assert np.array_equal(edges[1:], solid.ubar[1:, [0, -1]])
+        assert np.array_equal(initial, solid.ubar[0, 1:-1] * scale[0])
+        # the liquid's row 0 is the identity step that holds level 0
+        liquid = scheme.make_phase_grid(1, 0.7, mesh, params_for(1, alpha))
+        time, implicit, gq, edges, rfac = scheme._phase_coeffs(liquid)[:5]
+        assert (time[0], implicit[0], gq[0]) == (1.0, 0.0, 0.0)
+        assert np.array_equal(edges[0], [0.0, 0.0]) and not np.signbit(edges[0]).any()
+        assert np.array_equal(implicit[1:], np.full(mesh.n, rfac * table.pref))
+
     def test_phase2_advective_factor_vanishes_at_outer_coordinate(self):
         # the (v - 1) factor kills the advective term at the far boundary;
         # interior factors are strictly negative
         params = params_for(0, 0.5)
         g = scheme.make_phase_grid(2, 0.8, SMALL_MESH, params)
-        _, _, qfac_in, _ = scheme._phase_coeffs(g)
+        qfac_in = scheme._phase_coeffs(g)[5]
         assert (qfac_in < 0.0).all()
         assert qfac_in[-1] == pytest.approx(
             0.5 * (g.v[-2] - 1.0) / SMALL_MESH.n / (4.0 * g.dv), rel=1e-13)
@@ -344,7 +377,7 @@ class TestAdvance:
             # bit for bit: the stepper's stored differences and sliced weight
             # rows must reproduce the oracle's rebuilt ones exactly
             assert np.array_equal(fast.ubar, ref.ubar)
-            ref_first = scheme._first_row(ref, scheme._phase_coeffs(ref))[0]
+            ref_first = first_row(ref)
             if phase == 1:
                 assert fast.half is None and np.array_equal(ref_first, ref.ubar[0])
             else:
@@ -409,7 +442,7 @@ class TestAdvance:
             sums.clear()
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             assert len(scheme._blocks(g)) == 3 and sorted(sums) == list(range(mesh.n))
-            first = scheme._first_row(g, scheme._phase_coeffs(g))[0]
+            first = first_row(g)
             d2 = scheme._differences(np.vstack((first, g.ubar[1:])))[0]
             table = fracquad.lag_table(mesh.n - 1, alpha, 1.0 / mesh.n)
             for k in range(mesh.n):
@@ -473,11 +506,9 @@ class TestAdvance:
         phase_coeffs = scheme._phase_coeffs
 
         def defective(grid):
-            tcoef, rfac, *rest = phase_coeffs(grid)
-            tcoef = tcoef.copy()
-            pref = fracquad.lag_table(0, grid.params.alpha, 1.0 / grid.mesh.n).pref
-            tcoef[level] = -2.0 * (rfac * pref)
-            return (tcoef, rfac, *rest)
+            time, implicit, *rest = phase_coeffs(grid)
+            time[level] = -2.0 * implicit[level]
+            return (time, implicit, *rest)
 
         monkeypatch.setattr(scheme, "_phase_coeffs", defective)
         grid = scheme.make_phase_grid(phase, 0.7, mesh, params)
@@ -492,22 +523,19 @@ class TestAdvance:
         # independent of the oracle's cumulative sum: each level k+1 of the
         # advanced grid solves its step with the advective history written
         # as the rectangle rule gq[:k+1] @ dc[:k+1] over the grid's own
-        # history rows, row 0 from _first_row
+        # history rows, row 0 solved as the oracle solves it (first_row)
         mesh = scheme.MeshConfig(m1=8, m2=40, n=400)
         params = params_for(1, alpha)
         for phase in (1, 2):
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
             coeffs = scheme._phase_coeffs(g)
-            gq = coeffs[3]
-            first = scheme._first_row(g, coeffs)[0]
+            gq = coeffs[2]
+            first = first_row(g)
             for k in (0, 1, 2, mesh.n // 2, mesh.n - 1):
                 d2, dc = scheme._differences(np.vstack((first, g.ubar[1:k + 1])))
                 adv = gq[:k + 1] @ dc
                 c = scheme._step_weights(g, fracquad.lag_table(k, alpha, 1.0 / mesh.n), k)
-                sub, diag, sup, rhs, _ = scheme._step_system(g, k, coeffs, c[:k + 1] @ d2,
-                                                              adv, c)
-                row = scheme.thomas_solve(scheme.TridiagonalSystem(sub, diag, sup, rhs,
-                                                                   size=g.m - 1))
+                row = scheme.thomas_solve(scheme._step_system(k + 1, coeffs, c[:k + 1] @ d2, adv))
                 scale = np.abs(g.ubar[k + 1]).max()
                 assert np.abs(row - g.ubar[k + 1, 1:-1]).max() <= 1e-12 * scale
 
@@ -623,12 +651,10 @@ class TestAdvancePair:
         phase_coeffs = scheme._phase_coeffs
 
         def defective(grid):
-            tcoef, rfac, *rest = phase_coeffs(grid)
+            time, implicit, *rest = phase_coeffs(grid)
             if grid.phase == phase:
-                tcoef = tcoef.copy()
-                pref = fracquad.lag_table(0, grid.params.alpha, 1.0 / grid.mesh.n).pref
-                tcoef[level] = -2.0 * (rfac * pref)
-            return (tcoef, rfac, *rest)
+                time[level] = -2.0 * implicit[level]
+            return (time, implicit, *rest)
 
         monkeypatch.setattr(scheme, "_phase_coeffs", defective)
         grids = phase_grids(0.7, mesh, params)

@@ -54,6 +54,8 @@ RUNS = (
     # and a solid far field with erfc arguments up to about 16
     ("exact", "--alpha", "1.0", "--kappa1", "0.1", "--kappa2", "0.1"),
     ("profiles", "--alpha", "1.0", "--kappa2", "0.1", "--m1", "20", "--m2", "100", "--n", "80"),
+    # one phase: the solid is all zeros, so a signed zero from its start would print -0
+    ("profiles", "--alpha", "0.5", "--theta-inf", "0", "--m1", "20", "--m2", "100", "--n", "80"),
 )
 
 #: Two extra table rows that share phase grids with the built-in ones: the
