@@ -43,8 +43,8 @@ differences of each history row once, after the row is solved, and builds
 the interior memory weights of all lags once per advance
 (fracquad.lag_table).  It works per block of levels (_blocks, of the
 larger grid).  The matrix of a step does not depend on the solution, so as
-arrays over the block it forms the off-diagonals, the diagonal and the
-dominance count (_rows, with each node's phase's coefficients) and the
+arrays over the block it gathers the diagonal, forms the off-diagonals and
+the dominance count (_rows, with each node's phase's coefficients) and the
 Thomas pivots and multipliers, eliminating one row of every level's system
 per vector operation (_factor).  Per phase (_memory_terms), on that
 phase's own blocks, it sums the part of the block's memory history that
@@ -116,7 +116,10 @@ logger = logging.getLogger(__name__)
 # // (m - 1) levels (of the larger grid, for the systems of a pair, so
 # their arrays hold up to about twice as many values), a run of its weight
 # rows this many // (block end + 1), and a chunk of its scan coefficients,
-# per sweep, this many // _width(unknowns).
+# per sweep, this many // _width(unknowns).  A block's set-up keeps at most
+# five block-sized arrays alive at once (_rows, then _factor's pivots and
+# multipliers), its level loop four (sub, pivot, mult and the advective
+# factors), beside the scan coefficients' buffer of 2 * _BLOCK_VALUES.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -340,26 +343,26 @@ def _phase_coeffs(grid: PhaseGrid):
     return time, implicit, gq, edges, rfac, qfac_in, grid.ubar[0, 1:-1] * scale[0]
 
 
-def _rows(r, q, t):
-    """Implicit tridiagonal rows of one step or of a block of steps: (sub, sup, diag, violations).
+def _rows(r, q, diag):
+    """Off-diagonals and dominance count of the implicit rows of one step or of a block of steps.
 
-    q holds the advective factors of the interior nodes, one row per step
-    of a block; the implicit memory coefficient r and the time coefficient
-    t broadcast against it.  sub and sup hold the off-diagonals q - r and
-    -q - r, diag the diagonal t + 2r, and violations counts, per node (the
-    last axis), the rows that are not diagonally dominant.  sub is formed in
-    q's memory, so q must be an array the caller no longer needs.  The
-    callers fold the boundary values into their right-hand sides.
+    Returns (sub, sup, violations).  q holds the advective factors of the
+    interior nodes, r the implicit memory coefficients and diag the
+    diagonal t + 2r (t the time coefficient), all of one shape, one row per
+    step of a block.  sub and sup hold the off-diagonals q - r and -q - r,
+    and violations counts, per node (the last axis), the rows that are not
+    diagonally dominant.  q and r are overwritten: sub is formed in q's
+    memory, and r, once subtracted, holds |sup| and then |diag|.  So with
+    diag, sup and the excess |sub| + |sup|, five arrays of q's size are
+    alive at most.  The callers fold the boundary values into their
+    right-hand sides.
     """
-    sup = -q
+    sup = np.negative(q)
     sup -= r
-    sub = q
-    sub -= r
-    diag = 2.0 * r
-    diag += t
+    sub = np.subtract(q, r, out=q)
     excess = np.abs(sub)
-    excess += np.abs(sup)
-    return sub, sup, diag, np.count_nonzero(np.abs(diag) < excess, axis=0)
+    excess += np.abs(sup, out=r)
+    return sub, sup, np.count_nonzero(np.abs(diag, out=r) < excess, axis=0)
 
 
 def _differences(rows):
@@ -432,14 +435,22 @@ def _step_system(j: int, coeffs, memory, adv) -> TridiagonalSystem:
     no history: both are zero.
     """
     time, implicit, gq, edges, rfac, qfac_in, initial = coeffs
-    sub, sup, diag, violations = _rows(implicit[j], qfac_in * gq[j], time[j])
+    diag = np.full(len(qfac_in), 2.0 * implicit[j] + time[j])
+    sub, sup, violations = _rows(np.full(len(qfac_in), implicit[j]), qfac_in * gq[j], diag)
     rhs = initial + rfac * memory + qfac_in * adv
     rhs[0] -= sub[0] * edges[j, 0]
     rhs[-1] -= sup[-1] * edges[j, 1]
-    return TridiagonalSystem(sub=sub, diag=np.full(len(rhs), diag), sup=sup, rhs=rhs,
-                             size=len(rhs), dominance_violations=int(violations))
+    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs, size=len(rhs),
+                             dominance_violations=int(violations))
 
 
+def _non_finite(grid: PhaseGrid, level) -> InvalidStateError:
+    """The oracle's error for a non-finite row or system on the way to level."""
+    return InvalidStateError(f"non-finite values while assembling phase {grid.phase}'s step "
+                             f"to level {level} (p={grid.p:.6g})")
+
+
+@np.errstate(all="ignore")
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     if k < 0 or k >= grid.mesh.n:
         raise InvalidInputError(f"time index must lie in [0, {grid.mesh.n - 1}], got {k}")
@@ -452,6 +463,8 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     gq, edges = coeffs[2:4]
     start = _step_system(0, coeffs, 0.0, 0.0)
     first = np.concatenate((edges[0, :1], thomas_solve(start), edges[0, 1:]))
+    if not np.isfinite(first).all():
+        raise _non_finite(grid, "1/2" if grid.phase == 2 else "0")
     d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
     # the stepper's block and run of k, and its product over the run, for the stepper's bits
     levels = next(block for block in _blocks(grid) if k in block)
@@ -460,8 +473,11 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     rows, known = _block_history(grid, table, run, levels.start, d2)
     b = k - run.start
     memory = _memory_sum(rows[b], known[b], d2, levels.start, k)
-    adv = np.cumsum(gq[:k + 1, None] * dc, axis=0)[-1]
+    terms = gq[:k + 1, None] * dc
+    adv = np.cumsum(terms, axis=0, out=terms)[-1]
     system = _step_system(k + 1, coeffs, memory, adv)
+    if not all(np.isfinite(a).all() for a in (system.sub, system.diag, system.sup, system.rhs)):
+        raise _non_finite(grid, k + 1)
     if k == 0:  # the solid's half-step is part of the step to level 1
         system = replace(system, dominance_violations=system.dominance_violations
                          + start.dominance_violations)
@@ -480,7 +496,9 @@ def assemble_phase1_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     before the step's block of levels, summed by one matrix product over the
     step's run of levels, and the block's own rows (_blocks, _runs), so that
     it carries the stepper's bits.  The cost of a call and the rounding of
-    its right-hand side therefore depend on _BLOCK_VALUES.
+    its right-hand side therefore depend on _BLOCK_VALUES.  A system (or,
+    on the solid, a half level) that is not finite raises InvalidStateError
+    naming the phase and the level, with no numpy warning (np.errstate).
     """
     if grid.phase != 1:
         raise InvalidInputError(f"expected a phase-1 grid, got phase {grid.phase}")
@@ -666,6 +684,12 @@ def _advance(grids) -> None:
     whose first block also solves row 0, it forms the rows (_rows), pivots
     and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
     _width(unknowns) of its steps, the scan coefficients (_coefficients).
+    The diagonal t + 2r is formed once per history row and phase column,
+    in the time coefficients' table, and gathered per block, so a block's
+    set-up holds at most five block-sized arrays at once: the gathered
+    advective factors, which become sub, the gathered implicit
+    coefficients, which _rows overwrites as scratch, the diagonal, sup and
+    the dominance excess; then sub, sup, diag, pivot and mult.
     Per step it forms the right-hand side (initial term, memory term, the
     running advective sum, boundary values) and substitutes (_scan).  It
     raises ZeroPivotError naming the phase of the first zero pivot and logs
@@ -699,6 +723,7 @@ def _advance(grids) -> None:
         stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), interior,
                        row[1:-1][interior]))
         sums.append(_memory_terms(grid, rfac, table, stores[-1][1], memory[interior]))
+    diagonal = np.add(time, 2.0 * implicit, out=time)  # per row and column, t + 2r
     left_edge, right_edge = edges[0][:, 0], edges[-1][:, 1]
     larger = max(grids, key=lambda grid: grid.m)
     chunk = max(1, _BLOCK_VALUES // max(_width(size), 1))
@@ -711,9 +736,8 @@ def _advance(grids) -> None:
         part = slice(rows.start, rows.stop)
         q = np.take(advective[part], column, axis=1)
         q *= qfac
-        sub, sup, diag, count = _rows(np.take(implicit[part], column, axis=1), q,
-                                      np.take(time[part], column, axis=1))
-        del q
+        diag = np.take(diagonal[part], column, axis=1)
+        sub, sup, count = _rows(np.take(implicit[part], column, axis=1), q, diag)
         violations = [v + int(count[interior].sum())
                       for v, interior in zip(violations, interiors)]
         left = sub[:, 0] * left_edge[part]
@@ -805,15 +829,18 @@ def advance_pair(liquid: PhaseGrid, solid: PhaseGrid):
 def _recover(grid: PhaseGrid, cols):
     """Physical temperature and position of the grid's columns cols at every level: (u, x).
 
-    Both are read through s (_frame), so they do not depend on p.
+    Both are read through s (_frame), so they do not depend on p.  They are
+    the only arrays of their size it makes, and it overwrites no input: the
+    solid's x is formed as v * width and then has the front added in place.
     """
     front, scale = _frame(grid)
     u = grid.ubar[:, cols] * scale[:, None]
     v = grid.v[cols]
     if grid.phase == 1:
         return u, v * front[:, None]
-    width = grid.mesh.ratio - front
-    return u, v * width[:, None] + front[:, None]
+    x = v * (grid.mesh.ratio - front)[:, None]
+    x += front[:, None]
+    return u, x
 
 
 def recover_physical(grid: PhaseGrid) -> RecoveredField:

@@ -408,7 +408,9 @@ class TestAdvance:
         # besides the stored differences, advance_phase holds a few arrays of
         # at most _BLOCK_VALUES values, however long the time axis: at m = 3
         # one block spans all 2000 levels, whose whole weight rows would be
-        # 16 MB
+        # 16 MB.  A block's set-up keeps at most five block-sized arrays
+        # alive at once (_rows, _factor): the peak is 9.04 _BLOCK_VALUES
+        # arrays above the stored differences at m = 50
         g = scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=m, m2=m, n=n),
                                    params_for(1, 0.5))
         tracemalloc.start()
@@ -418,7 +420,7 @@ class TestAdvance:
         finally:
             tracemalloc.stop()
         stored = (n + 1) * (m - 1) * 8
-        assert peak <= stored + 12 * scheme._BLOCK_VALUES * 8
+        assert peak <= stored + 10 * scheme._BLOCK_VALUES * 8
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_block_split_memory_sum_is_plain_sum(self, alpha, monkeypatch):
@@ -493,6 +495,29 @@ class TestAdvance:
         grid = scheme.make_phase_grid(2, 0.7, scheme.MeshConfig(m1=10, m2=40, n=20), params)
         with pytest.raises(errors.InvalidStateError, match="non-finite values"):
             scheme.advance_phase(grid)
+
+    def test_overflowing_far_field_is_invalid_state_in_the_oracle(self):
+        # the stepwise oracle fails as the stepper does: its half level
+        # overflows, and it raises its typed error, with no numpy warning
+        params = analytic.PhysicalParams(alpha=0.5, theta_inf=-1.7e308)
+        grid = scheme.make_phase_grid(2, 0.74, scheme.MeshConfig(m1=10, m2=40, n=20), params)
+        with pytest.raises(errors.InvalidStateError,
+                           match=r"^non-finite values while assembling phase 2's step to "
+                                 r"level 1/2 \(p=0\.74\)$"):
+            scheme.assemble_phase2_step(grid, 0)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_oracle_names_the_level_of_a_non_finite_system(self, phase):
+        # a history row that holds a nan makes every later system non-finite
+        grid = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, SMALL_MESH,
+                                                           params_for(1, 0.5)))
+        grid.ubar[3, 2] = math.nan
+        assemble = scheme.assemble_phase1_step if phase == 1 else scheme.assemble_phase2_step
+        assemble(grid, 2)
+        with pytest.raises(errors.InvalidStateError,
+                           match=rf"^non-finite values while assembling phase {phase}'s step to "
+                                 r"level 4 \(p=0\.7\)$"):
+            assemble(grid, 3)
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_zero_pivot_raises_at_its_level(self, phase, monkeypatch):
@@ -669,7 +694,9 @@ class TestAdvancePair:
     def test_memory_bounded_by_block_values(self, m1, m2, n):
         # the factor blocks hold _BLOCK_VALUES // (m - 1) levels of the
         # larger grid, so their arrays span up to about twice _BLOCK_VALUES
-        # values (m1 = m2); each phase keeps its own memory products
+        # values (m1 = m2); each phase keeps its own memory products.  With
+        # at most five block-sized arrays per set-up, 50/50/1600 peaks at
+        # 15.45 _BLOCK_VALUES arrays above the stored differences
         grids = phase_grids(0.7, scheme.MeshConfig(m1=m1, m2=m2, n=n), params_for(1, 0.5))
         tracemalloc.start()
         try:
@@ -678,7 +705,7 @@ class TestAdvancePair:
         finally:
             tracemalloc.stop()
         stored = (n + 1) * (m1 - 1 + m2 - 1) * 8
-        assert peak <= stored + 24 * scheme._BLOCK_VALUES * 8
+        assert peak <= stored + 17 * scheme._BLOCK_VALUES * 8
 
     def test_overflowing_far_field_names_the_solid(self):
         # the solid's half level overflows first (level 1/2); the nan that
@@ -732,6 +759,22 @@ class TestRecovery:
         np.testing.assert_array_equal(f2.u[:, 0], 0.0)
         # hot boundary recovers u = 1 exactly up to two power roundings
         assert np.abs(f1.u[1:, 0] - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_memory_is_the_returned_arrays(self, phase):
+        # recover_physical holds no field-sized temporary: its traced peak is
+        # its two returned arrays and about 0.1 field of numpy's buffers
+        # (2.09 fields in either phase)
+        g = scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=250, m2=250, n=800),
+                                   params_for(1, 0.5))
+        tracemalloc.start()
+        try:
+            f = scheme.recover_physical(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.x.nbytes == f.u.nbytes == g.ubar.nbytes
+        assert peak <= 2.25 * g.ubar.nbytes
 
     def test_classical_late_time_regression(self):
         # alpha = 1 at the production mesh: the recovered temperatures match

@@ -5,10 +5,12 @@ in alternating order.  Each interpreter imports fracstefan from its tree,
 advances the grid once untimed (so the allocator and numpy are warm), then
 times one `scheme.advance_phase` of a fresh grid with `time.perf_counter`.
 With --pair it times one candidate's two phases instead: `scheme.advance_pair`
-in this tree against two `scheme.advance_phase` calls in the other.  BLAS
-runs one thread.  Per mesh and phase (or pair) it prints each tree's median
-and quartiles, the ratio of the medians (this tree over the other) and how
-many rounds each tree was faster in:
+in this tree against two `scheme.advance_phase` calls in the other.  After
+the timed advance each interpreter advances fresh grids once more, untimed,
+under `tracemalloc`, for the traced peak of one advance above its grids.
+BLAS runs one thread.  Per mesh and phase (or pair) it prints each tree's
+median and quartiles, the ratio of the medians (this tree over the other),
+how many rounds each tree was faster in and each tree's median traced peak:
 
     python3 tools/advance_ab.py --against PARENT/src
     python3 tools/advance_ab.py --against PARENT/src --meshes 100/500/400 --phases 2 --rounds 11
@@ -25,7 +27,7 @@ import sys
 from pathlib import Path
 
 CHILD = """
-import sys, time
+import sys, time, tracemalloc
 from fracstefan.analytic import PhysicalParams
 from fracstefan import scheme
 m1, m2, n = map(int, sys.argv[1:4])
@@ -34,31 +36,43 @@ alpha, p = map(float, sys.argv[5:7])
 mesh, params = scheme.MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
 phases = (1, 2) if what in ("pair", "both") else (int(what),)
 
-def advance():
+def advance(traced=False):
+    # seconds of one advance of fresh grids, or its traced peak in bytes above them
     grids = [scheme.make_phase_grid(phase, p, mesh, params) for phase in phases]
+    if traced:
+        tracemalloc.start()
     start = time.perf_counter()
     if what == "pair":
         scheme.advance_pair(*grids)
     else:
         for grid in grids:
             scheme.advance_phase(grid)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if not traced:
+        return seconds
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
 
 advance()
-print(advance())
+print(advance(), advance(traced=True))
 """
 
 SINGLE_THREAD = {name: "1" for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _time(src: Path, mesh: tuple, what: str, alpha: float, p: float) -> float:
-    """Seconds of CHILD's advance what in a fresh interpreter importing fracstefan from src."""
+def _time(src: Path, mesh: tuple, what: str, alpha: float, p: float) -> tuple:
+    """CHILD's advance what in a fresh interpreter importing fracstefan from src: (seconds, peak).
+
+    peak is the traced peak of the untimed advance, in bytes above its grids.
+    """
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(src)}
     args = [str(v) for v in (*mesh, what, alpha, p)]
     out = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
                          capture_output=True, text=True, check=True)
-    return float(out.stdout)
+    seconds, peak = out.stdout.split()
+    return float(seconds), int(peak)
 
 
 def _summary(samples: list) -> str:
@@ -89,23 +103,26 @@ def main(argv=None) -> int:
     trees = {"this": args.src.resolve(), "other": args.against.resolve()}
     print(f"this = {trees['this']}\nother = {trees['other']}\n"
           f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
-          f"median [quartiles] of one advance")
+          f"median [quartiles] of one advance; median traced peak above its grids")
     # per timed case: its label and what each tree's CHILD advances
     cases = ([("pair", {"this": "pair", "other": "both"})] if args.pair else
              [(f"phase {phase}", {"this": phase, "other": phase})
               for phase in args.phases.split(",")])
     for mesh in map(_mesh, args.meshes.split(",")):
         for label, what in cases:
-            samples = {"this": [], "other": []}
+            samples, peaks = {"this": [], "other": []}, {"this": [], "other": []}
             for i in range(args.rounds):
                 for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
-                    samples[name].append(_time(trees[name], mesh, what[name], args.alpha,
-                                               args.p))
+                    seconds, peak = _time(trees[name], mesh, what[name], args.alpha, args.p)
+                    samples[name].append(seconds)
+                    peaks[name].append(peak)
             wins = sum(a < b for a, b in zip(samples["this"], samples["other"]))
             ratio = statistics.median(samples["this"]) / statistics.median(samples["other"])
+            peak = {name: statistics.median(values) / 2 ** 20 for name, values in peaks.items()}
             print(f"{'/'.join(map(str, mesh))} {label}: this {_summary(samples['this'])}, "
                   f"other {_summary(samples['other'])}, ratio {ratio:.2f}, "
-                  f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}",
+                  f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}; "
+                  f"traced peak this {peak['this']:.2f} MiB, other {peak['other']:.2f} MiB",
                   flush=True)
     return 0
 
