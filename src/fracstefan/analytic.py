@@ -46,6 +46,9 @@ DEFAULT_BRACKET = (0.1, 2.0)
 
 _SINGULAR_TOL = 1e-14
 
+# bracket width at which solve_p_exact stops bisecting
+_ROOT_TOL = 1e-10
+
 _erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
 
 
@@ -138,18 +141,15 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
     return lhs - rhs
 
 
-def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET,
-                  tol: float = 1e-10) -> float:
+def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> float:
     """Bisect the transcendental residual to the front coefficient.
 
-    Deterministic; returns the bracket midpoint once its width is <= tol.
+    Deterministic; returns the bracket midpoint once its width is <= _ROOT_TOL.
     Raises NoSignChangeError when the endpoints do not straddle a root.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < math.inf:
         raise InvalidInputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
-    if not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tol must be finite and > 0, got {tol}")
     f_lo = transcendental_residual(lo, params)
     if f_lo == 0.0:
         return lo
@@ -161,7 +161,7 @@ def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET,
             f"residual does not change sign on [{lo}, {hi}]: "
             f"{f_lo:+.6e} vs {f_hi:+.6e}"
         )
-    while hi - lo > tol:
+    while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket exhausted at double precision
             break

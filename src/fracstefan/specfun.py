@@ -24,8 +24,8 @@ Callers treat that as "outside the validated range".
 The factor 1/Gamma(gamma*k + delta) of each term does not depend on z.
 The closed-form route evaluates a handful of orders (gamma, delta) at tens
 of thousands of arguments, so the coefficients of an order are computed
-once per (gamma, delta) and cached, and log k once; the term loop only
-multiplies, and its results are bit for bit those of the per-term loop.
+once per (gamma, delta) and cached; the term loop only multiplies, and its
+results are bit for bit those of the per-term loop.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ __all__ = [
 _STOP_RUN = 3
 
 _POLE_TOL = 1e-12
-
-# largest x with exp(x) finite in double precision
-_LOG_MAX = math.log(sys.float_info.max)
 
 # largest roundoff, relative to max(|sum|, 1), that cancellation of large
 # alternating terms may leave in an accepted sum
@@ -83,15 +80,8 @@ class WrightResult(NamedTuple):
     terms: int  # number of series terms summed
 
 
-def _gamma_sign(x: float) -> float:
-    # sign of Gamma(x) away from poles: negative on (-1, 0), (-3, -2), ...
-    if x > 0.0:
-        return 1.0
-    return -1.0 if math.floor(x) % 2 else 1.0
-
-
 # markers in a coefficient table: the term vanishes (Gamma has a pole), or
-# 1/Gamma is not finite and the term has to be formed in log space
+# 1/Gamma is beyond double range and the sum stops with NonConvergenceError
 _POLE = object()
 _NON_FINITE = object()
 
@@ -115,10 +105,6 @@ def _coefficients(gamma: float, delta: float) -> tuple:
     return tuple(table)
 
 
-# log k for k = 1.._MAX_TERMS, at index k (index 0 is unused)
-_LOG_K = (0.0, *(math.log(k) for k in range(1, _MAX_TERMS + 1)))
-
-
 def _failure(what, z, gamma, delta, partial, last_term, terms, note=None):
     """The NonConvergenceError of a sum that stopped: what went wrong, the
     argument and order, then the note in parentheses when there is one."""
@@ -139,19 +125,21 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
     Individual terms are formed as (z**k / k!) * (1/Gamma(gamma*k + delta)).
     The second factor does not depend on z: it comes from a table built
     once per (gamma, delta) and cached, so the term loop only
-    multiplies.  For gamma < 0 both factors eventually leave
-    double-precision range even though their product does not, so a term
-    switches to a log-space product (math.lgamma) where 1/Gamma is not
-    finite or z**k / k! has underflowed.
+    multiplies.  A term whose 1/Gamma is beyond double range (gamma*k +
+    delta below about -171.5) stops the sum with NonConvergenceError.  At
+    the closed form's orders -alpha/2 such a sum cancels below roundoff
+    anyway; the sums given up are long ones at gamma below -1/2.  A z**k / k!
+    that underflows makes a zero term, whose true size is below 2**-1074
+    times the largest double and so below the truncation tolerance.
 
     Raises InvalidInputError (every problem in one message) unless z,
     gamma > -1 and delta are finite.  Raises NonConvergenceError when
     _MAX_TERMS terms after the first do not stop the sum, when gamma*k +
-    delta, a term or the sum overflows double precision, or when the
-    roundoff of the largest term (eps * max |term|) exceeds _CANCEL_TOL *
-    max(|sum|, 1): such a sum cannot cancel back to an accurate value.
-    Below that limit the cancellation still costs digits, so term_bound
-    also covers the roundoff of the whole sum.
+    delta, its 1/Gamma (at z = 0 too) or the sum leaves double range, or
+    when the roundoff of the largest term (eps * max |term|) exceeds
+    _CANCEL_TOL * max(|sum|, 1): such a sum cannot cancel back to an
+    accurate value.  Below that limit the cancellation still costs digits,
+    so term_bound also covers the roundoff of the whole sum.
     """
     problems = []
     if not math.isfinite(z):
@@ -164,14 +152,12 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
         problems.append(f"delta must be finite, got {delta}")
     if problems:
         raise InvalidInputError("; ".join(problems))
-    if z == 0.0:
+    if z == 0.0 and math.isfinite(reciprocal_gamma(delta)):  # else term 0 fails below
         return WrightResult(reciprocal_gamma(delta), 0.0, 1)
 
     coefficients = _coefficients(gamma, delta)
-    log_abs_z = math.log(abs(z))
     total = 0.0
     pw = 1.0  # z**k / k!
-    lw = 0.0  # log |z**k / k!|
     run = 0
     run_bound = 0.0
     term = 0.0
@@ -179,21 +165,11 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
     for k, rg in enumerate(coefficients):
         if k > 0:
             pw *= z / k
-            lw += log_abs_z - _LOG_K[k]
         if rg is _POLE:
             term = 0.0
-        elif rg is _NON_FINITE or pw == 0.0:
-            # z**k/k! underflowed or 1/Gamma overflowed; both factors are
-            # extreme while their product is not -- recombine in log space.
-            x = gamma * k + delta
-            sign = _gamma_sign(x)
-            if z < 0.0 and k % 2:
-                sign = -sign
-            log_term = lw - math.lgamma(x)
-            if log_term > _LOG_MAX:
-                raise _failure(f"term {k} overflows", z, gamma, delta, total, term, k,
-                               f"log |term| {log_term:.1f}")
-            term = sign * math.exp(log_term)
+        elif rg is _NON_FINITE:
+            raise _failure(f"term {k} has no finite coefficient", z, gamma, delta, total, term,
+                           k, f"1/Gamma({gamma * k + delta:.6g}) is not finite")
         else:
             term = pw * rg
         total += term

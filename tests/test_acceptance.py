@@ -97,7 +97,7 @@ def test_criterion_1_exact_front_coefficients():
 
     worst = 0.0
     for row, alpha in CELLS:
-        p = solve_p_exact(params_for(row, alpha), tol=1e-10)
+        p = solve_p_exact(params_for(row, alpha))
         worst = max(worst, abs(p - P_EXACT_PRINTED[(row, alpha)]))
     ok = worst <= 5e-4
     report(1, "exact front coefficients reproduce the 4-decimal reference", ok,

@@ -65,23 +65,18 @@ class TestSolvePExact:
         (2, 0.25, 0.7218, 5e-4),
     ])
     def test_published_reference_values(self, row, alpha, expected, tol):
-        p = analytic.solve_p_exact(params_for(row, alpha), tol=1e-10)
+        p = analytic.solve_p_exact(params_for(row, alpha))
         assert p == pytest.approx(expected, abs=tol)
 
     @pytest.mark.parametrize("row", range(len(ROWS)))
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_high_precision_reference(self, row, alpha):
-        p = analytic.solve_p_exact(params_for(row, alpha), tol=1e-10)
+        p = analytic.solve_p_exact(params_for(row, alpha))
         assert p == pytest.approx(P_EXACT_REF[(row, alpha)], abs=5e-9)
 
     def test_no_sign_change(self):
         with pytest.raises(errors.NoSignChangeError):
             analytic.solve_p_exact(params_for(0, 1.0), bracket=(1.5, 2.0))
-
-    def test_rejects_infinite_tol(self):
-        # an infinite tolerance would return the bracket midpoint, 1.05
-        with pytest.raises(errors.InvalidInputError, match="tol"):
-            analytic.solve_p_exact(analytic.PhysicalParams(alpha=0.5), tol=math.inf)
 
     def test_rejects_infinite_bracket_end(self):
         # checked before the residual is evaluated at either end

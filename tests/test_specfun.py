@@ -34,7 +34,7 @@ class TestReciprocalGamma:
         (-180.5, -math.inf), (-171.5, math.inf),  # Gamma underflows, to -0 and a subnormal
     ])
     def test_beyond_double_range(self, x, expected):
-        # the infinite values are what send wright_series to its log-space path
+        # the infinite values stop wright_series with NonConvergenceError (TestDoubleRange)
         assert specfun.reciprocal_gamma(x) == expected
 
     @given(st.floats(min_value=-30.0, max_value=30.0))
@@ -122,10 +122,11 @@ class TestWright:
         assert error <= result.term_bound
 
     def test_nonconvergence_when_cap_hit(self):
-        # gamma near -1: the terms shrink too slowly to stop within the cap
+        # gamma = 0, z = 600: the terms 600**k / k! peak at k = 600 and are
+        # still above 1e255 when the cap is reached
         with pytest.raises(errors.NonConvergenceError, match="not converged after 700 terms") \
                 as info:
-            specfun.wright_series(-2.0, -0.9, 1.0)
+            specfun.wright_series(600.0, 0.0, 1.0)
         assert info.value.terms == 701
 
     @pytest.mark.parametrize("z, gamma", [(180.0, -0.375), (290.0, -0.25)])
@@ -141,37 +142,36 @@ class TestWright:
             specfun.wright(-60.0, -0.5, 1.0)
 
     def test_nonconvergence_when_terms_overflow(self):
-        # log-space terms past double range: a typed error, not OverflowError
-        with pytest.raises(errors.NonConvergenceError, match="overflows"):
+        # 1/Gamma(gamma*k + delta) past double range at term 363: a typed
+        # error, not OverflowError
+        with pytest.raises(errors.NonConvergenceError,
+                           match="term 363 has no finite coefficient"):
             specfun.wright(-80.0, -0.475, 1.0)
 
-    @pytest.mark.parametrize("z, gamma", [(-20.0, -0.475), (-12.0, -0.5)])
+    @pytest.mark.parametrize("z, gamma", [(-16.0, -0.475), (-12.0, -0.5)])
     def test_nonconvergence_when_terms_cancel_below_roundoff(self, z, gamma):
-        # alternating terms up to 2.6e32 and 2.7e13 cancel to 1.6e18 and
-        # -0.039, far from the true values (W(-12; -1/2, 1) = erfc(6) ~ 2e-17)
+        # alternating terms up to 3.3e20 and 2.7e13 cancel to 6.9e6 and
+        # 0.021, far from the true values (W(-12; -1/2, 1) = erfc(6) ~ 2e-17)
         with pytest.raises(errors.NonConvergenceError, match="roundoff") as info:
             specfun.wright(z, gamma, 1.0)
         assert info.value.partial is not None and info.value.terms > 1
 
     def test_alternating_large_argument_still_converges(self):
-        # the log-space fallback territory: |z| large enough that z**k/k!
-        # underflows before the series terms become negligible
+        # alternating terms up to 1.3e5 cancel to erfc(4) ~ 1.5e-8
         got = specfun.wright(-8.0, -0.5, 1.0)
         assert got == pytest.approx(math.erfc(4.0), abs=1e-10)
 
 
 def _reference_series(z, g, d):
-    """wright_series as it was before the coefficient tables: 1/Gamma and
-    log k recomputed for every term, at the fixed tolerance 1e-13 and cap
-    700.  The reference for TestCoefficientTable."""
+    """wright_series as it was before the coefficient tables: 1/Gamma
+    recomputed for every term, at the fixed tolerance 1e-13 and cap 700.
+    The reference for TestCoefficientTable."""
     tol, max_terms = 1e-13, 700
-    if z == 0.0:
+    if z == 0.0 and math.isfinite(specfun.reciprocal_gamma(d)):
         return specfun.WrightResult(specfun.reciprocal_gamma(d), 0.0, 1)
 
-    log_abs_z = math.log(abs(z))
     total = 0.0
     pw = 1.0
-    lw = 0.0
     run = 0
     run_bound = 0.0
     term = 0.0
@@ -179,26 +179,18 @@ def _reference_series(z, g, d):
     for k in range(max_terms + 1):
         if k > 0:
             pw *= z / k
-            lw += log_abs_z - math.log(k)
         x = g * k + d
         nearest = round(x)
         if nearest <= 0 and abs(x - nearest) < specfun._POLE_TOL:
             term = 0.0
         else:
             rg = specfun.reciprocal_gamma(x)
-            if pw != 0.0 and math.isfinite(rg):
-                term = pw * rg
-            else:
-                sign = specfun._gamma_sign(x)
-                if z < 0.0 and k % 2:
-                    sign = -sign
-                log_term = lw - math.lgamma(x)
-                if log_term > specfun._LOG_MAX:
-                    raise errors.NonConvergenceError(
-                        f"Wright series term {k} overflows at z={z:.6g}, "
-                        f"gamma={g:.6g}, delta={d:.6g} (log |term| {log_term:.1f})",
-                        partial=total, last_term=term, terms=k)
-                term = sign * math.exp(log_term)
+            if not math.isfinite(rg):
+                raise errors.NonConvergenceError(
+                    f"Wright series term {k} has no finite coefficient at z={z:.6g}, "
+                    f"gamma={g:.6g}, delta={d:.6g} (1/Gamma({x:.6g}) is not finite)",
+                    partial=total, last_term=term, terms=k)
+            term = pw * rg
         total += term
         mag = abs(term)
         if mag > peak:
@@ -255,21 +247,6 @@ class TestCoefficientTable:
             args = (z, gamma, delta)
             assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args), z
 
-    @pytest.mark.parametrize("z, gamma, delta, reason", [
-        (1e-300, -0.25, 0.75, "z**k / k! underflows"),
-        (-20.0, -0.5, 1.0, "1/Gamma overflows; the sum cancels below roundoff"),
-        (-80.0, -0.475, 1.0, "a log-space term overflows"),
-        (-2.0, -0.9, 1.0, "z**k / k! underflows; the sum runs into the term cap"),
-    ])
-    def test_log_space_branch(self, monkeypatch, z, gamma, delta, reason):
-        args = (z, gamma, delta)
-        expected = _outcome(_reference_series, args)
-        calls = []
-        lgamma = math.lgamma
-        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-        assert _outcome(specfun.wright_series, args) == expected
-        assert calls, reason
-
     def test_gamma_of_huge_order_overflows_past_the_stopping_term(self):
         # gamma*k overflows from k = 180 on, long after this sum has stopped
         args = (1.0, 1e306, 1.0)
@@ -299,6 +276,62 @@ class TestCoefficientTable:
         for z in np.linspace(-3.0, -0.01, 200):
             specfun.wright(float(z), -0.25, 0.875)
         assert len(calls) <= 700 + 1
+
+
+# the closed-form route's orders, gamma = -alpha/2 and delta in {1, 1 - alpha/2}
+ROUTE_ORDERS = ORDERS[:6]
+
+
+class TestDoubleRange:
+    """Where 1/Gamma(gamma*k + delta) leaves double range the sum stops with
+    NonConvergenceError; an underflowed z**k / k! gives a zero term."""
+
+    @pytest.mark.parametrize("gamma, delta", ROUTE_ORDERS)
+    def test_route_orders_keep_finite_coefficients_to_z_minus_40(self, gamma, delta):
+        # the route's arguments stay within about |z| = 20; other failures
+        # (cancellation below roundoff) are allowed here
+        for z in np.linspace(-40.0, 0.0, 161):
+            try:
+                specfun.wright_series(float(z), gamma, delta)
+            except errors.NonConvergenceError as exc:
+                assert "no finite coefficient" not in str(exc), z
+
+    @pytest.mark.parametrize("z, gamma, delta", [
+        (-41.25, -0.375, 0.625),  # alpha = 0.75
+        (-124.75, -0.25, 0.75),  # alpha = 0.5
+    ])
+    def test_route_orders_first_lose_a_coefficient(self, z, gamma, delta):
+        # on the 0.25 grid of z, the first argument whose sum reaches a term
+        # beyond double range; the one before it stops in the cancellation guard
+        with pytest.raises(errors.NonConvergenceError, match="no finite coefficient"):
+            specfun.wright_series(z, gamma, delta)
+        with pytest.raises(errors.NonConvergenceError, match="cancels below roundoff"):
+            specfun.wright_series(z + 0.25, gamma, delta)
+
+    def test_gives_up_long_sums_near_gamma_minus_one(self):
+        # this range is narrowed on purpose: the sum needs 283 terms and
+        # 1/Gamma(-0.69*250 + 1) is beyond double range; the log-space form of
+        # the terms used to sum it to 1.4118533802669118
+        with pytest.raises(errors.NonConvergenceError,
+                           match=r"term 250 has no finite coefficient .*1/Gamma\(-171.5\)") \
+                as info:
+            specfun.wright_series(5.0, -0.69, 1.0)
+        assert info.value.terms == 250 and math.isfinite(info.value.partial)
+
+    def test_underflowed_power_gives_zero_terms(self):
+        # z**k / k! underflows from k = 2; the value keeps its bits
+        assert _outcome(specfun.wright_series, (1e-300, -0.25, 0.75)) == (
+            _bits(0.8160489390982628), _bits(7.247970571262588e-16), 4)
+
+    @pytest.mark.parametrize("gamma, delta", [(0.5, -180.5), (-0.25, -171.7)])
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5])
+    def test_term_zero_beyond_double_range(self, z, gamma, delta):
+        # 1/Gamma(delta) is -inf and +inf; at z = 0 the value used to come
+        # back as that infinity with terms=1, as if the sum had converged
+        with pytest.raises(errors.NonConvergenceError,
+                           match="term 0 has no finite coefficient") as info:
+            specfun.wright_series(z, gamma, delta)
+        assert info.value.terms == 0 and info.value.partial == 0.0
 
 
 def test_cli_import_loads_no_scipy():
