@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import specfun
 from .errors import (
     DegenerateInputError,
@@ -34,8 +32,6 @@ __all__ = [
     "solve_exact",
     "solve_p_exact",
     "transcendental_residual",
-    "u1_classical",
-    "u2_classical",
     "u1_exact",
     "u2_exact",
 ]
@@ -48,8 +44,6 @@ _SINGULAR_TOL = 1e-14
 
 # bracket width at which solve_p_exact stops bisecting
 _ROOT_TOL = 1e-10
-
-_erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 @dataclass(frozen=True)
@@ -199,6 +193,8 @@ def u1_exact(x: float, tau: float, sol: ExactSolution) -> float:
     if x < 0.0 or x > front * (1.0 + _EDGE_SLACK):
         raise DomainError(f"x={x} outside liquid region [0, {front}] at tau={tau}")
     den = sol.front_values[0] - 1.0
+    if abs(den) < _SINGULAR_TOL:
+        raise DegenerateInputError(f"liquid profile degenerate: W front value - 1 = {den:.3e}")
     num = _similarity(x, tau, sol.params.kappa1, sol.params.alpha) - 1.0
     return 1.0 - num / den
 
@@ -219,19 +215,3 @@ def u2_exact(x: float, tau: float, sol: ExactSolution) -> float:
     if abs(w_front) < _SINGULAR_TOL:
         raise DegenerateInputError(f"solid profile degenerate: W front value {w_front:.3e}")
     return sol.params.theta_inf * (w_front - w_here) / w_front
-
-
-def u1_classical(x, tau, p: float, kappa1: float):
-    """Vectorized alpha = 1 liquid profile (erfc form); oracle duty."""
-    x = np.asarray(x, dtype=np.float64)
-    num = _erfc_vec(x / (2.0 * np.sqrt(kappa1 * tau))) - 1.0
-    den = math.erfc(p / (2.0 * math.sqrt(kappa1))) - 1.0
-    return 1.0 - num / den
-
-
-def u2_classical(x, tau, p: float, kappa2: float, theta_inf: float):
-    """Vectorized alpha = 1 solid profile (erfc form); oracle duty."""
-    x = np.asarray(x, dtype=np.float64)
-    w_front = math.erfc(p / (2.0 * math.sqrt(kappa2)))
-    w_here = _erfc_vec(x / (2.0 * np.sqrt(kappa2 * tau)))
-    return theta_inf * (w_front - w_here) / w_front

@@ -50,6 +50,12 @@ def params_for(row_index: int, alpha: float):
                           kappa1=k1, kappa2=k2, theta_inf=-0.5)
 
 
+def exact_row(field, x, tau, sol):
+    """A closed-form field (analytic.u1_exact or u2_exact) at each node of
+    one grid level x, as an array."""
+    return np.array([field(xi, float(tau), sol) for xi in x.tolist()])
+
+
 def kernel_integral_pwl(nodes, alpha: float, dtau: float) -> float:
     """integral_0^{T} (T - xi)**(alpha-1) f(xi) dxi for piecewise-linear f.
 

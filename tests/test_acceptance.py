@@ -27,6 +27,7 @@ from conftest import (
     P_NUMERIC_REF,
     ROWS,
     TAU_FINAL_REF,
+    exact_row,
     kernel_integral_pwl,
     params_for,
 )
@@ -190,6 +191,7 @@ def test_criterion_4_classical_regression():
     for row in range(len(ROWS)):
         params = params_for(row, 1.0)
         p = solve_p_exact(params)
+        sol = analytic.ExactSolution(p, params)
         g1 = scheme.advance_phase(scheme.make_phase_grid(1, p, PROD_MESH, params))
         g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, PROD_MESH, params))
         f1 = scheme.recover_physical(g1)
@@ -197,9 +199,8 @@ def test_criterion_4_classical_regression():
         level_err = np.zeros(PROD_MESH.n + 1)
         for j in range(1, PROD_MESH.n + 1):
             tau = float(g1.tau[j])
-            e1 = np.abs(f1.u[j] - analytic.u1_classical(f1.x[j], tau, p, params.kappa1)).max()
-            e2 = np.abs(f2.u[j] - analytic.u2_classical(
-                f2.x[j], tau, p, params.kappa2, params.theta_inf)).max()
+            e1 = np.abs(f1.u[j] - exact_row(analytic.u1_exact, f1.x[j], tau, sol)).max()
+            e2 = np.abs(f2.u[j] - exact_row(analytic.u2_exact, f2.x[j], tau, sol)).max()
             level_err[j] = max(e1, e2)
         worst_all = max(worst_all, float(level_err.max()))
         worst_late = max(worst_late, float(level_err[PROD_MESH.n // 4:].max()))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import params_for
+from conftest import exact_row, params_for
 from fracstefan import analytic, errors, fracquad, fronttrack, scheme
 
 MESH = scheme.MeshConfig(m1=20, m2=60, n=40, ratio=10.0)
@@ -134,6 +134,7 @@ class TestStefanFrontValue:
         # half level is the one the scheme solves from level 0)
         params = params_for(0, 1.0)
         p = analytic.solve_p_exact(params)
+        sol = analytic.ExactSolution(p, params)
         g1 = scheme.make_phase_grid(1, p, PROD_MESH, params)
         # the advance stores the half level, which depends on level 0 alone;
         # the injection below overwrites the rows it filled
@@ -143,9 +144,9 @@ class TestStefanFrontValue:
         for j in range(1, PROD_MESH.n + 1):
             tau = float(g1.tau[j])
             # the liquid's ubar is u / s**alpha, s = j/n
-            g1.ubar[j] = analytic.u1_classical(f1.x[j], tau, p, params.kappa1) / (j / PROD_MESH.n)
-            g2.ubar[j] = analytic.u2_classical(
-                f2.x[j], tau, p, params.kappa2, params.theta_inf
+            g1.ubar[j] = exact_row(analytic.u1_exact, f1.x[j], tau, sol) / (j / PROD_MESH.n)
+            g2.ubar[j] = exact_row(
+                analytic.u2_exact, f2.x[j], tau, sol
             ) / (PROD_MESH.ratio - p * math.sqrt(tau)) ** 2
         g1.filled_through = g2.filled_through = PROD_MESH.n
         s = fronttrack.stefan_front_value(g1, g2)

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import fracstefan
@@ -27,3 +28,18 @@ def test_namespace_is_what_the_readme_example_and_the_gate_import():
     # __version__ is the package's own, which run.txt records
     assert sorted(fracstefan.__all__) == sorted(used | {"__version__"})
     assert all(hasattr(fracstefan, name) for name in fracstefan.__all__)
+
+
+def test_closed_form_route_imports_only_the_standard_library():
+    # analytic and specfun run on math alone; numpy serves the grid route
+    for module in ("analytic", "specfun"):
+        path = ROOT / "src" / "fracstefan" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            assert all(top in sys.stdlib_module_names for top in tops), (module, tops)

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import params_for
+from conftest import exact_row, params_for
 from fracstefan import analytic, errors, fracquad, scheme
 
 SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
@@ -782,6 +782,7 @@ class TestRecovery:
         # transient of the single uniform first step decays by ~level 23)
         params = params_for(1, 1.0)
         p = analytic.solve_p_exact(params)
+        sol = analytic.ExactSolution(p, params)
         mesh = scheme.MeshConfig()
         g1 = scheme.advance_phase(scheme.make_phase_grid(1, p, mesh, params))
         g2 = scheme.advance_phase(scheme.make_phase_grid(2, p, mesh, params))
@@ -789,8 +790,8 @@ class TestRecovery:
         f2 = scheme.recover_physical(g2)
         for j in (mesh.n // 4, mesh.n // 2, 3 * mesh.n // 4, mesh.n):
             tau = g1.tau[j]
-            exact1 = analytic.u1_classical(f1.x[j], tau, p, params.kappa1)
-            exact2 = analytic.u2_classical(f2.x[j], tau, p, params.kappa2, params.theta_inf)
+            exact1 = exact_row(analytic.u1_exact, f1.x[j], tau, sol)
+            exact2 = exact_row(analytic.u2_exact, f2.x[j], tau, sol)
             assert np.abs(f1.u[j] - exact1).max() <= 1e-2
             assert np.abs(f2.u[j] - exact2).max() <= 1e-2
 
