@@ -22,13 +22,17 @@ far-field value in one space step and is no smooth sample of the integrand.
 A grid needs the weight row of every step, and the interior weights depend
 only on the lag k - j + 1, so lag_table builds them once for all lags of a
 grid and each step slices its row from that table; trap_weights is that
-slice for one k.
+slice for one k.  lag_table caches its tables, one per (n, alpha, dtau),
+so their arrays are read-only; a table builds the first-interval weights
+of every step (LagTable.first, LagTable.half) once, when first asked.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,7 +109,8 @@ class LagTable:
     interior weights c[1..k] of the step to level k+1 are its last k
     entries.  trap(k) and split(k) give the same bits from every table with
     n >= k.  The weight of the new level, c[k+1], is pref in every row but
-    split(0)'s, whose c[1] takes the first interval's remainder.
+    split(0)'s, whose c[1] takes the first interval's remainder.  Its
+    arrays are read-only (lag_table caches the table).
     """
 
     alpha: float
@@ -123,6 +128,18 @@ class LagTable:
         c[1:k + 1] = self.interior[size - k:]
         c[k + 1] = self.pref
         return c
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """trap(k)'s c[0], pref * _first_factor(k), for k = 0..len(interior), built once."""
+        return _read_only(np.array([self.pref * _first_factor(k, self.alpha)
+                                    for k in range(self.interior.shape[0] + 1)]))
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """split(k)'s c[0], the half level's weight, for k = 0..len(interior), built once."""
+        return _read_only(np.array([half_weight(k + 1.0, self.alpha, self.dtau)
+                                    for k in range(self.interior.shape[0] + 1)]))
 
     def split(self, k: int) -> np.ndarray:
         """Split-start weights c[j], j = 0..k+1: c[0] weights the half level, c[2:] is trap(k)'s."""
@@ -146,15 +163,28 @@ def _check_alpha_dtau(alpha: float, dtau: float) -> None:
         raise InvalidInputError(f"dtau must be finite and > 0, got {dtau}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
-    """The weight rows of the steps k = 0..n on a grid with time step dtau."""
+    """The weight rows of the steps k = 0..n on a grid with time step dtau.
+
+    Equal arguments return the same table, whose arrays are read-only.
+    """
     _check_alpha_dtau(alpha, dtau)
     if not (_is_integer(n) and n >= 0):
         raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
+    return _lag_table(operator.index(n), alpha, dtau)
+
+
+@lru_cache(maxsize=64)
+def _lag_table(n: int, alpha: float, dtau: float) -> LagTable:
     pref = dtau ** alpha / (alpha * (alpha + 1.0))
     lag = np.arange(n, 0, -1, dtype=np.float64)
     return LagTable(alpha=alpha, dtau=dtau, pref=pref,
-                    interior=pref * _interior_factor(lag, alpha))
+                    interior=_read_only(pref * _interior_factor(lag, alpha)))
 
 
 def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:

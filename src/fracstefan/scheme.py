@@ -39,33 +39,38 @@ side in one joint row [liquid 0..m1 | solid 0..m2].  The two front nodes
 hold the melting value 0 and get identity rows, so the joint matrix is
 block diagonal and one factorization and one scan per level solve both
 phases, each to the bits of its own advance.  The loop stores the second
-differences of each history row once, after the row is solved, and builds
-the interior memory weights of all lags once per advance
-(fracquad.lag_table).  It works per block of levels (_blocks, of the
-larger grid).  The matrix of a step does not depend on the solution, so as
-arrays over the block it gathers the diagonal, forms the off-diagonals and
-the dominance count (_rows, with each node's phase's coefficients) and the
-Thomas pivots and multipliers, eliminating one row of every level's system
-per vector operation (_factor).  Per phase (_memory_terms), on that
-phase's own blocks, it sums the part of the block's memory history that
-was solved before the block ahead, with one BLAS matrix product per run of
-the block's levels whose weight rows it slices from the table at once
-(_runs, _block_history; the splitting of Hairer, Lubich & Schlichte 1985,
+differences of each history row once, after the row is solved, and reads
+every memory weight from one lag table (fracquad.lag_table, cached per
+(n, alpha, dtau) with its first-interval weights).  It factors per block
+of levels, of _BLOCK_VALUES * (grids) // (joint row's unknowns) levels, so
+a pair's block arrays are about twice a lone grid's.  The matrix of a step
+does not depend on the solution, so as arrays over the block it spreads
+each phase's coefficients over the joint row, forms the off-diagonals and
+the dominance count (_rows) and the Thomas pivots and multipliers,
+eliminating one row of every level's system per vector operation
+(_factor).  Per phase (_memory_terms), on that phase's own blocks
+(_blocks), it sums the part of the block's memory history that was solved
+before the block ahead, with one BLAS matrix product per run of the
+block's levels (_runs) whose weights are one matrix of windows of the
+table (_run_weights; the splitting of Hairer, Lubich & Schlichte 1985,
 SIAM J. Sci. Stat. Comput. 6, with a dense product in place of their
-FFT).  Per level it adds the history rows solved within the block
-(_memory_sum), adds the advective history, a running vector updated once
-per solved row (its weights do not depend on the target level), folds in
-the boundary values and substitutes forward and back by recursive doubling
-(_scan; Stone 1973, J. ACM 20): each sweep is one vector multiply-add per
-offset s = 1, 2, 4, ... below the number of unknowns.  Its coefficients
-are products of the Thomas multipliers, which depend only on the matrix,
-so they are formed per chunk of the block's levels (_coefficients).  The
-right-hand side, the differences and the advective update run once per
-level on the joint row.  One advance costs O(n**2 * m), in the memory
-products.  The assemble_phase{1,2}_step / thomas_solve pair performs the
-same arithmetic one step at a time, from differences rebuilt from the
-history rows and the weight rows of a lag table of its own run, and serves
-as its stepwise oracle.
+FFT).  Per level it adds the history rows solved within the block, whose
+weights are a view of the table (_level_weights), adds the advective
+history, a running vector updated once per solved row (its weights do
+not depend on the target level), folds in the boundary values and
+substitutes forward and back by recursive doubling (_scan; Stone 1973,
+J. ACM 20): each sweep is one vector multiply-add per offset
+s = 1, 2, 4, ... below the larger phase's unknown count.  In a pair every
+longer product spans a front row or reads a front node's 0, and adds an
+exact zero.  The scan's coefficients are products of the Thomas
+multipliers, which depend only on the matrix, so they are formed per
+chunk of the block's levels (_coefficients).  The right-hand side, the
+differences and the advective update run once per level on the joint
+row, into preallocated vectors.  One advance costs O(n**2 * m), in the
+memory products.  The assemble_phase{1,2}_step / thomas_solve pair
+performs the same arithmetic one step at a time, from differences rebuilt
+from the history rows and weight rows sliced from a lag table of its own
+run (_step_weights), and serves as its stepwise oracle.
 
 One row builder (_rows) serves every implicit step, the stepper's blocks
 (the solid's half-step among them) and the oracle's, and one
@@ -83,6 +88,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import PhysicalParams
 from .errors import (
@@ -112,13 +118,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Values in each array the stepper holds for many levels at once (256 KiB
-# of doubles): a block of levels' systems and memory sums holds this many
-# // (m - 1) levels (of the larger grid, for the systems of a pair, so
-# their arrays hold up to about twice as many values), a run of its weight
-# rows this many // (block end + 1), and a chunk of its scan coefficients,
-# per sweep, this many // _width(unknowns).  A block's set-up keeps at most
-# five block-sized arrays alive at once (_rows, then _factor's pivots and
-# multipliers), its level loop four (sub, pivot, mult and the advective
+# of doubles): a block of a phase's memory sums holds this many // (m - 1)
+# levels, a run of its weight rows this many // (block end + 1), a block of
+# the systems this many * (grids) // (joint row's unknowns) levels (so a
+# pair's hold up to about twice as many values), and a chunk of the scan
+# coefficients, per sweep, this many // _width(unknowns, reach), with the
+# offsets below the larger phase's unknowns.  A block's set-up keeps at
+# most five block-sized arrays alive at once (_rows, then _factor's pivots
+# and multipliers), its level loop four (sub, pivot, mult and the advective
 # factors), beside the scan coefficients' buffer of 2 * _BLOCK_VALUES.
 _BLOCK_VALUES = 1 << 15
 
@@ -365,34 +372,48 @@ def _rows(r, q, diag):
     return sub, sup, np.count_nonzero(np.abs(diag, out=r) < excess, axis=0)
 
 
-def _differences(rows):
-    """(second, centred) differences of rows over the interior nodes, per row."""
-    return (rows[..., :-2] - 2.0 * rows[..., 1:-1] + rows[..., 2:],
-            rows[..., 2:] - rows[..., :-2])
+def _differences(rows, second=None, centred=None):
+    """(second, centred) differences of rows over the interior nodes, per row.
+
+    Written into second and centred when given (the stepper's preallocated
+    vectors), else into new arrays.
+    """
+    left, middle, right = rows[..., :-2], rows[..., 1:-1], rows[..., 2:]
+    second = np.multiply(middle, 2.0, second)
+    np.subtract(left, second, second)
+    np.add(second, right, second)
+    return second, np.subtract(right, left, centred)
 
 
 def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
     """The memory weights c[j], j = 0..k+1, of the grid's step to level k+1, sliced from table.
 
-    The one choice of a phase's time rule, for the stepper, its stepwise
-    oracle and the interface balance: the liquid's row is product-trapezoidal,
-    the solid's has the split start, whose c[0] weights the half level.
+    A phase's time rule, for the stepwise oracle, _phase_coeffs and the
+    interface balance: the liquid's row is product-trapezoidal, the solid's
+    has the split start, whose c[0] weights the half level.  The stepper
+    reads the same weights as windows of the table (_run_weights,
+    _level_weights).
     """
     return table.trap(k) if grid.phase == 1 else table.split(k)
 
 
-def _blocks(grid: PhaseGrid) -> list:
-    """advance_phase's blocks of levels k, whose steps to k+1 it factors and sums together.
-
-    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1.
-    """
-    n = grid.mesh.n
-    block = max(1, _BLOCK_VALUES // (grid.m - 1))
+def _levels(n: int, block: int) -> list:
+    """Ranges of block levels, at least one, covering the levels 0..n-1."""
+    block = max(1, block)
     return [range(start, min(start + block, n)) for start in range(0, n, block)]
 
 
+def _blocks(grid: PhaseGrid) -> list:
+    """A grid's blocks of levels k, whose memory sums of the steps to k+1 are split together.
+
+    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1;
+    advance_phase also factors each block's systems together.
+    """
+    return _levels(grid.mesh.n, _BLOCK_VALUES // (grid.m - 1))
+
+
 def _runs(levels: range) -> list:
-    """The runs of a block of levels whose weight rows advance_phase holds at once.
+    """The runs of a block of levels whose weight rows are held at once.
 
     Ranges of _BLOCK_VALUES // (levels.stop + 1) levels, at least one,
     covering the block: a weight row of the block has at most
@@ -403,25 +424,39 @@ def _runs(levels: range) -> list:
             for first in range(levels.start, levels.stop, run)]
 
 
-def _block_history(grid: PhaseGrid, table: LagTable, run: range, start: int, d2):
-    """Weight rows of a run's steps and their memory sums over rows 0..start: (rows, known).
+def _run_weights(grid: PhaseGrid, table: LagTable, run: range, start: int):
+    """The weights c[:start+1] of the steps from the levels k of run, one row per k.
 
-    rows[b] is _step_weights of the step from level k = run[b], and
-    known[b] is rows[b][:start+1] @ d2[:start+1], all rows summed by one
-    matrix product.  start is the first level of the run's block; row j of
-    d2 holds the second differences of history row j, j = 0..start at least.
+    Read from the table as _step_weights slices them: column 0 is the first
+    interval's weight (table.first, or the solid's half level weight
+    table.half), columns 1..start are windows of table.interior, and the
+    solid's c[1] adds the first interval's remainder (LagTable.split).
     """
-    rows = [_step_weights(grid, table, k) for k in run]
-    return rows, np.array([c[:start + 1] for c in rows]) @ d2[:start + 1]
+    size = table.interior.shape[0]
+    rows = np.empty((len(run), start + 1))
+    rows[:, 0] = (table.first if grid.phase == 1 else table.half)[run.start:run.stop]
+    if start:
+        windows = sliding_window_view(table.interior, start)
+        rows[:, 1:] = windows[size - run.stop + 1:size - run.start + 1][::-1]
+        if grid.phase == 2:
+            rows[:, 1] += table.first[run.start:run.stop] - table.half[run.start:run.stop]
+    return rows
 
 
-def _memory_sum(c, known, d2, start: int, k: int):
-    """The memory history c[:k+1] @ d2[:k+1] of the step from level k, split at history row start.
+def _level_weights(grid: PhaseGrid, table: LagTable, start: int, k: int, scratch):
+    """The weights c[start+1:k+1] of the step from level k, the rows solved within its block.
 
-    known is the sum over rows 0..start (_block_history); the rows solved
-    within the block, start+1..k, are added here.
+    A view of table.interior, except in the solid's first block, whose c[1]
+    adds the first interval's remainder (LagTable.split): that row is
+    written into scratch, a vector of at least k values.
     """
-    return known + c[start + 1:k + 1] @ d2[start + 1:k + 1]
+    weights = table.interior[table.interior.shape[0] - k + start:]
+    if grid.phase == 1 or start or not k:
+        return weights
+    scratch = scratch[:k]
+    scratch[:] = weights
+    scratch[0] += table.first[k] - table.half[k]
+    return scratch
 
 
 def _step_system(j: int, coeffs, memory, adv) -> TridiagonalSystem:
@@ -429,10 +464,10 @@ def _step_system(j: int, coeffs, memory, adv) -> TridiagonalSystem:
 
     coeffs is _phase_coeffs of the grid, whose row j it takes.  memory is
     the memory history of the step to row j >= 1, c[:j] @ d2[:j] with c its
-    _step_weights and row i of d2 the second differences of history row i
-    (_memory_sum), and adv the advective history: gq[i] times row i's
-    centred differences, summed over i = 0..j-1 in order of i.  Row 0 has
-    no history: both are zero.
+    _step_weights and row i of d2 the second differences of history row i,
+    and adv the advective history: gq[i] times row i's centred differences,
+    summed over i = 0..j-1 in order of i.  Row 0 has no history: both are
+    zero.
     """
     time, implicit, gq, edges, rfac, qfac_in, initial = coeffs
     diag = np.full(len(qfac_in), 2.0 * implicit[j] + time[j])
@@ -466,13 +501,16 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     if not np.isfinite(first).all():
         raise _non_finite(grid, "1/2" if grid.phase == 2 else "0")
     d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
-    # the stepper's block and run of k, and its product over the run, for the stepper's bits
+    # the stepper's split of the memory sum at its block's first level, with
+    # its product over the run of k, for the stepper's bits (_memory_terms)
     levels = next(block for block in _blocks(grid) if k in block)
+    split = levels.start + 1
     run = next(run for run in _runs(levels) if k in run)
     table = lag_table(run.stop - 1, grid.params.alpha, 1.0 / grid.mesh.n)
-    rows, known = _block_history(grid, table, run, levels.start, d2)
-    b = k - run.start
-    memory = _memory_sum(rows[b], known[b], d2, levels.start, k)
+    rows = [_step_weights(grid, table, j) for j in run]
+    known = np.array([c[:split] for c in rows]) @ d2[:split]
+    c = rows[k - run.start]
+    memory = known[k - run.start] + c[split:k + 1] @ d2[split:k + 1]
     terms = gq[:k + 1, None] * dc
     adv = np.cumsum(terms, axis=0, out=terms)[-1]
     system = _step_system(k + 1, coeffs, memory, adv)
@@ -521,20 +559,30 @@ def assemble_phase2_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
 def thomas_solve(system: TridiagonalSystem):
     """Solve one assembled tridiagonal system by Thomas elimination in O(size log size).
 
-    sub[0] and sup[-1] are ignored.  Factors the system as a block of one
-    (_factor), raises ZeroPivotError on a vanishing pivot, which signals a
-    non-dominant assembly upstream, and substitutes with the stepper's scan
-    (_coefficients, _scan), so a level's system solves to the stepper's bits.
+    sub, diag, sup and rhs must be 1-D arrays of length size, or it raises
+    InvalidInputError.  sub[0] and sup[-1] are ignored.  Factors the system
+    as a block of one (_factor), raises ZeroPivotError on a vanishing pivot,
+    which signals a non-dominant assembly upstream, and substitutes with the
+    stepper's scan (_coefficients, _scan), so a level's system solves to the
+    stepper's bits.
     """
-    if system.size < 1:
-        raise InvalidInputError(f"system size must be >= 1, got {system.size}")
-    sub, size = system.sub[None], len(system.diag)
-    pivot, mult = _factor(sub, system.sup[None], system.diag[None])
+    size = system.size
+    if not (_is_integer(size) and size >= 1):
+        raise InvalidInputError(f"system size must be an integer >= 1, got {size!r}")
+    arrays = {name: np.asarray(getattr(system, name), dtype=np.float64)
+              for name in ("sub", "diag", "sup", "rhs")}
+    if any(a.shape != (size,) for a in arrays.values()):
+        got = ", ".join(f"{name} {len(a) if a.ndim == 1 else 'of shape ' + str(a.shape)}"
+                        for name, a in arrays.items())
+        raise InvalidInputError(
+            f"sub, diag, sup and rhs must be 1-D arrays of length size = {size}, got {got}")
+    sub = arrays["sub"][None]
+    pivot, mult = _factor(sub, arrays["sup"][None], arrays["diag"][None])
     row = _zero_rows(pivot)[0]
     if row >= 0:
         raise ZeroPivotError(f"zero pivot at row {row}")
-    forward, back = _coefficients(sub, pivot, mult, np.empty(2 * _width(size)))
-    return _scan(system.rhs, pivot[0], forward, back, 0, _scan_views(np.empty(size)))
+    forward, back = _coefficients(sub, pivot, mult, np.empty(2 * _width(size)), size)
+    return _scan(arrays["rhs"], pivot[0], forward, back, 0, _scan_views(np.empty(size), size))
 
 
 def _factor(sub, sup, diag):
@@ -566,72 +614,74 @@ def _zero_rows(pivot) -> list:
     return np.where(zero.any(axis=1), zero.argmax(axis=1), -1).tolist()
 
 
-def _offsets(size: int) -> list:
-    """The scan's offsets s = 1, 2, 4, ... below a system's size."""
-    return [1 << j for j in range((size - 1).bit_length())]
+def _offsets(reach: int) -> list:
+    """The scan's offsets s = 1, 2, 4, ... below reach, a system's size or a phase's unknowns."""
+    return [1 << j for j in range((reach - 1).bit_length())]
 
 
-def _width(size: int) -> int:
-    """Values of one system's scan coefficients of one sweep (_coefficients)."""
-    return sum(size - s for s in _offsets(size))
+def _width(size: int, reach: int | None = None) -> int:
+    """Values of one system's scan coefficients of one sweep, offsets below reach (default size)."""
+    return sum(size - s for s in _offsets(size if reach is None else reach))
 
 
-def _coefficients(sub, pivot, mult, buffer):
+def _coefficients(sub, pivot, mult, buffer, reach: int):
     """The scan coefficients of a chunk of systems, held in buffer: (forward, back).
 
     Row b of sub, pivot and mult holds one system's subdiagonal, pivots and
     multipliers (_factor).  forward[j] and back[j] belong to the offset
-    s = 2**j (_offsets): row b of forward[j] holds F_s[s:], of back[j]
-    G_s[:-s], where F_1 = -sub/pivot and G_1 = -mult, and the doubling
-    F_2s[i] = F_s[i] * F_s[i-s], G_2s[i] = G_s[i] * G_s[i+s] (Stone 1973,
-    J. ACM 20).  buffer holds at least 2 * len(sub) * _width(size) values.
+    s = 2**j below reach (_offsets): row b of forward[j] holds F_s[s:], of
+    back[j] G_s[:-s], where F_1 = -sub/pivot and G_1 = -mult, and the
+    doubling F_2s[i] = F_s[i] * F_s[i-s], G_2s[i] = G_s[i] * G_s[i+s]
+    (Stone 1973, J. ACM 20).  buffer holds at least
+    2 * len(sub) * _width(size, reach) values.
     """
     count, size = sub.shape
     forward, back, used = [], [], 0
-    for s in _offsets(size):
+    for s in _offsets(reach):
         f, g = buffer[used:used + 2 * count * (size - s)].reshape(2, count, size - s)
         used += 2 * count * (size - s)
         if s == 1:
-            np.divide(sub[:, 1:], pivot[:, 1:], out=f)
-            np.negative(f, out=f)
-            np.negative(mult[:, :-1], out=g)
+            np.divide(sub[:, 1:], pivot[:, 1:], f)
+            np.negative(f, f)
+            np.negative(mult[:, :-1], g)
         else:
             h = s // 2
-            np.multiply(forward[-1][:, h:], forward[-1][:, :-h], out=f)
-            np.multiply(back[-1][:, :-h], back[-1][:, h:], out=g)
+            np.multiply(forward[-1][:, h:], forward[-1][:, :-h], f)
+            np.multiply(back[-1][:, :-h], back[-1][:, h:], g)
         forward.append(f)
         back.append(g)
     return forward, back
 
 
-def _scan_views(y):
+def _scan_views(y, reach: int):
     """The solution vector y and, per offset s (_offsets), (y[:-s], y[s:], product[s:]): (y, views).
 
-    product is a scratch vector of y's size; _scan works on the views,
-    which are sliced once, not at every solve.
+    The offsets are those below reach.  product is a scratch vector of y's
+    size; _scan works on the views, which are sliced once, not at every
+    solve.
     """
     product = np.empty(len(y))
-    return y, [(y[:-s], y[s:], product[s:]) for s in _offsets(len(y))]
+    return y, [(y[:-s], y[s:], product[s:]) for s in _offsets(reach)]
 
 
 def _scan(rhs, pivot, forward, back, b, scan):
     """The forward and back substitution of every solve: the solution, in y of scan.
 
     pivot holds the pivots of system b of forward and back (_coefficients),
-    scan is _scan_views of a vector of the system's size.  From
-    y = rhs / pivot, the forward sweep y[i] = rhs[i]/pivot[i] + F_1[i] * y[i-1]
-    adds F_s[i] * y[i-s] for each offset s in turn, and the back sweep
-    y[i] += G_1[i] * y[i+1] adds G_s[i] * y[i+s]: each sweep is one vector
-    multiply-add per offset.
+    scan is _scan_views of a vector of the system's size, with the same
+    offsets.  From y = rhs / pivot, the forward sweep
+    y[i] = rhs[i]/pivot[i] + F_1[i] * y[i-1] adds F_s[i] * y[i-s] for each
+    offset s in turn, and the back sweep y[i] += G_1[i] * y[i+1] adds
+    G_s[i] * y[i+s]: each sweep is one vector multiply-add per offset.
     """
     y, views = scan
-    np.divide(rhs, pivot, out=y)
+    np.divide(rhs, pivot, y)
     for f, (lower, upper, product) in zip(forward, views):
-        np.multiply(f[b], lower, out=product)
-        np.add(upper, product, out=upper)
+        np.multiply(f[b], lower, product)
+        np.add(upper, product, upper)
     for g, (lower, upper, product) in zip(back, views):
-        np.multiply(g[b], upper, out=product)
-        np.add(lower, product, out=lower)
+        np.multiply(g[b], upper, product)
+        np.add(lower, product, lower)
     return y
 
 
@@ -640,15 +690,24 @@ def _memory_terms(grid: PhaseGrid, rfac: float, table: LagTable, d2, out):
 
     The first step solves history row 0, which has no history, and leaves
     out as it is (zero).  The k-th step after it is the step from level k:
-    its memory is summed over rows 0..k of d2 as _blocks and _runs split it
-    (_block_history, _memory_sum), so d2 must hold those rows by then.
+    its memory c[:k+1] @ d2[:k+1] is split at the first level of its block
+    (_blocks): the rows before the block are summed for a run of levels at
+    once (_runs), one matrix product with the run's weights (_run_weights),
+    and the block's own rows per level (_level_weights).  So d2 must hold
+    rows 0..k by then.  Each level's product, sum and scaling are written
+    into preallocated vectors.
     """
     yield
+    scratch, level = np.empty(grid.mesh.n), np.empty_like(out)
     for levels in _blocks(grid):
+        start = levels.start
         for run in _runs(levels):
-            rows, known = _block_history(grid, table, run, levels.start, d2)
-            for k, c, before in zip(run, rows, known):
-                np.multiply(rfac, _memory_sum(c, before, d2, levels.start, k), out)
+            known = _run_weights(grid, table, run, start) @ d2[:start + 1]
+            for k, before in zip(run, known):
+                np.matmul(_level_weights(grid, table, start, k, scratch), d2[start + 1:k + 1],
+                          level)
+                np.add(before, level, level)
+                np.multiply(rfac, level, out)
                 yield
 
 
@@ -680,18 +739,21 @@ def _advance(grids) -> None:
     The steps are taken per history row j (row 0 the solid's half level or
     the liquid's level 0, row j >= 1 level j), with the coefficients that
     _phase_coeffs sets for each row, copied into per-phase columns of the
-    loop's tables.  Per block of levels of the larger grid (_blocks),
-    whose first block also solves row 0, it forms the rows (_rows), pivots
-    and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
-    _width(unknowns) of its steps, the scan coefficients (_coefficients).
-    The diagonal t + 2r is formed once per history row and phase column,
-    in the time coefficients' table, and gathered per block, so a block's
-    set-up holds at most five block-sized arrays at once: the gathered
-    advective factors, which become sub, the gathered implicit
-    coefficients, which _rows overwrites as scratch, the diagonal, sup and
-    the dominance excess; then sub, sup, diag, pivot and mult.
+    loop's tables.  Per block of _BLOCK_VALUES * len(grids) // (unknowns)
+    levels, whose first block also solves row 0, it forms the rows (_rows),
+    pivots and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
+    _width(unknowns, reach) of its steps, the scan coefficients
+    (_coefficients), with the offsets below reach, the larger phase's
+    unknown count.  The diagonal t + 2r is formed once per history row and
+    phase column, in the time coefficients' table, and spread over the
+    joint row per block, so a block's set-up holds at most five block-sized
+    arrays at once: the spread advective factors, which become sub, the
+    spread implicit coefficients, which _rows overwrites as scratch, the
+    diagonal, sup and the dominance excess; then sub, sup, diag, pivot and
+    mult.
     Per step it forms the right-hand side (initial term, memory term, the
-    running advective sum, boundary values) and substitutes (_scan).  It
+    running advective sum, boundary values) in place and substitutes
+    (_scan).  It
     raises ZeroPivotError naming the phase of the first zero pivot and logs
     each phase's dominance count.  Non-finite values, which no warning
     reports, raise InvalidStateError naming the phase that holds them at the
@@ -705,12 +767,13 @@ def _advance(grids) -> None:
     # each grid's first node in the joint row, and its unknowns among the joint row's
     starts = list(accumulate([grid.m + 1 for grid in grids[:-1]], initial=0))
     interiors = [slice(o, o + grid.m - 1) for grid, o in zip(grids, starts)]
-    # per unknown, the column of its phase in the tables below; the front nodes take the last
-    column = np.concatenate([[len(grids)] + [i] * (grid.m - 1) + [len(grids)]
-                             for i, grid in enumerate(grids)])[1:-1]
-    size = len(column)
+    size = interiors[-1].stop
+    # per phase column of the tables below, its unknowns; the front nodes take the last
+    spans = list(enumerate(interiors)) + [(len(grids), slice(interiors[0].stop,
+                                                             interiors[-1].start))]
     row = np.empty(size + 2)  # the joint history row being solved
     initial, qfac, memory = np.zeros(size), np.zeros(size), np.zeros(size)
+    rhs, adv, product, d2, dc = np.zeros((5, size))
     # per history row j and phase column: time coefficient, implicit memory
     # coefficient and advective time factor; per grid its (left, right) boundary values
     time = np.ones((n + 1, len(grids) + 1))
@@ -725,19 +788,28 @@ def _advance(grids) -> None:
         sums.append(_memory_terms(grid, rfac, table, stores[-1][1], memory[interior]))
     diagonal = np.add(time, 2.0 * implicit, out=time)  # per row and column, t + 2r
     left_edge, right_edge = edges[0][:, 0], edges[-1][:, 1]
-    larger = max(grids, key=lambda grid: grid.m)
-    chunk = max(1, _BLOCK_VALUES // max(_width(size), 1))
-    buffer = np.empty(2 * chunk * _width(size))
-    scan = _scan_views(row[1:-1])
-    adv = np.zeros(size)
+
+    def spread(coefficients):
+        """A block's table of per-column coefficients, spread over the joint row's unknowns."""
+        out = np.empty((len(coefficients), size))
+        for i, unknowns in spans:
+            out[:, unknowns] = coefficients[:, i, None]
+        return out
+
+    # every scan product at an offset of the larger phase's unknown count or
+    # more spans a front row or reads a front node's 0: it adds an exact zero
+    reach = max(grid.m for grid in grids) - 1
+    chunk = max(1, _BLOCK_VALUES // max(_width(size, reach), 1))
+    buffer = np.empty(2 * chunk * _width(size, reach))
+    scan = _scan_views(row[1:-1], reach)
     violations = [0] * len(grids)
-    for levels in _blocks(larger):
+    for levels in _levels(n, _BLOCK_VALUES * len(grids) // size):
         rows = range(levels.start + 1 if levels.start else 0, levels.stop + 1)
         part = slice(rows.start, rows.stop)
-        q = np.take(advective[part], column, axis=1)
+        q = spread(advective[part])
         q *= qfac
-        diag = np.take(diagonal[part], column, axis=1)
-        sub, sup, count = _rows(np.take(implicit[part], column, axis=1), q, diag)
+        diag = spread(diagonal[part])
+        sub, sup, count = _rows(spread(implicit[part]), q, diag)
         violations = [v + int(count[interior].sum())
                       for v, interior in zip(violations, interiors)]
         left = sub[:, 0] * left_edge[part]
@@ -745,7 +817,7 @@ def _advance(grids) -> None:
         pivot, mult = _factor(sub, sup, diag)
         del sup, diag
         zero_row = _zero_rows(pivot)
-        gq = np.take(advective[part], column, axis=1)
+        gq = spread(advective[part])
         for b, j in enumerate(rows):
             if zero_row[b] >= 0:
                 grid, interior = next((grid, interior) for grid, interior in zip(grids, interiors)
@@ -754,23 +826,26 @@ def _advance(grids) -> None:
                                      f"zero pivot at row {zero_row[b] - interior.start}")
             if b % chunk == 0:
                 forward, back = _coefficients(sub[b:b + chunk], pivot[b:b + chunk],
-                                              mult[b:b + chunk], buffer)
+                                              mult[b:b + chunk], buffer, reach)
             for history in sums:
                 next(history)
-            rhs = initial + memory + qfac * adv
+            np.add(initial, memory, rhs)
+            np.multiply(qfac, adv, product)
+            np.add(rhs, product, rhs)
             rhs[0] -= left[b]
             rhs[-1] -= right[b]
             _scan(rhs, pivot[b], forward, back, b % chunk, scan)
             row[0] = left_edge[j]
             row[-1] = right_edge[j]
-            d2, dc = _differences(row)
+            _differences(row, d2, dc)
             for ubar, stored, interior, solved in stores:
                 stored[j] = d2[interior]
                 if j:
                     ubar[j, 1:-1] = solved
             if not j:
                 first = row.copy()
-            adv = adv + gq[b] * dc
+            np.multiply(gq[b], dc, product)
+            np.add(adv, product, adv)
         del sub, pivot, mult, gq  # before the next block's set-up
     for grid, count in zip(grids, violations):
         if count:

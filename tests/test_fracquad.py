@@ -105,6 +105,17 @@ class TestTrapWeights:
         assert np.array_equal(fracquad.trap_weights(np.int64(3), 0.5, 0.1).c, c)
         assert np.array_equal(fracquad.lag_table(np.int32(5), 0.5, 0.1).trap(np.int64(3)), c)
 
+    def test_tables_are_cached_and_read_only(self):
+        # the stepper reads every advance's weights from one table per
+        # (n, alpha, dtau), so no caller may write into it
+        table = fracquad.lag_table(40, 0.5, 0.025)
+        assert fracquad.lag_table(40, 0.5, 0.025) is table
+        assert fracquad.lag_table(np.int64(40), 0.5, 0.025) is table
+        for array in (table.interior, table.first, table.half):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert table.first[7] == table.trap(7)[0] and table.half[7] == table.split(7)[0]
+
     def test_rejects_infinite_dtau(self):
         # an infinite step would give all-inf trapezoid rows and NaN split rows
         with pytest.raises(errors.InvalidInputError, match="dtau"):

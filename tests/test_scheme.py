@@ -349,6 +349,27 @@ class TestThomasSolve:
         with pytest.raises(errors.ZeroPivotError):
             scheme.thomas_solve(system)
 
+    @pytest.mark.parametrize(("lengths", "size"), [
+        ((3, 3, 2, 3), 3),  # a short sup: elimination read pivots never written
+        ((3, 3, 3, 3), 7),  # a size the diagonals do not have
+        ((4, 3, 3, 3), 3),  # a long sub
+        ((3, 3, 3, 4), 3),  # a long rhs
+    ])
+    def test_rejects_malformed_system(self, lengths, size):
+        sub, diag, sup, rhs = (np.full(length, value)
+                               for length, value in zip(lengths, (1.0, 4.0, 1.0, 1.0)))
+        system = scheme.TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs, size=size)
+        got = ", ".join(f"{name} {length}"
+                        for name, length in zip(("sub", "diag", "sup", "rhs"), lengths))
+        with pytest.raises(errors.InvalidInputError,
+                           match=rf"of length size = {size}, got {got}$"):
+            scheme.thomas_solve(system)
+
+    def test_rejects_non_vector_diagonal(self):
+        system = self._system(np.ones(3), np.full(3, 4.0), np.ones(3), np.ones(3))
+        with pytest.raises(errors.InvalidInputError, match=r"diag of shape \(1, 3\)"):
+            scheme.thomas_solve(replace(system, diag=system.diag[None]))
+
     def test_zero_pivot_at_interior_row_named(self):
         # pivots 1, 2 - 1*1 = 1, then 1 - 1*1 = 0: elimination breaks at row 2
         system = self._system([0, 1, 1], [1.0, 2.0, 1.0], [1, 1, 0], [1.0, 1.0, 1.0])
@@ -409,7 +430,7 @@ class TestAdvance:
         # at most _BLOCK_VALUES values, however long the time axis: at m = 3
         # one block spans all 2000 levels, whose whole weight rows would be
         # 16 MB.  A block's set-up keeps at most five block-sized arrays
-        # alive at once (_rows, _factor): the peak is 9.04 _BLOCK_VALUES
+        # alive at once (_rows, _factor): the peak is 7.99 _BLOCK_VALUES
         # arrays above the stored differences at m = 50
         g = scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=m, m2=m, n=n),
                                    params_for(1, 0.5))
@@ -423,30 +444,26 @@ class TestAdvance:
         assert peak <= stored + 10 * scheme._BLOCK_VALUES * 8
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
-    def test_block_split_memory_sum_is_plain_sum(self, alpha, monkeypatch):
+    def test_block_split_memory_sum_is_plain_sum(self, alpha):
         # the oracle takes the stepper's split, so tie the split to the
         # definition: at every level of three blocks, the stepper's memory
-        # sum (rows before the block in one product, the block's own rows
-        # per level) equals c[:k+1] @ d2[:k+1] over rebuilt rows, to
-        # 1e-13 of |c| @ |d2|, the scale of a reordered sum's rounding
+        # sum (rows before the block in one product per run, the block's
+        # own rows per level), run over the advanced grid's rows with
+        # rfac = 1, equals c[:k+1] @ d2[:k+1] over rebuilt rows, to 1e-13
+        # of |c| @ |d2|, the scale of a reordered sum's rounding
         m = 250
         mesh = scheme.MeshConfig(m1=m, m2=m, n=2 * (scheme._BLOCK_VALUES // (m - 1)) + 3)
         params = params_for(1, alpha)
-        memory_sum = scheme._memory_sum
-        sums = {}
-
-        def recording(c, known, d2, start, k):
-            sums[k] = memory = memory_sum(c, known, d2, start, k)
-            return memory
-
-        monkeypatch.setattr(scheme, "_memory_sum", recording)
         for phase in (1, 2):
-            sums.clear()
             g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
-            assert len(scheme._blocks(g)) == 3 and sorted(sums) == list(range(mesh.n))
             first = first_row(g)
             d2 = scheme._differences(np.vstack((first, g.ubar[1:])))[0]
             table = fracquad.lag_table(mesh.n - 1, alpha, 1.0 / mesh.n)
+            out = np.zeros(m - 1)
+            terms = scheme._memory_terms(g, 1.0, table, d2, out)
+            next(terms)  # the step that solves row 0, which has no history
+            sums = dict(enumerate(out.copy() for _ in terms))
+            assert len(scheme._blocks(g)) == 3 and sorted(sums) == list(range(mesh.n))
             for k in range(mesh.n):
                 c = scheme._step_weights(g, table, k)[:k + 1]
                 bound = 1e-13 * (np.abs(c) @ np.abs(d2[:k + 1]))
@@ -565,29 +582,31 @@ class TestAdvance:
                 assert np.abs(row - g.ubar[k + 1, 1:-1]).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
-    def test_weight_rows_match_per_step_weights(self, alpha, monkeypatch):
-        # the rows the stepper slices from its lag table equal the rows of
-        # a table built for the step alone, bit for bit, across SERIES_LAG
-        # (1415), where the interior factor switches to its series
+    def test_weight_rows_match_per_step_weights(self, alpha):
+        # the rows the stepper reads as windows of its lag table equal the
+        # rows of a table built for the step alone, bit for bit, across
+        # SERIES_LAG (1415), where the interior factor switches to its
+        # series: the memory weights c[:k+1] of its run and level, and the
+        # new level's weight c[k+1] in the implicit coefficient
         ks = (0, 1, 2, 1413, 1414, 1415, 1416, 2000)
         mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
         params = params_for(0, alpha)
+        table = fracquad.lag_table(mesh.n - 1, alpha, 1.0 / mesh.n)
         seen = {}
-        step_weights = scheme._step_weights
-
-        def recording(grid, table, k):
-            c = step_weights(grid, table, k)
-            if k in ks:
-                seen[(grid.phase, k)] = c
-            return c
-
-        monkeypatch.setattr(scheme, "_step_weights", recording)
         for phase in (1, 2):
-            g = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
+            g = scheme.make_phase_grid(phase, 0.7, mesh, params)
+            implicit, rfac = (scheme._phase_coeffs(g)[i] for i in (1, 4))
+            for k in ks:
+                levels = next(block for block in scheme._blocks(g) if k in block)
+                run = next(run for run in scheme._runs(levels) if k in run)
+                seen[(phase, k)] = np.concatenate((
+                    scheme._run_weights(g, table, run, levels.start)[k - run.start],
+                    scheme._level_weights(g, table, levels.start, k, np.empty(mesh.n))))
             for k in ks:
                 ref = (fracquad.trap_weights(k, alpha, 1.0 / mesh.n).c if phase == 1
                        else fracquad.lag_table(k, alpha, 1.0 / mesh.n).split(k))
-                assert np.array_equal(seen[(phase, k)], ref)
+                assert np.array_equal(seen[(phase, k)], ref[:k + 1])
+                assert implicit[k + 1] == rfac * ref[-1]
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_stepper_is_p_free(self, alpha):
@@ -633,15 +652,16 @@ def phase_grids(p, mesh, params):
 
 
 class TestAdvancePair:
-    @pytest.mark.parametrize("m1, m2, n", [(50, 250, 200), (300, 40, 120)])
+    @pytest.mark.parametrize("m1, m2, n", [(50, 250, 200), (300, 40, 120), (250, 250, 200)])
     @pytest.mark.parametrize("alpha", [0.25, 1.0])
     @pytest.mark.parametrize("p", [0.1, 2.0])
     def test_rows_and_half_match_separate_advances(self, m1, m2, n, alpha, p):
         # one scan solves both phases, each with its own memory split: the
         # products across the front rows are +-0, so each phase keeps the
-        # bits of its own advance.  The factor blocks follow the larger
-        # grid, so both phases span two of them; at 50/250 the liquid's
-        # memory split is one block, the solid's two
+        # bits of its own advance.  The factor blocks hold
+        # 2 * _BLOCK_VALUES // (m1 + m2) levels: one block at 50/250 and
+        # 300/40, two at 250/250.  The larger grid's memory split is two
+        # blocks; at 50/250 the liquid's is one
         mesh = scheme.MeshConfig(m1=m1, m2=m2, n=n)
         params = params_for(1, alpha)
         alone = [scheme.advance_phase(grid) for grid in phase_grids(p, mesh, params)]
@@ -690,13 +710,15 @@ class TestAdvancePair:
             assert np.array_equal(grid.ubar[:level], ref.ubar[:level])
             assert not grid.ubar[level:, 1:-1].any()
 
-    @pytest.mark.parametrize(("m1", "m2", "n"), [(3, 3, 2000), (50, 50, 1600)])
+    @pytest.mark.parametrize(("m1", "m2", "n"), [(3, 3, 2000), (50, 50, 1600), (50, 250, 1600),
+                                                 (3, 250, 2000)])
     def test_memory_bounded_by_block_values(self, m1, m2, n):
-        # the factor blocks hold _BLOCK_VALUES // (m - 1) levels of the
-        # larger grid, so their arrays span up to about twice _BLOCK_VALUES
-        # values (m1 = m2); each phase keeps its own memory products.  With
-        # at most five block-sized arrays per set-up, 50/50/1600 peaks at
-        # 15.45 _BLOCK_VALUES arrays above the stored differences
+        # the factor blocks hold 2 * _BLOCK_VALUES // (m1 + m2) levels of
+        # the joint row, so their arrays span about twice _BLOCK_VALUES
+        # values at any m1 and m2; each phase keeps its own memory
+        # products.  With at most five block-sized arrays per set-up,
+        # 50/50/1600 peaks at 13.52 _BLOCK_VALUES arrays above the stored
+        # differences, 50/250/1600 at 14.40 and 3/250/2000 at 13.93
         grids = phase_grids(0.7, scheme.MeshConfig(m1=m1, m2=m2, n=n), params_for(1, 0.5))
         tracemalloc.start()
         try:

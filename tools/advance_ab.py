@@ -8,9 +8,12 @@ With --pair it times one candidate's two phases instead: `scheme.advance_pair`
 in this tree against two `scheme.advance_phase` calls in the other.  After
 the timed advance each interpreter advances fresh grids once more, untimed,
 under `tracemalloc`, for the traced peak of one advance above its grids.
-BLAS runs one thread.  Per mesh and phase (or pair) it prints each tree's
-median and quartiles, the ratio of the medians (this tree over the other),
-how many rounds each tree was faster in and each tree's median traced peak:
+It also prints a SHA-256 of the timed advance's grids: every grid's `ubar`
+and the solid's `half`.  BLAS runs one thread.  Per mesh and phase (or pair)
+it prints each tree's median and quartiles, the ratio of the medians (this
+tree over the other), how many rounds each tree was faster in, each tree's
+median traced peak, and whether the two trees advanced the same grids, bit
+for bit, in every round:
 
     python3 tools/advance_ab.py --against PARENT/src
     python3 tools/advance_ab.py --against PARENT/src --meshes 100/500/400 --phases 2 --rounds 11
@@ -27,7 +30,7 @@ import sys
 from pathlib import Path
 
 CHILD = """
-import sys, time, tracemalloc
+import hashlib, sys, time, tracemalloc
 from fracstefan.analytic import PhysicalParams
 from fracstefan import scheme
 m1, m2, n = map(int, sys.argv[1:4])
@@ -37,7 +40,7 @@ mesh, params = scheme.MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
 phases = (1, 2) if what in ("pair", "both") else (int(what),)
 
 def advance(traced=False):
-    # seconds of one advance of fresh grids, or its traced peak in bytes above them
+    # (seconds, grids) of one advance of fresh grids, or its traced peak in bytes above them
     grids = [scheme.make_phase_grid(phase, p, mesh, params) for phase in phases]
     if traced:
         tracemalloc.start()
@@ -49,13 +52,19 @@ def advance(traced=False):
             scheme.advance_phase(grid)
     seconds = time.perf_counter() - start
     if not traced:
-        return seconds
+        return seconds, grids
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak
 
 advance()
-print(advance(), advance(traced=True))
+seconds, grids = advance()
+digest = hashlib.sha256()
+for grid in grids:
+    digest.update(grid.ubar.tobytes())
+    if grid.half is not None:
+        digest.update(grid.half.tobytes())
+print(seconds, advance(traced=True), digest.hexdigest())
 """
 
 SINGLE_THREAD = {name: "1" for name in
@@ -63,16 +72,17 @@ SINGLE_THREAD = {name: "1" for name in
 
 
 def _time(src: Path, mesh: tuple, what: str, alpha: float, p: float) -> tuple:
-    """CHILD's advance what in a fresh interpreter importing fracstefan from src: (seconds, peak).
+    """CHILD's advance what in a fresh interpreter importing src's fracstefan: (seconds, peak, digest).
 
-    peak is the traced peak of the untimed advance, in bytes above its grids.
+    peak is the traced peak of the untimed advance, in bytes above its grids,
+    and digest the SHA-256 of the timed advance's grids.
     """
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(src)}
     args = [str(v) for v in (*mesh, what, alpha, p)]
     out = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
                          capture_output=True, text=True, check=True)
-    seconds, peak = out.stdout.split()
-    return float(seconds), int(peak)
+    seconds, peak, digest = out.stdout.split()
+    return float(seconds), int(peak), digest
 
 
 def _summary(samples: list) -> str:
@@ -103,7 +113,8 @@ def main(argv=None) -> int:
     trees = {"this": args.src.resolve(), "other": args.against.resolve()}
     print(f"this = {trees['this']}\nother = {trees['other']}\n"
           f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
-          f"median [quartiles] of one advance; median traced peak above its grids")
+          f"median [quartiles] of one advance; median traced peak above its grids; "
+          f"whether the trees' grids agree bit for bit")
     # per timed case: its label and what each tree's CHILD advances
     cases = ([("pair", {"this": "pair", "other": "both"})] if args.pair else
              [(f"phase {phase}", {"this": phase, "other": phase})
@@ -111,19 +122,22 @@ def main(argv=None) -> int:
     for mesh in map(_mesh, args.meshes.split(",")):
         for label, what in cases:
             samples, peaks = {"this": [], "other": []}, {"this": [], "other": []}
+            digests = set()
             for i in range(args.rounds):
                 for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
-                    seconds, peak = _time(trees[name], mesh, what[name], args.alpha, args.p)
+                    seconds, peak, digest = _time(trees[name], mesh, what[name], args.alpha,
+                                                  args.p)
                     samples[name].append(seconds)
                     peaks[name].append(peak)
+                    digests.add(digest)
             wins = sum(a < b for a, b in zip(samples["this"], samples["other"]))
             ratio = statistics.median(samples["this"]) / statistics.median(samples["other"])
             peak = {name: statistics.median(values) / 2 ** 20 for name, values in peaks.items()}
             print(f"{'/'.join(map(str, mesh))} {label}: this {_summary(samples['this'])}, "
                   f"other {_summary(samples['other'])}, ratio {ratio:.2f}, "
                   f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}; "
-                  f"traced peak this {peak['this']:.2f} MiB, other {peak['other']:.2f} MiB",
-                  flush=True)
+                  f"traced peak this {peak['this']:.2f} MiB, other {peak['other']:.2f} MiB; "
+                  f"grids {'agree' if len(digests) == 1 else 'DIFFER'}", flush=True)
     return 0
 
 

@@ -48,7 +48,7 @@ RUNS = (
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "80", "--ratio", "3"),
     # a solid of 599 unknowns, whose scan runs ten offsets, up to 512
     ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "600", "--n", "40"),
-    # a liquid larger than the solid: the pair's factor blocks follow the liquid
+    # a liquid larger than the solid: the pair's scan offsets stop below the liquid's unknowns
     ("numeric", "--alpha", "0.5", "--m1", "300", "--m2", "40", "--n", "120"),
     # the alpha = 1 closed forms at large arguments: a root at small diffusivities,
     # and a solid far field with erfc arguments up to about 16
