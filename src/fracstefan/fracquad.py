@@ -12,19 +12,19 @@ The closed-form weight expressions are second differences of lag**(alpha+1)
 and cancel catastrophically for large lags; evaluation switches to a
 binomial series once the estimated cancellation crosses 1e-9 relative.
 
-LagTable.split covers a history whose first interval [0, dtau] is
-integrated by two implicit half-steps instead: right-endpoint rectangles on
-(0, dtau/2] and (dtau/2, dtau].  Its sample 0 is the level dtau/2, not
-level 0, which enters only as the initial datum.  The solid phase starts
-this way, because its level-0 row jumps from the interface value 0 to the
-far-field value in one space step and is no smooth sample of the integrand.
+The solid phase integrates its first interval [0, dtau] by two implicit
+half-steps instead: right-endpoint rectangles on (0, dtau/2] and
+(dtau/2, dtau], whose sample 0 is the level dtau/2.  half_weight gives
+that half level's weight; the rule that puts it into a row lives with the
+stepper (scheme._first_interval).
 
-A grid needs the weight row of every step, and the interior weights depend
-only on the lag k - j + 1, so lag_table builds them once for all lags of a
-grid and each step slices its row from that table; trap_weights is that
-slice for one k.  lag_table caches its tables, one per (n, alpha, dtau),
-so their arrays are read-only; a table builds the first-interval weights
-of every step (LagTable.first, LagTable.half) once, when first asked.
+The interior weights depend only on the lag k - j + 1, so lag_table builds
+them once for all lags of a grid, as columns a row is read from: interior
+per lag, the first interval's weight per step (first) and the half
+level's (half), and the new level's weight pref.  trap_weights is the
+product-trapezoidal row of one k.  lag_table caches its tables, one per
+(n, alpha, dtau), so their arrays are read-only; a table builds first and
+half once, when first asked.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ def _first_factor(k: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class LagTable:
-    """Interior memory weights of one grid, built once and sliced per step.
+    """The weight columns of one grid, built once; rows are read from them.
 
     interior[n - lag] = pref * factor(lag) for lag = n, ..., 1, so the
     interior weights c[1..k] of the step to level k+1 are its last k
-    entries.  trap(k) and split(k) give the same bits from every table with
-    n >= k.  The weight of the new level, c[k+1], is pref in every row but
-    split(0)'s, whose c[1] takes the first interval's remainder.  Its
+    entries.  first[k] and half[k] are the first interval's weight and the
+    half level's in the step from level k, and pref is the new level's
+    weight c[k+1].  Every table with n >= k holds the same bits for k.  Its
     arrays are read-only (lag_table caches the table).
     """
 
@@ -118,37 +118,17 @@ class LagTable:
     pref: float
     interior: np.ndarray = field(repr=False)
 
-    def trap(self, k: int) -> np.ndarray:
-        """Product-trapezoidal weights c[j], j = 0..k+1, targeting level k+1."""
-        size = self.interior.shape[0]
-        if not (_is_integer(k) and 0 <= k <= size):
-            raise InvalidInputError(f"k must be an integer in [0, {size}], got {k!r}")
-        c = np.empty(k + 2)
-        c[0] = self.pref * _first_factor(k, self.alpha)
-        c[1:k + 1] = self.interior[size - k:]
-        c[k + 1] = self.pref
-        return c
-
     @cached_property
     def first(self) -> np.ndarray:
-        """trap(k)'s c[0], pref * _first_factor(k), for k = 0..len(interior), built once."""
+        """pref * _first_factor(k), the first interval's weight, for k = 0..len(interior)."""
         return _read_only(np.array([self.pref * _first_factor(k, self.alpha)
                                     for k in range(self.interior.shape[0] + 1)]))
 
     @cached_property
     def half(self) -> np.ndarray:
-        """split(k)'s c[0], the half level's weight, for k = 0..len(interior), built once."""
+        """half_weight(k + 1), the half level's weight, for k = 0..len(interior)."""
         return _read_only(np.array([half_weight(k + 1.0, self.alpha, self.dtau)
                                     for k in range(self.interior.shape[0] + 1)]))
-
-    def split(self, k: int) -> np.ndarray:
-        """Split-start weights c[j], j = 0..k+1: c[0] weights the half level, c[2:] is trap(k)'s."""
-        c = self.trap(k)
-        w_half = half_weight(k + 1.0, self.alpha, self.dtau)
-        # c[0] plus the first-interval share of c[1] is the whole first interval
-        c[1] += c[0] - w_half
-        c[0] = w_half
-        return c
 
 
 def _is_integer(value) -> bool:
@@ -169,7 +149,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def lag_table(n: int, alpha: float, dtau: float) -> LagTable:
-    """The weight rows of the steps k = 0..n on a grid with time step dtau.
+    """The weight columns of the steps k = 0..n on a grid with time step dtau.
 
     Equal arguments return the same table, whose arrays are read-only.
     """
@@ -191,7 +171,12 @@ def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:
     """Memory weights c[j], j = 0..k+1, for the step targeting level k+1."""
     if not (_is_integer(k) and k >= 0):
         raise InvalidInputError(f"k must be an integer >= 0, got {k!r}")
-    return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=lag_table(k, alpha, dtau).trap(k))
+    table = lag_table(k, alpha, dtau)
+    c = np.empty(k + 2)
+    c[0] = table.pref * _first_factor(k, alpha)
+    c[1:k + 1] = table.interior
+    c[k + 1] = table.pref
+    return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=c)
 
 
 def half_weight(target: float, alpha: float, dtau: float) -> float:

@@ -10,16 +10,16 @@ residual is the search.
 The balance is the sum of two per-phase terms,
 S = (lambda2/(p**2 Gamma(alpha))) J2 - (lambda1/(p**2 Gamma(alpha))) J1,
 where J1 is the liquid flux and J2 the solid flux, each integrated over the
-front's own time s (see scheme) with the weight rows its own stepper uses
-(_flux_terms, scheme._step_weights): the liquid product-trapezoidally from
-level 0, the solid with the split start (two right-endpoint half-steps over
-the first interval).  As in the stepper's history, the solid's flux sample
-0 is the quotient at the half level s = 1/(2n), so its level-0 corner
-quotient carries no weight.  A term depends only on its own phase's grid,
-which depends on p only through kappa_i/p**2, so front searches that share
-a dict of terms keyed by scheme.phase_key (the cells of a table) advance
-each distinct phase grid once.  A candidate whose two terms are both new
-advances its two grids in one level loop (scheme.advance_pair).
+front's own time s with the weight rows its own stepper uses: the liquid
+product-trapezoidally from level 0, the solid with the split start (two
+right-endpoint half-steps over the first interval), whose flux sample 0 is
+the quotient at the half level s = 1/(2n).  scheme.flux_terms forms each
+term, beside the stepper's time rules.  A term depends only on its own
+phase's grid, which depends on p only through kappa_i/p**2, so front
+searches that share a dict of terms keyed by scheme.phase_key (the cells
+of a table) advance each distinct phase grid once.  A candidate whose two
+terms are both new advances its two grids in one level loop
+(scheme.advance_pair).
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from .errors import (
     InvalidStateError,
     NoSignChangeError,
 )
-from .fracquad import _is_integer, lag_table
+from .fracquad import _is_integer
 from .scheme import (
     MeshConfig,
     PhaseGrid,
-    _half_width,
-    _recover,
-    _step_weights,
     advance_pair,
     advance_phase,
+    flux_terms,
     make_phase_grid,
     phase_key,
     recover_physical,  # noqa: F401  (perfbench's tracer wraps this module's binding)
@@ -105,28 +103,6 @@ def _check_pair(g1: PhaseGrid, g2: PhaseGrid) -> None:
             "solid grid holds no half level; advance it with advance_phase or advance_pair")
 
 
-def _flux_terms(grid: PhaseGrid, levels) -> list:
-    """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
-
-    The flux is the one-sided difference quotient of the recovered
-    temperature at the front (the two front columns of recover_physical's
-    arrays, formed alone) per history row of the stepper: flux[j] is
-    level j's for j >= 1, and flux[0] the solid's at the half level
-    s = 1/(2n) kept by advance_phase; the weights are the stepper's rows.
-    The level-0 liquid quotient is defined as zero: at s = 0 the liquid
-    has neither temperature nor width, so its quotient would be 0/0.
-    """
-    u, x = _recover(grid, [grid.m - 1, grid.m] if grid.phase == 1 else [0, 1])
-    flux = np.empty(grid.mesh.n + 1)
-    flux[0] = 0.0
-    flux[1:] = (u[1:, 1] - u[1:, 0]) / (x[1:, 1] - x[1:, 0])
-    if grid.phase == 2:
-        # at s = 1/(2n) the node spacing is v[1] * width and u = half * width**2
-        flux[0] = (grid.half[1] - grid.half[0]) * _half_width(grid) / grid.v[1]
-    table = lag_table(grid.mesh.n - 1, grid.params.alpha, 1.0 / grid.mesh.n)
-    return [np.dot(_step_weights(grid, table, k - 1), flux[:k + 1]) for k in levels]
-
-
 def _front_value(params: PhysicalParams, p: float, term1, term2) -> float:
     """Heat-balance front position from the liquid and solid terms at one level."""
     scale = p * p * math.gamma(params.alpha)
@@ -140,7 +116,7 @@ def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
     """
     _check_pair(g1, g2)
     n = g1.mesh.n
-    return _front_value(g1.params, g1.p, _flux_terms(g1, [n])[0], _flux_terms(g2, [n])[0])
+    return _front_value(g1.params, g1.p, flux_terms(g1, [n])[0], flux_terms(g2, [n])[0])
 
 
 def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
@@ -152,7 +128,7 @@ def front_series(g1: PhaseGrid, g2: PhaseGrid) -> np.ndarray:
     _check_pair(g1, g2)
     levels = range(1, g1.mesh.n + 1)
     series = np.zeros(g1.mesh.n + 1)
-    for k, term1, term2 in zip(levels, _flux_terms(g1, levels), _flux_terms(g2, levels)):
+    for k, term1, term2 in zip(levels, flux_terms(g1, levels), flux_terms(g2, levels)):
         series[k] = _front_value(g1.params, g1.p, term1, term2)
     return series
 
@@ -180,7 +156,7 @@ def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_t
     except FracStefanError as exc:
         raise type(exc)(f"candidate p={p:.8g}: {exc}") from exc
     for grid in grids:
-        phase_terms[keys[grid.phase - 1]] = _flux_terms(grid, [mesh.n])[0]
+        phase_terms[keys[grid.phase - 1]] = flux_terms(grid, [mesh.n])[0]
     terms = [phase_terms[key] for key in keys]
     return 1.0 - _front_value(params, p, *terms), tuple(grids) if len(grids) == 2 else None
 

@@ -69,8 +69,12 @@ differences and the advective update run once per level on the joint
 row, into preallocated vectors.  One advance costs O(n**2 * m), in the
 memory products.  The assemble_phase{1,2}_step / thomas_solve pair
 performs the same arithmetic one step at a time, from differences rebuilt
-from the history rows and weight rows sliced from a lag table of its own
-run (_step_weights), and serves as its stepwise oracle.
+from the history rows and full weight rows (_step_weights) read from a lag
+table of its own run, and serves as its stepwise oracle.  _first_interval
+alone writes each phase's first-interval rule, the solid's split start
+among them, for _step_weights and the windows; _step_weights also serves
+_phase_coeffs and the interface balance's flux integral (flux_terms,
+which fronttrack calls, so the half level's geometry stays here).
 
 One row builder (_rows) serves every implicit step, the stepper's blocks
 (the solid's half-step among them) and the oracle's, and one
@@ -385,16 +389,32 @@ def _differences(rows, second=None, centred=None):
     return second, np.subtract(right, left, centred)
 
 
-def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
-    """The memory weights c[j], j = 0..k+1, of the grid's step to level k+1, sliced from table.
+def _first_interval(grid: PhaseGrid, table: LagTable, levels):
+    """c[0] of the steps from levels (an index or a slice), and what the phase adds to c[1].
 
-    A phase's time rule, for the stepwise oracle, _phase_coeffs and the
-    interface balance: the liquid's row is product-trapezoidal, the solid's
-    has the split start, whose c[0] weights the half level.  The stepper
-    reads the same weights as windows of the table (_run_weights,
-    _level_weights).
+    The liquid's first interval is product-trapezoidal (c[0] = table.first),
+    the solid's the split start: c[0] weights the half level (table.half),
+    and c[1] adds the rest of the interval, table.first - table.half.
     """
-    return table.trap(k) if grid.phase == 1 else table.split(k)
+    if grid.phase == 1:
+        return table.first[levels], 0.0
+    half = table.half[levels]
+    return half, table.first[levels] - half
+
+
+def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
+    """The memory weights c[j], j = 0..k+1, of the grid's step to level k+1, read from table.
+
+    c[0] and c[1]'s addend are _first_interval's, c[1..k] the last k
+    interior weights and c[k+1] pref.  The stepper reads the same weights
+    as windows of the table (_run_weights, _level_weights).
+    """
+    c = np.empty(k + 2)
+    c[0], extra = _first_interval(grid, table, k)
+    c[1:k + 1] = table.interior[table.interior.shape[0] - k:]
+    c[k + 1] = table.pref
+    c[1] += extra
+    return c
 
 
 def _levels(n: int, block: int) -> list:
@@ -427,19 +447,16 @@ def _runs(levels: range) -> list:
 def _run_weights(grid: PhaseGrid, table: LagTable, run: range, start: int):
     """The weights c[:start+1] of the steps from the levels k of run, one row per k.
 
-    Read from the table as _step_weights slices them: column 0 is the first
-    interval's weight (table.first, or the solid's half level weight
-    table.half), columns 1..start are windows of table.interior, and the
-    solid's c[1] adds the first interval's remainder (LagTable.split).
+    The bits of _step_weights: column 0 and column 1's addend from
+    _first_interval, columns 1..start windows of table.interior.
     """
     size = table.interior.shape[0]
     rows = np.empty((len(run), start + 1))
-    rows[:, 0] = (table.first if grid.phase == 1 else table.half)[run.start:run.stop]
+    rows[:, 0], extra = _first_interval(grid, table, slice(run.start, run.stop))
     if start:
         windows = sliding_window_view(table.interior, start)
         rows[:, 1:] = windows[size - run.stop + 1:size - run.start + 1][::-1]
-        if grid.phase == 2:
-            rows[:, 1] += table.first[run.start:run.stop] - table.half[run.start:run.stop]
+        rows[:, 1] += extra
     return rows
 
 
@@ -447,7 +464,7 @@ def _level_weights(grid: PhaseGrid, table: LagTable, start: int, k: int, scratch
     """The weights c[start+1:k+1] of the step from level k, the rows solved within its block.
 
     A view of table.interior, except in the solid's first block, whose c[1]
-    adds the first interval's remainder (LagTable.split): that row is
+    adds the rest of the first interval (_first_interval): that row is
     written into scratch, a vector of at least k values.
     """
     weights = table.interior[table.interior.shape[0] - k + start:]
@@ -455,7 +472,7 @@ def _level_weights(grid: PhaseGrid, table: LagTable, start: int, k: int, scratch
         return weights
     scratch = scratch[:k]
     scratch[:] = weights
-    scratch[0] += table.first[k] - table.half[k]
+    scratch[0] += _first_interval(grid, table, k)[1]
     return scratch
 
 
@@ -922,3 +939,24 @@ def recover_physical(grid: PhaseGrid) -> RecoveredField:
     """Undo the auxiliary scaling and the front-fixing map, all levels at once."""
     u, x = _recover(grid, slice(None))
     return RecoveredField(tau=grid.tau, x=x, u=u)
+
+
+def flux_terms(grid: PhaseGrid, levels) -> list:
+    """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
+
+    The interface balance's term of one phase (fronttrack).  The flux is
+    the one-sided difference quotient of the recovered temperature at the
+    front per history row: flux[j] is level j's for j >= 1, flux[0] the
+    solid's at its half level s = 1/(2n), integrated with the phase's rows
+    (_step_weights).  The level-0 liquid quotient is defined as zero: at
+    s = 0 the liquid has neither temperature nor width (0/0).
+    """
+    u, x = _recover(grid, [grid.m - 1, grid.m] if grid.phase == 1 else [0, 1])
+    flux = np.empty(grid.mesh.n + 1)
+    flux[0] = 0.0
+    flux[1:] = (u[1:, 1] - u[1:, 0]) / (x[1:, 1] - x[1:, 0])
+    if grid.phase == 2:
+        # at s = 1/(2n) the node spacing is v[1] * width and u = half * width**2
+        flux[0] = (grid.half[1] - grid.half[0]) * _half_width(grid) / grid.v[1]
+    table = lag_table(grid.mesh.n - 1, grid.params.alpha, 1.0 / grid.mesh.n)
+    return [np.dot(_step_weights(grid, table, k - 1), flux[:k + 1]) for k in levels]

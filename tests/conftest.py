@@ -56,6 +56,23 @@ def exact_row(field, x, tau, sol):
     return np.array([field(xi, float(tau), sol) for xi in x.tolist()])
 
 
+def split_rule(k: int, alpha: float, dtau: float) -> np.ndarray:
+    """The solid's split-start weights c[j], j = 0..k+1, of the step to level k+1.
+
+    Written from the product-trapezoidal row and the half level's weight
+    alone: c[0] weights the half level, and c[1] takes the rest of the first
+    interval, so that c[0] plus the first interval's share of c[1] is the
+    whole first interval, as in the trapezoid row.
+    """
+    from fracstefan import fracquad
+
+    c = fracquad.trap_weights(k, alpha, dtau).c
+    half = fracquad.half_weight(k + 1.0, alpha, dtau)
+    c[1] += c[0] - half
+    c[0] = half
+    return c
+
+
 def kernel_integral_pwl(nodes, alpha: float, dtau: float) -> float:
     """integral_0^{T} (T - xi)**(alpha-1) f(xi) dxi for piecewise-linear f.
 

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import kernel_integral_pwl
-from fracstefan import errors, fracquad
+from conftest import kernel_integral_pwl, params_for
+from fracstefan import errors, fracquad, scheme
+
+# _step_weights reads only a grid's phase; the weights come from the table passed
+LIQUID, SOLID = (scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=2, m2=2, n=1),
+                                        params_for(0, 0.5)) for phase in (1, 2))
+
+
+def split_row(k, alpha, dtau):
+    """The solid's split-start weights of the step to level k+1, from a table of step dtau."""
+    return scheme._step_weights(SOLID, fracquad.lag_table(k, alpha, dtau), k)
 
 
 class TestTrapWeights:
@@ -93,17 +102,16 @@ class TestTrapWeights:
     def test_rejects_non_integral_step_count(self, k):
         # a fractional count gave NaN weights (a negative base in the interior
         # factor), an integral float a TypeError from np.empty
-        table = fracquad.lag_table(3, 0.5, 0.1)
         for weights in (lambda: fracquad.trap_weights(k, 0.5, 0.1),
-                        lambda: fracquad.lag_table(k, 0.5, 0.1),
-                        lambda: table.trap(k), lambda: table.split(k)):
+                        lambda: fracquad.lag_table(k, 0.5, 0.1)):
             with pytest.raises(errors.InvalidInputError, match="must be an integer"):
                 weights()
 
     def test_accepts_numpy_integer_step_count(self):
         c = fracquad.trap_weights(3, 0.5, 0.1).c
         assert np.array_equal(fracquad.trap_weights(np.int64(3), 0.5, 0.1).c, c)
-        assert np.array_equal(fracquad.lag_table(np.int32(5), 0.5, 0.1).trap(np.int64(3)), c)
+        table = fracquad.lag_table(np.int32(5), 0.5, 0.1)
+        assert np.array_equal(scheme._step_weights(LIQUID, table, np.int64(3)), c)
 
     def test_tables_are_cached_and_read_only(self):
         # the stepper reads every advance's weights from one table per
@@ -114,7 +122,8 @@ class TestTrapWeights:
         for array in (table.interior, table.first, table.half):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        assert table.first[7] == table.trap(7)[0] and table.half[7] == table.split(7)[0]
+        assert table.first[7] == fracquad.trap_weights(7, 0.5, 0.025).c[0]
+        assert table.half[7] == fracquad.half_weight(8.0, 0.5, 0.025)
 
     def test_rejects_infinite_dtau(self):
         # an infinite step would give all-inf trapezoid rows and NaN split rows
@@ -148,7 +157,7 @@ class TestSplitStartWeights:
     @pytest.mark.parametrize("k", [0, 1, 5, 399, 2000])
     def test_exact_on_split_start_samples(self, alpha, k, rng):
         dtau = 0.01
-        c = fracquad.lag_table(k, alpha, dtau).split(k)
+        c = split_row(k, alpha, dtau)
         nodes = rng.standard_normal(k + 2)
         f_half = rng.standard_normal()
         nodes[0] = f_half
@@ -180,17 +189,18 @@ class TestSplitStartWeights:
 
     def test_alpha_one_is_backward_euler_pair(self):
         dtau = 0.3
-        c = fracquad.lag_table(0, 1.0, dtau).split(0)
+        c = split_row(0, 1.0, dtau)
         np.testing.assert_allclose(c, [dtau / 2.0, dtau / 2.0], rtol=1e-14)
 
     def test_matches_trapezoid_beyond_first_interval(self):
-        c = fracquad.lag_table(9, 0.5, 0.05).split(9)
+        c = split_row(9, 0.5, 0.05)
         np.testing.assert_array_equal(c[2:], fracquad.trap_weights(9, 0.5, 0.05).c[2:])
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_new_level_weight_is_pref_but_in_split_first_step(self, alpha):
         # the stepper forms every step's implicit weight c[k+1] from this
         table = fracquad.lag_table(40, alpha, 0.05)
-        assert table.trap(0)[-1] == table.pref
+        assert fracquad.trap_weights(0, alpha, 0.05).c[-1] == table.pref
         for k in range(1, 41):
-            assert table.trap(k)[-1] == table.split(k)[-1] == table.pref
+            assert (fracquad.trap_weights(k, alpha, 0.05).c[-1]
+                    == scheme._step_weights(SOLID, table, k)[-1] == table.pref)

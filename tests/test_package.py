@@ -43,3 +43,16 @@ def test_closed_form_route_imports_only_the_standard_library():
             else:
                 continue
             assert all(top in sys.stdlib_module_names for top in tops), (module, tops)
+
+
+def test_balance_takes_no_private_name_of_the_stepper():
+    # each phase's time rule and the balance's flux live in scheme
+    # (_step_weights, flux_terms); fronttrack reaches them by public names
+    # and builds no weight table of its own
+    path = ROOT / "src" / "fracstefan" / "fronttrack.py"
+    taken = [(node.module.rpartition(".")[2], alias.name)
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert ("scheme", "flux_terms") in taken
+    assert not [name for module, name in taken if module == "scheme" and name.startswith("_")]
+    assert "lag_table" not in [name for _, name in taken]

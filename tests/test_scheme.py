@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import exact_row, params_for
+from conftest import exact_row, params_for, split_rule
 from fracstefan import analytic, errors, fracquad, scheme
 
 SMALL_MESH = scheme.MeshConfig(m1=12, m2=30, n=20, ratio=10.0)
@@ -207,7 +207,7 @@ class TestAssembly:
         assert time[0] == scheme._half_width(solid) ** 2
         assert np.array_equal(time[1:], scale[1:])
         assert implicit[0] == rfac * fracquad.half_weight(0.5, alpha, ds)
-        assert implicit[1] == rfac * table.split(0)[1]
+        assert implicit[1] == rfac * split_rule(0, alpha, ds)[1]
         assert np.array_equal(implicit[2:], np.full(mesh.n - 1, rfac * table.pref))
         assert np.array_equal(edges[0], solid.ubar[0, [0, -1]] * (mesh.ratio ** 2 / time[0]))
         assert np.array_equal(edges[1:], solid.ubar[1:, [0, -1]])
@@ -581,31 +581,34 @@ class TestAdvance:
                 scale = np.abs(g.ubar[k + 1]).max()
                 assert np.abs(row - g.ubar[k + 1, 1:-1]).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_weight_rows_match_per_step_weights(self, alpha):
-        # the rows the stepper reads as windows of its lag table equal the
-        # rows of a table built for the step alone, bit for bit, across
+        # every reader of a phase's weight row gives the rule's bits, across
         # SERIES_LAG (1415), where the interior factor switches to its
-        # series: the memory weights c[:k+1] of its run and level, and the
-        # new level's weight c[k+1] in the implicit coefficient
+        # series: trap_weights (a table of the step alone; the liquid's
+        # rule), _step_weights (the oracle's and the balance's full rows,
+        # from the grid's table) and the stepper's windows (_run_weights for
+        # c[:start+1] of its run, _level_weights for its block's own rows,
+        # the new level's weight c[k+1] in the implicit coefficient).  The
+        # solid's rule is split_rule, from trap_weights and half_weight alone
         ks = (0, 1, 2, 1413, 1414, 1415, 1416, 2000)
         mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
+        ds = 1.0 / mesh.n
         params = params_for(0, alpha)
-        table = fracquad.lag_table(mesh.n - 1, alpha, 1.0 / mesh.n)
-        seen = {}
+        table = fracquad.lag_table(mesh.n - 1, alpha, ds)
         for phase in (1, 2):
             g = scheme.make_phase_grid(phase, 0.7, mesh, params)
             implicit, rfac = (scheme._phase_coeffs(g)[i] for i in (1, 4))
             for k in ks:
+                ref = (fracquad.trap_weights(k, alpha, ds).c if phase == 1
+                       else split_rule(k, alpha, ds))
                 levels = next(block for block in scheme._blocks(g) if k in block)
                 run = next(run for run in scheme._runs(levels) if k in run)
-                seen[(phase, k)] = np.concatenate((
+                window = np.concatenate((
                     scheme._run_weights(g, table, run, levels.start)[k - run.start],
                     scheme._level_weights(g, table, levels.start, k, np.empty(mesh.n))))
-            for k in ks:
-                ref = (fracquad.trap_weights(k, alpha, 1.0 / mesh.n).c if phase == 1
-                       else fracquad.lag_table(k, alpha, 1.0 / mesh.n).split(k))
-                assert np.array_equal(seen[(phase, k)], ref[:k + 1])
+                assert np.array_equal(scheme._step_weights(g, table, k), ref)
+                assert np.array_equal(window, ref[:k + 1])
                 assert implicit[k + 1] == rfac * ref[-1]
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])

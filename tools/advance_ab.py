@@ -4,8 +4,8 @@ For each mesh and phase, each round starts one fresh interpreter per tree,
 in alternating order.  Each interpreter imports fracstefan from its tree,
 advances the grid once untimed (so the allocator and numpy are warm), then
 times one `scheme.advance_phase` of a fresh grid with `time.perf_counter`.
-With --pair it times one candidate's two phases instead: `scheme.advance_pair`
-in this tree against two `scheme.advance_phase` calls in the other.  After
+With --pair it times one candidate's two phases instead, one
+`scheme.advance_pair` in each tree.  After
 the timed advance each interpreter advances fresh grids once more, untimed,
 under `tracemalloc`, for the traced peak of one advance above its grids.
 It also prints a SHA-256 of the timed advance's grids: every grid's `ubar`
@@ -34,10 +34,10 @@ import hashlib, sys, time, tracemalloc
 from fracstefan.analytic import PhysicalParams
 from fracstefan import scheme
 m1, m2, n = map(int, sys.argv[1:4])
-what = sys.argv[4]  # a phase, "pair" (advance_pair) or "both" (two advance_phase calls)
+what = sys.argv[4]  # a phase (advance_phase) or "pair" (advance_pair)
 alpha, p = map(float, sys.argv[5:7])
 mesh, params = scheme.MeshConfig(m1=m1, m2=m2, n=n), PhysicalParams(alpha=alpha)
-phases = (1, 2) if what in ("pair", "both") else (int(what),)
+phases = (1, 2) if what == "pair" else (int(what),)
 
 def advance(traced=False):
     # (seconds, grids) of one advance of fresh grids, or its traced peak in bytes above them
@@ -45,11 +45,7 @@ def advance(traced=False):
     if traced:
         tracemalloc.start()
     start = time.perf_counter()
-    if what == "pair":
-        scheme.advance_pair(*grids)
-    else:
-        for grid in grids:
-            scheme.advance_phase(grid)
+    (scheme.advance_pair if what == "pair" else scheme.advance_phase)(*grids)
     seconds = time.perf_counter() - start
     if not traced:
         return seconds, grids
@@ -105,7 +101,7 @@ def main(argv=None) -> int:
                         help="comma-separated m1/m2/n meshes (default: %(default)s)")
     parser.add_argument("--phases", default="1,2", help="comma-separated phases (default: 1,2)")
     parser.add_argument("--pair", action="store_true",
-                        help="time advance_pair here against two advance_phase calls there")
+                        help="time advance_pair of both phases in each tree")
     parser.add_argument("--rounds", type=int, default=7, help="rounds per mesh and phase")
     parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--p", type=float, default=0.74, help="front coefficient")
@@ -115,18 +111,16 @@ def main(argv=None) -> int:
           f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
           f"median [quartiles] of one advance; median traced peak above its grids; "
           f"whether the trees' grids agree bit for bit")
-    # per timed case: its label and what each tree's CHILD advances
-    cases = ([("pair", {"this": "pair", "other": "both"})] if args.pair else
-             [(f"phase {phase}", {"this": phase, "other": phase})
-              for phase in args.phases.split(",")])
+    # per timed case: its label and what both trees' CHILD advances
+    cases = ([("pair", "pair")] if args.pair else
+             [(f"phase {phase}", phase) for phase in args.phases.split(",")])
     for mesh in map(_mesh, args.meshes.split(",")):
         for label, what in cases:
             samples, peaks = {"this": [], "other": []}, {"this": [], "other": []}
             digests = set()
             for i in range(args.rounds):
                 for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
-                    seconds, peak, digest = _time(trees[name], mesh, what[name], args.alpha,
-                                                  args.p)
+                    seconds, peak, digest = _time(trees[name], mesh, what, args.alpha, args.p)
                     samples[name].append(seconds)
                     peaks[name].append(peak)
                     digests.add(digest)
