@@ -64,15 +64,17 @@ s = 1, 2, 4, ... below the larger phase's unknown count.  In a pair every
 longer product spans a front row or reads a front node's 0, and adds an
 exact zero.  The scan's coefficients are products of the Thomas
 multipliers, which depend only on the matrix, so they are formed per
-chunk of the block's levels (_coefficients).  The right-hand side, the
+chunk of the block's levels, each offset's as one contiguous vector over
+the chunk's full rows (_coefficients).  The right-hand side, the
 differences and the advective update run once per level on the joint
-row, into preallocated vectors.  One advance costs O(n**2 * m), in the
-memory products.  The assemble_phase{1,2}_step / thomas_solve pair
-performs the same arithmetic one step at a time, from differences rebuilt
-from the history rows and full weight rows (_step_weights) read from a lag
-table of its own run, and serves as its stepwise oracle.  _first_interval
-alone writes each phase's first-interval rule, the solid's split start
-among them, for _step_weights and the windows; _step_weights also serves
+row (_differences), into preallocated vectors.  One advance costs
+O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
+thomas_solve pair performs the same arithmetic one step at a time, from
+differences rebuilt from the history rows and full weight rows
+(_step_weights) read from a lag table of its own run, and serves as its
+stepwise oracle.  _first_interval alone writes each phase's
+first-interval rule, the solid's split start among them, for
+_step_weights and the windows; _step_weights also serves
 _phase_coeffs and the interface balance's flux integral (flux_terms,
 which fronttrack calls, so the half level's geometry stays here).
 
@@ -126,11 +128,13 @@ logger = logging.getLogger(__name__)
 # levels, a run of its weight rows this many // (block end + 1), a block of
 # the systems this many * (grids) // (joint row's unknowns) levels (so a
 # pair's hold up to about twice as many values), and a chunk of the scan
-# coefficients, per sweep, this many // _width(unknowns, reach), with the
-# offsets below the larger phase's unknowns.  A block's set-up keeps at
-# most five block-sized arrays alive at once (_rows, then _factor's pivots
-# and multipliers), its level loop four (sub, pivot, mult and the advective
-# factors), beside the scan coefficients' buffer of 2 * _BLOCK_VALUES.
+# coefficients this many // (offsets * unknowns) levels, with the offsets
+# below the larger phase's unknowns and a full joint row per offset and
+# sweep.  A block's set-up keeps at most five block-sized arrays alive at
+# once (_rows, then _factor's pivots and multipliers), its level loop four
+# (sub, pivot, mult and the advective factors), beside the scan
+# coefficients' buffer of at most 2 * max(_BLOCK_VALUES, offsets * unknowns)
+# (a chunk holds at least one level).
 _BLOCK_VALUES = 1 << 15
 
 
@@ -598,7 +602,8 @@ def thomas_solve(system: TridiagonalSystem):
     row = _zero_rows(pivot)[0]
     if row >= 0:
         raise ZeroPivotError(f"zero pivot at row {row}")
-    forward, back = _coefficients(sub, pivot, mult, np.empty(2 * _width(size)), size)
+    buffer = np.empty(2 * len(_offsets(size)) * size)
+    forward, back = _coefficients(sub, pivot, mult, buffer, size)
     return _scan(arrays["rhs"], pivot[0], forward, back, 0, _scan_views(np.empty(size), size))
 
 
@@ -636,11 +641,6 @@ def _offsets(reach: int) -> list:
     return [1 << j for j in range((reach - 1).bit_length())]
 
 
-def _width(size: int, reach: int | None = None) -> int:
-    """Values of one system's scan coefficients of one sweep, offsets below reach (default size)."""
-    return sum(size - s for s in _offsets(size if reach is None else reach))
-
-
 def _coefficients(sub, pivot, mult, buffer, reach: int):
     """The scan coefficients of a chunk of systems, held in buffer: (forward, back).
 
@@ -649,25 +649,25 @@ def _coefficients(sub, pivot, mult, buffer, reach: int):
     s = 2**j below reach (_offsets): row b of forward[j] holds F_s[s:], of
     back[j] G_s[:-s], where F_1 = -sub/pivot and G_1 = -mult, and the
     doubling F_2s[i] = F_s[i] * F_s[i-s], G_2s[i] = G_s[i] * G_s[i+s]
-    (Stone 1973, J. ACM 20).  buffer holds at least
-    2 * len(sub) * _width(size, reach) values.
+    (Stone 1973, J. ACM 20).  Each offset's coefficients are formed as one
+    contiguous vector over the chunk's full rows, so buffer holds at least
+    2 * len(_offsets(reach)) * sub.size values.  A product that crosses a
+    row boundary lands only in an entry that no scan reads, and each entry
+    that is read depends only on read entries of the offset before it.
     """
     count, size = sub.shape
-    forward, back, used = [], [], 0
-    for s in _offsets(reach):
-        f, g = buffer[used:used + 2 * count * (size - s)].reshape(2, count, size - s)
-        used += 2 * count * (size - s)
-        if s == 1:
-            np.divide(sub[:, 1:], pivot[:, 1:], f)
-            np.negative(f, f)
-            np.negative(mult[:, :-1], g)
-        else:
-            h = s // 2
-            np.multiply(forward[-1][:, h:], forward[-1][:, :-h], f)
-            np.multiply(back[-1][:, :-h], back[-1][:, h:], g)
-        forward.append(f)
-        back.append(g)
-    return forward, back
+    offsets = _offsets(reach)
+    if not offsets:
+        return [], []
+    f, g = buffer[:2 * len(offsets) * count * size].reshape(2, len(offsets), count * size)
+    np.divide(sub, pivot, f[0].reshape(count, size))
+    np.negative(f[0], f[0])
+    np.negative(mult.reshape(-1), g[0])
+    for j, h in enumerate(offsets[:-1], 1):
+        np.multiply(f[j - 1, h:], f[j - 1, :-h], f[j, h:])
+        np.multiply(g[j - 1, :-h], g[j - 1, h:], g[j, :-h])
+    return ([f[j].reshape(count, size)[:, s:] for j, s in enumerate(offsets)],
+            [g[j].reshape(count, size)[:, :-s] for j, s in enumerate(offsets)])
 
 
 def _scan_views(y, reach: int):
@@ -759,7 +759,7 @@ def _advance(grids) -> None:
     loop's tables.  Per block of _BLOCK_VALUES * len(grids) // (unknowns)
     levels, whose first block also solves row 0, it forms the rows (_rows),
     pivots and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
-    _width(unknowns, reach) of its steps, the scan coefficients
+    (offsets * unknowns) of its steps, the scan coefficients
     (_coefficients), with the offsets below reach, the larger phase's
     unknown count.  The diagonal t + 2r is formed once per history row and
     phase column, in the time coefficients' table, and spread over the
@@ -767,12 +767,14 @@ def _advance(grids) -> None:
     arrays at once: the spread advective factors, which become sub, the
     spread implicit coefficients, which _rows overwrites as scratch, the
     diagonal, sup and the dominance excess; then sub, sup, diag, pivot and
-    mult.
+    mult.  The boundary folds are read per block as Python floats.
+
     Per step it forms the right-hand side (initial term, memory term, the
-    running advective sum, boundary values) in place and substitutes
-    (_scan).  It
-    raises ZeroPivotError naming the phase of the first zero pivot and logs
-    each phase's dominance count.  Non-finite values, which no warning
+    running advective sum, boundary values) in place, substitutes (_scan)
+    and writes the solved row's differences (_differences), whose second
+    differences each grid stores through a view sliced once per advance.
+    It raises ZeroPivotError naming the phase of the first zero pivot and
+    logs each phase's dominance count.  Non-finite values, which no warning
     reports, raise InvalidStateError naming the phase that holds them at the
     earliest level (_failure).  An overflow in one phase of a pair turns the
     other's rows to nan at the same level (0 * inf across the front rows),
@@ -799,8 +801,8 @@ def _advance(grids) -> None:
     for i, (grid, interior) in enumerate(zip(grids, interiors)):
         (time[:, i], implicit[:, i], advective[:, i], edges[i], rfac, qfac[interior],
          initial[interior]) = _phase_coeffs(grid)
-        # the grid's rows, its stored second differences, its unknowns and their values
-        stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), interior,
+        # the grid's rows, its stored second differences, their newest row and its values
+        stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), d2[interior],
                        row[1:-1][interior]))
         sums.append(_memory_terms(grid, rfac, table, stores[-1][1], memory[interior]))
     diagonal = np.add(time, 2.0 * implicit, out=time)  # per row and column, t + 2r
@@ -816,8 +818,9 @@ def _advance(grids) -> None:
     # every scan product at an offset of the larger phase's unknown count or
     # more spans a front row or reads a front node's 0: it adds an exact zero
     reach = max(grid.m for grid in grids) - 1
-    chunk = max(1, _BLOCK_VALUES // max(_width(size, reach), 1))
-    buffer = np.empty(2 * chunk * _width(size, reach))
+    width = len(_offsets(reach)) * size  # one level's coefficients of one sweep
+    chunk = max(1, _BLOCK_VALUES // max(width, 1))
+    buffer = np.empty(2 * chunk * width)
     scan = _scan_views(row[1:-1], reach)
     violations = [0] * len(grids)
     for levels in _levels(n, _BLOCK_VALUES * len(grids) // size):
@@ -829,8 +832,8 @@ def _advance(grids) -> None:
         sub, sup, count = _rows(spread(implicit[part]), q, diag)
         violations = [v + int(count[interior].sum())
                       for v, interior in zip(violations, interiors)]
-        left = sub[:, 0] * left_edge[part]
-        right = sup[:, -1] * right_edge[part]
+        left = (sub[:, 0] * left_edge[part]).tolist()
+        right = (sup[:, -1] * right_edge[part]).tolist()
         pivot, mult = _factor(sub, sup, diag)
         del sup, diag
         zero_row = _zero_rows(pivot)
@@ -855,8 +858,8 @@ def _advance(grids) -> None:
             row[0] = left_edge[j]
             row[-1] = right_edge[j]
             _differences(row, d2, dc)
-            for ubar, stored, interior, solved in stores:
-                stored[j] = d2[interior]
+            for ubar, stored, newest, solved in stores:
+                stored[j] = newest
                 if j:
                     ubar[j, 1:-1] = solved
             if not j:

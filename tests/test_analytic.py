@@ -340,6 +340,33 @@ class TestCaputoEquation:
         assert abs(change - memory) <= 1e-6
 
 
+class TestStefanCondition:
+    """The closed form's fluxes at the front satisfy the Stefan condition.
+
+    The exact fluxes are c_i tau**(-alpha/2), and I^alpha of tau**(-alpha/2)
+    is Gamma(1-alpha/2)/Gamma(1+alpha/2) tau**(alpha/2), so the front
+    S = I^alpha[lambda2 u2_x - lambda1 u1_x] holds at every time exactly when,
+    at tau = 1, lambda2 u2_x - lambda1 u1_x = p Gamma(1+alpha/2)/Gamma(1-alpha/2).
+    The fluxes are second-order one-sided quotients of u1_exact and u2_exact,
+    each from its own side of x = p, so the test ties the residual's slope
+    numerators to the derivative of the profiles.
+    """
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_flux_balance_at_the_root(self, alpha, row):
+        params = params_for(row, alpha)
+        sol = analytic.solve_exact(params)
+        p, h = sol.p, 1e-4
+        u1 = [analytic.u1_exact(p - i * h, 1.0, sol) for i in range(3)]
+        u2 = [analytic.u2_exact(p + i * h, 1.0, sol) for i in range(3)]
+        u1_x = (3.0 * u1[0] - 4.0 * u1[1] + u1[2]) / (2.0 * h)
+        u2_x = (-3.0 * u2[0] + 4.0 * u2[1] - u2[2]) / (2.0 * h)
+        rate = p * math.gamma(1.0 + alpha / 2.0) / math.gamma(1.0 - alpha / 2.0)
+        balance = params.lambda2 * u2_x - params.lambda1 * u1_x
+        assert abs(balance - rate) <= 1e-7 * rate
+
+
 def _reference_residual(p, params):
     """transcendental_residual written out: one formula at every alpha over the
     profile order W(-z; -a/2, 1) and the slope order W(-z; -a/2, 1 - a/2),

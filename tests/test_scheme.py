@@ -344,6 +344,30 @@ class TestThomasSolve:
         got = scheme.thomas_solve(self._system(sub, diag, sup, rhs))
         assert np.array_equal(got, x)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 63, 64, 65, 255, 256, 257])
+    @pytest.mark.parametrize("short", [False, True])
+    def test_chunk_coefficients_match_each_system_alone(self, rng, size, short):
+        # a chunk's coefficients are formed over its flattened rows, so a
+        # product may cross from one system into the next: every entry the
+        # scan reads must still be that system's own, bit for bit.  reach is
+        # the size, or (short) below it, as in a pair whose larger phase
+        # has fewer unknowns than the joint row
+        reach = max(1, size - size // 3) if short else size
+        count = 5
+        sub = rng.uniform(-1.0, 1.0, (count, size))
+        sup = rng.uniform(-1.0, 1.0, (count, size))
+        pivot, mult = scheme._factor(sub, sup, 2.5 + np.abs(sub) + np.abs(sup))
+        width = 2 * len(scheme._offsets(reach)) * size
+        # unwritten buffer entries hold nan, which no two arrays equal
+        chunk = scheme._coefficients(sub, pivot, mult, np.full(count * width, np.nan), reach)
+        assert len(chunk[0]) == len(chunk[1]) == len(scheme._offsets(reach))
+        for b in range(count):
+            alone = scheme._coefficients(sub[b:b + 1], pivot[b:b + 1], mult[b:b + 1],
+                                         np.full(width, np.nan), reach)
+            for chunked, single in zip(chunk, alone):
+                for mine, own in zip(chunked, single):
+                    assert np.array_equal(mine[b], own[0])
+
     def test_zero_pivot(self):
         system = self._system([0, -1], [0.0, 2.0], [-1, 0], [1.0, 1.0])
         with pytest.raises(errors.ZeroPivotError):
@@ -430,7 +454,7 @@ class TestAdvance:
         # at most _BLOCK_VALUES values, however long the time axis: at m = 3
         # one block spans all 2000 levels, whose whole weight rows would be
         # 16 MB.  A block's set-up keeps at most five block-sized arrays
-        # alive at once (_rows, _factor): the peak is 7.99 _BLOCK_VALUES
+        # alive at once (_rows, _factor): the peak is 8.28 _BLOCK_VALUES
         # arrays above the stored differences at m = 50
         g = scheme.make_phase_grid(phase, 0.7, scheme.MeshConfig(m1=m, m2=m, n=n),
                                    params_for(1, 0.5))
@@ -495,14 +519,16 @@ class TestAdvance:
         # the scan coefficients are products within each level, so how the
         # levels are chunked must not change a bit.  One block of 32 levels
         # at m = 17 under both settings keeps the memory sums' split, which
-        # does move bits; at 2**9 the 32 levels' coefficients span four chunks
+        # does move bits; at 2**9 the 33 history rows' coefficients, of four
+        # offsets over 16 unknowns each, span five chunks
         mesh = scheme.MeshConfig(m1=17, m2=17, n=32)
         params = params_for(1, 0.5)
         whole = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
         monkeypatch.setattr(scheme, "_BLOCK_VALUES", 2 ** 9)
         chunked = scheme.advance_phase(scheme.make_phase_grid(phase, 0.7, mesh, params))
         assert len(scheme._blocks(chunked)) == 1
-        assert 2 ** 9 // scheme._width(mesh.m1 - 1) == 10  # levels per chunk
+        unknowns = mesh.m1 - 1
+        assert 2 ** 9 // (len(scheme._offsets(unknowns)) * unknowns) == 8  # levels per chunk
         assert np.array_equal(chunked.ubar, whole.ubar)
 
     def test_overflowing_far_field_is_invalid_state(self):
@@ -720,8 +746,8 @@ class TestAdvancePair:
         # the joint row, so their arrays span about twice _BLOCK_VALUES
         # values at any m1 and m2; each phase keeps its own memory
         # products.  With at most five block-sized arrays per set-up,
-        # 50/50/1600 peaks at 13.52 _BLOCK_VALUES arrays above the stored
-        # differences, 50/250/1600 at 14.40 and 3/250/2000 at 13.93
+        # 50/50/1600 peaks at 13.61 _BLOCK_VALUES arrays above the stored
+        # differences, 50/250/1600 at 14.38 and 3/250/2000 at 14.01
         grids = phase_grids(0.7, scheme.MeshConfig(m1=m1, m2=m2, n=n), params_for(1, 0.5))
         tracemalloc.start()
         try:

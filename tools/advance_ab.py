@@ -9,15 +9,24 @@ With --pair it times one candidate's two phases instead, one
 the timed advance each interpreter advances fresh grids once more, untimed,
 under `tracemalloc`, for the traced peak of one advance above its grids.
 It also prints a SHA-256 of the timed advance's grids: every grid's `ubar`
-and the solid's `half`.  BLAS runs one thread.  Per mesh and phase (or pair)
-it prints each tree's median and quartiles, the ratio of the medians (this
-tree over the other), how many rounds each tree was faster in, each tree's
-median traced peak, and whether the two trees advanced the same grids, bit
-for bit, in every round:
+and the solid's `half`.  BLAS runs one thread.  Per alpha, p, mesh and
+phase (or pair) it prints each tree's median and quartiles, the ratio of the
+medians (this tree over the other), how many rounds each tree was faster
+in, each tree's median traced peak, and whether the two trees advanced the
+same grids, bit for bit, in every round:
 
     python3 tools/advance_ab.py --against PARENT/src
     python3 tools/advance_ab.py --against PARENT/src --meshes 100/500/400 --phases 2 --rounds 11
     python3 tools/advance_ab.py --against PARENT/src --pair --meshes 50/250/200,100/500/400
+
+--alpha and --p take comma-separated lists, so one command sweeps the
+grids' bytes over alpha x p x mesh.  With one round per case it is a byte
+check more than a timing; the meshes 2/2/10 and 3/5/37 reach the smallest
+scans (one unknown per phase, so no offset, and a liquid of two unknowns,
+so one offset).  Run it once with --pair and once with the lone phases:
+
+    python3 tools/advance_ab.py --against PARENT/src --rounds 1 --alpha 0.25,0.5,0.75,1 \
+        --p 0.1,0.74,2 --meshes 2/2/10,3/5/37,50/250/200,100/500/400 --pair
 """
 
 from __future__ import annotations
@@ -103,31 +112,36 @@ def main(argv=None) -> int:
     parser.add_argument("--pair", action="store_true",
                         help="time advance_pair of both phases in each tree")
     parser.add_argument("--rounds", type=int, default=7, help="rounds per mesh and phase")
-    parser.add_argument("--alpha", type=float, default=0.5)
-    parser.add_argument("--p", type=float, default=0.74, help="front coefficient")
+    parser.add_argument("--alpha", default="0.5",
+                        help="comma-separated orders alpha (default: %(default)s)")
+    parser.add_argument("--p", default="0.74",
+                        help="comma-separated front coefficients (default: %(default)s)")
     args = parser.parse_args(argv)
     trees = {"this": args.src.resolve(), "other": args.against.resolve()}
     print(f"this = {trees['this']}\nother = {trees['other']}\n"
-          f"alpha = {args.alpha}, p = {args.p}, {args.rounds} rounds; "
+          f"{args.rounds} rounds per case; "
           f"median [quartiles] of one advance; median traced peak above its grids; "
           f"whether the trees' grids agree bit for bit")
     # per timed case: its label and what both trees' CHILD advances
     cases = ([("pair", "pair")] if args.pair else
              [(f"phase {phase}", phase) for phase in args.phases.split(",")])
-    for mesh in map(_mesh, args.meshes.split(",")):
+    sweep = [(alpha, p, mesh) for alpha in map(float, args.alpha.split(","))
+             for p in map(float, args.p.split(",")) for mesh in map(_mesh, args.meshes.split(","))]
+    for alpha, p, mesh in sweep:
         for label, what in cases:
             samples, peaks = {"this": [], "other": []}, {"this": [], "other": []}
             digests = set()
             for i in range(args.rounds):
                 for name in (("other", "this") if i % 2 == 0 else ("this", "other")):
-                    seconds, peak, digest = _time(trees[name], mesh, what, args.alpha, args.p)
+                    seconds, peak, digest = _time(trees[name], mesh, what, alpha, p)
                     samples[name].append(seconds)
                     peaks[name].append(peak)
                     digests.add(digest)
             wins = sum(a < b for a, b in zip(samples["this"], samples["other"]))
             ratio = statistics.median(samples["this"]) / statistics.median(samples["other"])
             peak = {name: statistics.median(values) / 2 ** 20 for name, values in peaks.items()}
-            print(f"{'/'.join(map(str, mesh))} {label}: this {_summary(samples['this'])}, "
+            print(f"alpha {alpha} p {p} {'/'.join(map(str, mesh))} {label}: "
+                  f"this {_summary(samples['this'])}, "
                   f"other {_summary(samples['other'])}, ratio {ratio:.2f}, "
                   f"this faster in {wins}/{args.rounds}, other in {args.rounds - wins}/{args.rounds}; "
                   f"traced peak this {peak['this']:.2f} MiB, other {peak['other']:.2f} MiB; "
