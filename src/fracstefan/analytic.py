@@ -8,6 +8,11 @@ At alpha = 1 both Wright orders collapse to erfc and a Gaussian, used
 directly there (cheaper and better conditioned than the series).
 
 All operations are pure functions over immutable parameter records.
+It also holds the run's input records (PhysicalParams, the grid's
+MeshConfig), the search defaults and final_time, and imports only the
+standard library, so the package namespace and the command line's parser
+load no numpy; numpy loads with the first grid module (fracquad, scheme,
+fronttrack).
 """
 
 from __future__ import annotations
@@ -26,8 +31,12 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_BRACKET",
+    "DEFAULT_EPS",
+    "DEFAULT_MAX_ITER",
     "ExactSolution",
+    "MeshConfig",
     "PhysicalParams",
+    "final_time",
     "front_exact",
     "solve_exact",
     "solve_p_exact",
@@ -39,6 +48,11 @@ __all__ = [
 #: Default search interval for the front coefficient; brackets every root
 #: arising from the built-in parameter sets with ample margin.
 DEFAULT_BRACKET = (0.1, 2.0)
+
+#: Default tolerance on |1 - S(tau_n)| and iteration cap of the grid route's
+#: front search (fronttrack.bisection_solve).
+DEFAULT_EPS = 1e-3
+DEFAULT_MAX_ITER = 60
 
 _SINGULAR_TOL = 1e-14
 
@@ -74,6 +88,40 @@ class PhysicalParams:
                 f"theta_inf must be finite and <= 0 for a melting configuration, "
                 f"got {self.theta_inf}"
             )
+        if problems:
+            raise InvalidInputError("; ".join(problems))
+
+
+def _is_integer(value) -> bool:
+    """Whether operator.index accepts value: a Python or numpy integer, not a float."""
+    return hasattr(type(value), "__index__")
+
+
+@dataclass(frozen=True)
+class MeshConfig:
+    """Grid resolution and domain truncation.
+
+    m1 and m2 are the liquid's and the solid's space intervals, n the time
+    levels after level 0, and ratio the truncated solid extent L relative
+    to the reference length: the solid spans L - s**(alpha/2) >= L - 1.
+    """
+
+    m1: int = 100
+    m2: int = 500
+    n: int = 400
+    ratio: float = 10.0
+
+    def __post_init__(self):
+        problems = []
+        for name, least, note in (("m1", 2, " (at least one interior node)"),
+                                  ("m2", 2, " (at least one interior node)"), ("n", 1, "")):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}{note}, got {value}")
+        if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
+            problems.append(f"ratio must be finite and > 1, got {self.ratio}")
         if problems:
             raise InvalidInputError("; ".join(problems))
 
@@ -172,6 +220,22 @@ def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> float:
 def solve_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> ExactSolution:
     """solve_p_exact packaged with its parameters."""
     return ExactSolution(solve_p_exact(params, bracket), params)
+
+
+def final_time(p: float, alpha: float) -> float:
+    """Time at which the prescribed front reaches x = 1: p**(-2/alpha).
+
+    Raises DegenerateInputError when that time overflows a double.
+    """
+    if not 0.0 < p < math.inf:
+        raise InvalidInputError(f"front coefficient must be finite and > 0, got {p}")
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
+    try:
+        return p ** (-2.0 / alpha)
+    except OverflowError as exc:
+        raise DegenerateInputError(
+            f"final time p**(-2/alpha) overflows a double (p={p}, alpha={alpha})") from exc
 
 
 def front_exact(tau: float, sol: ExactSolution) -> float:

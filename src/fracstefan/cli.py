@@ -4,12 +4,19 @@ Configuration is a flat key=value text file; command-line flags override
 file values and anything left unset takes the built-in defaults.  All CSV
 output is written with fixed column order and 10-significant-digit
 formatting so reruns are byte-identical.
+
+Importing this module loads no numpy: it binds the closed form and the
+input records from analytic, and the grid route's names (_GRID) when a
+grid command first runs (_load_grid).  So `exact` and --help run on the
+standard library alone, and a grid command pays numpy's import on its
+first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import logging
 import math
 import sys
@@ -19,8 +26,12 @@ from pathlib import Path
 from . import __version__, backend
 from .analytic import (
     DEFAULT_BRACKET,
+    DEFAULT_EPS,
+    DEFAULT_MAX_ITER,
     ExactSolution,
+    MeshConfig,
     PhysicalParams,
+    final_time,
     solve_exact,
     solve_p_exact,
     u1_exact,
@@ -34,19 +45,32 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fronttrack import (
-    DEFAULT_EPS,
-    DEFAULT_MAX_ITER,
-    bisection_solve,
-    final_time,
-    front_series,
-)
-# advance_phase is not called here; perfbench/tracing.py wraps this binding
-from .scheme import MeshConfig, advance_phase, recover_physical  # noqa: F401
 
 __all__ = ["RunConfig", "main", "parse_config", "run_convergence", "run_profiles", "run_tables"]
 
 logger = logging.getLogger(__name__)
+
+#: The grid route's names this module binds, each with its home module.
+#: perfbench/tracing.py wraps these bindings (advance_phase is not called
+#: here) and perfbench/workloads.py patches bisection_solve, so a name
+#: bound before _load_grid runs keeps its binding.
+_GRID = {"bisection_solve": "fronttrack", "front_series": "fronttrack",
+         "recover_physical": "scheme", "advance_phase": "scheme"}
+
+
+def _load_grid() -> None:
+    """Bind each name of _GRID that is not bound yet, importing its module (and numpy)."""
+    for name, module in _GRID.items():
+        home = importlib.import_module(f".{module}", __package__)
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name):
+    if name not in _GRID:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_grid()
+    return globals()[name]
+
 
 #: The three built-in parameter quadruples (lambda1, lambda2, kappa1, kappa2)
 #: swept by the table runs, and the derivative orders forming the columns.
@@ -290,6 +314,7 @@ def run_tables(config: RunConfig) -> dict:
     per-phase balance terms, so each distinct phase grid is advanced once
     per run.
     """
+    _load_grid()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = TABLE_ROWS + tuple(config.extra_rows)
 
@@ -310,16 +335,14 @@ def run_tables(config: RunConfig) -> dict:
                 result = bisection_solve(params, config.mesh, config.bracket,
                                          config.eps, config.max_iter,
                                          phase_terms=phase_terms)
+                cells = ("NotConverged", "NotConverged")
                 if result.converged:
-                    numeric_cells.append(_fmt(result.p))
-                    time_cells.append(_fmt(final_time(result.p, a)))
-                else:
-                    numeric_cells.append("NotConverged")
-                    time_cells.append("NotConverged")
+                    cells = (_fmt(result.p), _fmt(final_time(result.p, a)))
             except FracStefanError as exc:
                 logger.warning("numeric cell (%s, alpha=%s) failed: %s", (l1, l2, k1, k2), a, exc)
-                numeric_cells.append(_error_token(exc))
-                time_cells.append(_error_token(exc))
+                cells = (_error_token(exc), _error_token(exc))
+            numeric_cells.append(cells[0])
+            time_cells.append(cells[1])
             logger.info("tables: row (%g, %g, %g, %g) alpha=%g done", l1, l2, k1, k2, a)
         prefix = [_fmt(l1), _fmt(l2), _fmt(k1), _fmt(k2)]
         exact_rows.append(prefix + exact_cells)
@@ -366,6 +389,7 @@ def run_profiles(config: RunConfig) -> dict:
     numeric coefficient, which reaches 1 at the final level by
     construction.
     """
+    _load_grid()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     params = config.params
     result = bisection_solve(params, config.mesh, config.bracket,
@@ -466,6 +490,7 @@ def run_convergence(config: RunConfig, levels: int) -> Path:
     """
     if levels < 2:
         raise InvalidInputError(f"levels must be >= 2, got {levels}")
+    _load_grid()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     params = config.params
     sol_exact = solve_exact(params, config.bracket)
@@ -569,6 +594,7 @@ def main(argv=None) -> int:
             print(f"p_exact = {_fmt(p)}")
             print(f"final_time = {_fmt(final_time(p, config.params.alpha))}")
         elif args.command == "numeric":
+            _load_grid()
             result = bisection_solve(config.params, config.mesh, config.bracket,
                                      config.eps, config.max_iter)
             print(f"p_numeric = {_fmt(result.p)}")

@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .analytic import _is_integer
 from .errors import InvalidInputError
 
 __all__ = ["LagTable", "MemoryWeights", "half_weight", "lag_table", "trap_weights"]
@@ -129,11 +130,6 @@ class LagTable:
         """half_weight(k + 1), the half level's weight, for k = 0..len(interior)."""
         return _read_only(np.array([half_weight(k + 1.0, self.alpha, self.dtau)
                                     for k in range(self.interior.shape[0] + 1)]))
-
-
-def _is_integer(value) -> bool:
-    """Whether operator.index accepts value: a Python or numpy integer, not a float."""
-    return hasattr(type(value), "__index__")
 
 
 def _check_alpha_dtau(alpha: float, dtau: float) -> None:

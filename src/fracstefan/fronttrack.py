@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import DEFAULT_BRACKET, PhysicalParams
+from .analytic import (
+    DEFAULT_BRACKET,
+    DEFAULT_EPS,
+    DEFAULT_MAX_ITER,
+    MeshConfig,
+    PhysicalParams,
+    _is_integer,
+)
 from .errors import (
     FracStefanError,
     GridMismatchError,
@@ -38,9 +45,7 @@ from .errors import (
     InvalidStateError,
     NoSignChangeError,
 )
-from .fracquad import _is_integer
 from .scheme import (
-    MeshConfig,
     PhaseGrid,
     advance_pair,
     advance_phase,
@@ -53,16 +58,12 @@ from .scheme import (
 __all__ = [
     "FrontSolveResult",
     "bisection_solve",
-    "final_time",
     "front_residual",
     "front_series",
     "stefan_front_value",
 ]
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_EPS = 1e-3
-DEFAULT_MAX_ITER = 60
 
 
 @dataclass
@@ -104,9 +105,13 @@ def _check_pair(g1: PhaseGrid, g2: PhaseGrid) -> None:
 
 
 def _front_value(params: PhysicalParams, p: float, term1, term2) -> float:
-    """Heat-balance front position from the liquid and solid terms at one level."""
+    """Heat-balance front position from the liquid and solid terms at one level.
+
+    Formed on Python floats, which give numpy's bits without its overflow
+    warning: a position that overflows is inf.
+    """
     scale = p * p * math.gamma(params.alpha)
-    return float((params.lambda2 / scale) * term2 - (params.lambda1 / scale) * term1)
+    return (params.lambda2 / scale) * float(term2) - (params.lambda1 / scale) * float(term1)
 
 
 def stefan_front_value(g1: PhaseGrid, g2: PhaseGrid) -> float:
@@ -141,12 +146,13 @@ def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_t
     there.  Two missing phases advance together (advance_pair), one alone
     (advance_phase).  The grids are returned when both phases were
     advanced.  Errors carry the candidate in their message, and an advance
-    that raises stores nothing: a failed pair stores neither term.
+    that raises stores nothing: a failed pair stores neither term.  A
+    balance that is not finite raises InvalidStateError.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
-    keys = [phase_key(phase, p, mesh, params) for phase in (1, 2)]
     try:
+        keys = [phase_key(phase, p, mesh, params) for phase in (1, 2)]
         grids = [make_phase_grid(phase, p, mesh, params)
                  for phase, key in zip((1, 2), keys) if key not in phase_terms]
         if len(grids) == 2:
@@ -157,8 +163,11 @@ def _solve_candidate(p: float, params: PhysicalParams, mesh: MeshConfig, phase_t
         raise type(exc)(f"candidate p={p:.8g}: {exc}") from exc
     for grid in grids:
         phase_terms[keys[grid.phase - 1]] = flux_terms(grid, [mesh.n])[0]
-    terms = [phase_terms[key] for key in keys]
-    return 1.0 - _front_value(params, p, *terms), tuple(grids) if len(grids) == 2 else None
+    s_final = _front_value(params, p, *[phase_terms[key] for key in keys])
+    if not math.isfinite(s_final):
+        raise InvalidStateError(f"candidate p={p:.8g}: front position S(tau_n) = {s_final} "
+                                f"is not finite")
+    return 1.0 - s_final, tuple(grids) if len(grids) == 2 else None
 
 
 def front_residual(p: float, params: PhysicalParams, mesh: MeshConfig) -> float:
@@ -235,11 +244,3 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
             p_b, r_b = p_c, r_c
     return FrontSolveResult(p_c, 1.0 - r_c, r_c, max_iter, history, False, grids)
 
-
-def final_time(p: float, alpha: float) -> float:
-    """Time at which the prescribed front reaches x = 1: p**(-2/alpha)."""
-    if not 0.0 < p < math.inf:
-        raise InvalidInputError(f"front coefficient must be finite and > 0, got {p}")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-    return p ** (-2.0 / alpha)

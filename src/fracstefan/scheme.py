@@ -96,7 +96,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analytic import PhysicalParams
+from .analytic import MeshConfig, PhysicalParams, _is_integer
 from .errors import (
     DegenerateInputError,
     GridMismatchError,
@@ -104,10 +104,9 @@ from .errors import (
     InvalidStateError,
     ZeroPivotError,
 )
-from .fracquad import LagTable, _is_integer, half_weight, lag_table
+from .fracquad import LagTable, half_weight, lag_table
 
 __all__ = [
-    "MeshConfig",
     "PhaseGrid",
     "RecoveredField",
     "TridiagonalSystem",
@@ -136,35 +135,6 @@ logger = logging.getLogger(__name__)
 # coefficients' buffer of at most 2 * max(_BLOCK_VALUES, offsets * unknowns)
 # (a chunk holds at least one level).
 _BLOCK_VALUES = 1 << 15
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    """Grid resolution and domain truncation.
-
-    m1 and m2 are the liquid's and the solid's space intervals, n the time
-    levels after level 0, and ratio the truncated solid extent L relative
-    to the reference length: the solid spans L - s**(alpha/2) >= L - 1.
-    """
-
-    m1: int = 100
-    m2: int = 500
-    n: int = 400
-    ratio: float = 10.0
-
-    def __post_init__(self):
-        problems = []
-        for name, least, note in (("m1", 2, " (at least one interior node)"),
-                                  ("m2", 2, " (at least one interior node)"), ("n", 1, "")):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < least:
-                problems.append(f"{name} must be >= {least}{note}, got {value}")
-        if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
-            problems.append(f"ratio must be finite and > 1, got {self.ratio}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
 
 
 @dataclass
@@ -230,8 +200,10 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
     never samples that corner (see the module docstring).  Raises
     DegenerateInputError when the physical time step is not a finite
     positive double (p so large or so small that p**(2/alpha) leaves double
-    range) or when the memory prefactor is not finite (p so small that
-    kappa_i/p**2 times m**2 overflows).
+    range, or the final time n * dtau overflows), when the solid's squared
+    width (L - S)**2 overflows (ratio above about 1.3e154) or when the
+    memory prefactor is not finite (p so small that kappa_i/p**2 times m**2
+    overflows).
     """
     if phase not in (1, 2):
         raise InvalidInputError(f"phase must be 1 or 2, got {phase}")
@@ -243,11 +215,14 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
         dtau = 1.0 / (mesh.n * p ** (2.0 / a))
     except (OverflowError, ZeroDivisionError):  # p**(2/alpha) over- or underflows
         dtau = math.nan
-    if not 0.0 < dtau < math.inf:
+    if not 0.0 < dtau * mesh.n < math.inf:
         raise DegenerateInputError(
-            f"time step 1/(n*p**(2/alpha)) is not a finite positive double "
-            f"(p={p}, alpha={a}, n={mesh.n})"
+            f"time step 1/(n*p**(2/alpha)) or final time p**(-2/alpha) is not a finite "
+            f"positive double (p={p}, alpha={a}, n={mesh.n})"
         )
+    if phase == 2 and not math.isfinite(mesh.ratio * mesh.ratio):
+        raise DegenerateInputError(
+            f"solid's squared width (L - S)**2 is not a finite double (ratio={mesh.ratio})")
     grid = PhaseGrid(phase=phase, p=p, mesh=mesh, params=params, dtau=dtau,
                      tau=dtau * np.arange(mesh.n + 1.0), v=np.linspace(0.0, 1.0, m + 1),
                      ubar=np.zeros((mesh.n + 1, m + 1)))
@@ -266,8 +241,14 @@ def make_phase_grid(phase: int, p: float, mesh: MeshConfig,
 
 
 def _diffusivity(phase: int, p: float, params: PhysicalParams) -> float:
-    """kappa_i/p**2, the phase's diffusivity in front time: the one way p enters a grid."""
-    return (params.kappa1 if phase == 1 else params.kappa2) / (p * p)
+    """kappa_i/p**2, the phase's diffusivity in front time: the one way p enters a grid.
+
+    inf where p*p underflows to 0, as the IEEE quotient; make_phase_grid
+    rejects such a p.
+    """
+    kappa = params.kappa1 if phase == 1 else params.kappa2
+    square = p * p
+    return kappa / square if square > 0.0 else math.inf
 
 
 def _prefactor(grid: PhaseGrid) -> float:

@@ -1,13 +1,19 @@
 """Config parsing, CSV emission, and command-line behavior."""
 
+import contextlib
 import csv
+import io
+import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracstefan import cli, errors, fronttrack, scheme
+from fracstefan import analytic, cli, errors, fronttrack, scheme
 
 TINY = {"m1": 8, "m2": 20, "n": 12}
 TINY_ARGV = ["--alpha", "1.0", "--m1", "8", "--m2", "20", "--n", "12"]
@@ -422,13 +428,52 @@ class TestMain:
         assert "m1" in capsys.readouterr().err
         assert not list(tmp_path.glob("table*.csv"))
 
-    @pytest.mark.parametrize("flag, value", [("--p-max", "1e100"), ("--p-min", "1e-50")])
+    # at p = 1e-300 even p*p underflows: the candidate's keys and grid fail as one
+    @pytest.mark.parametrize("flag, value", [("--p-max", "1e100"), ("--p-min", "1e-50"),
+                                             ("--p-min", "1e-300")])
     def test_unrepresentable_time_step_exit_code(self, capsys, flag, value):
         argv = ["numeric", "--alpha", "0.25", "--m1", "8", "--m2", "20", "--n", "12",
                 flag, value]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert f"candidate p={float(value):.8g}" in err and "time step" in err
+
+    def test_overflowing_final_time_exit_code(self, capsys):
+        # the root is found (p ~ 0.63), and p**(-2/alpha) overflows a double
+        assert cli.main(["exact", "--alpha", "0.001"]) == 3
+        err = capsys.readouterr().err
+        assert "final time" in err and "alpha=0.001" in err
+
+    def test_overflowing_final_time_fills_table_cells(self, tmp_path, monkeypatch):
+        # a search converged at p = 1e-60 has the final time 1e480 at alpha 0.25
+        # alone: that cell pair reads DegenerateInput, and every row keeps its width
+        def converged(*args, **kwargs):
+            return fronttrack.FrontSolveResult(1e-60, 1.0, 0.0, 0, [], True, None)
+
+        monkeypatch.setattr(cli, "bisection_solve", converged)
+        config = cli.parse_config(None, tiny_overrides(), mode="tables", output_dir=tmp_path)
+        cli.run_tables(config)
+        _, rows2 = read_csv(tmp_path / "table2.csv")
+        _, rows3 = read_csv(tmp_path / "table3.csv")
+        for row2, row3 in zip(rows2, rows3):
+            assert row2[4:] == ["DegenerateInput", "1e-60", "1e-60", "1e-60"]
+            assert row3[4:] == ["DegenerateInput", "1e+240", "1e+160", "1e+120"]
+
+    def test_overflowing_balance_exit_code(self, capsys):
+        # the solid's term times lambda2/p**2 overflows: a typed error, no warning
+        argv = ["numeric", "--alpha", "0.5", "--lambda2", "1.38309e+160",
+                "--theta-inf=-6.24972e+233", "--m1", "6", "--m2", "8", "--n", "1"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "candidate p=" in err and "is not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--ratio", "1e160"],  # the solid's squared width overflows
+        ["--alpha", "0.0089", "--p-min", "0.0422", "--n", "5"],  # n * dtau overflows
+    ])
+    def test_overflowing_grid_exit_code(self, capsys, argv):
+        assert cli.main(["numeric", "--m1", "4", "--m2", "7", *argv]) == 3
+        assert "candidate p=" in capsys.readouterr().err
 
     def test_unrepresentable_time_step_fills_table_cells(self, tmp_path):
         # the candidate p = 1e100 has no time step at alpha 0.25 and 0.5;
@@ -470,7 +515,7 @@ class TestMain:
                 else:
                     assert result.converged
                     expected = [cli._fmt(result.p),
-                                cli._fmt(fronttrack.final_time(result.p, alpha))]
+                                cli._fmt(analytic.final_time(result.p, alpha))]
                 assert [row2[4 + ci], row3[4 + ci]] == expected
         assert [row2[4] for row2 in rows2] == ["DegenerateInput"] * 3
         assert len(expected_failures) == 3
@@ -543,3 +588,34 @@ class TestMain:
         assert cli.main(argv) == 0
         lines = (tmp_path / "run.txt").read_text().splitlines()
         assert f"{key}={FLAG_VALUES[key]}" in lines
+
+
+def log_uniform(lo, hi):
+    """10**e, with e drawn from [lo, hi] or, for the extremes, from [-300, 300]."""
+    return st.one_of(st.floats(lo, hi), st.floats(-300.0, 300.0)).map(lambda e: 10.0 ** e)
+
+
+class TestEveryInputEndsInAnExitCode:
+    @settings(max_examples=120, deadline=1000, derandomize=True)
+    @given(mode=st.sampled_from(["exact", "numeric", "profiles", "convergence"]),
+           alpha=st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e),
+           positive=st.tuples(*[log_uniform(-2.0, 2.0)] * 4), theta_inf=log_uniform(-2.0, 2.0),
+           p_min=log_uniform(-2.0, 0.0), p_max=log_uniform(-2.0, 2.0),
+           ratio=log_uniform(-3.0, 3.0), mesh=st.tuples(st.integers(2, 6), st.integers(2, 8),
+                                                        st.integers(1, 8)))
+    def test_tiny_mesh_runs_exit_0_2_or_3(self, mode, alpha, positive, theta_inf, p_min, p_max,
+                                          ratio, mesh):
+        # an exception or a warning that escapes main fails the draw
+        argv = [mode, f"--alpha={alpha!r}", f"--theta-inf={-theta_inf!r}",
+                f"--p-min={p_min!r}", f"--p-max={p_max!r}", f"--ratio={1.0 + ratio!r}"]
+        argv += [f"--{key}={value!r}"
+                 for key, value in zip(("kappa1", "kappa2", "lambda1", "lambda2"), positive)]
+        argv += [f"--{key}={value}" for key, value in zip(("m1", "m2", "n"), mesh)]
+        if mode == "convergence":
+            argv.append("--levels=2")
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--out", out])
+        assert code in (0, 2, 3)

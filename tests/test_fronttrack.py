@@ -370,24 +370,24 @@ class TestBisectionSolve:
 class TestFinalTime:
     def test_unit_coefficient(self):
         for alpha in (0.25, 0.5, 1.0):
-            assert fronttrack.final_time(1.0, alpha) == 1.0
+            assert analytic.final_time(1.0, alpha) == 1.0
 
     def test_reference_values(self):
-        assert fronttrack.final_time(0.9311, 1.0) == pytest.approx(1.1534, abs=1e-4)
-        assert fronttrack.final_time(0.7053, 0.25) == pytest.approx(16.3309, abs=1e-3)
+        assert analytic.final_time(0.9311, 1.0) == pytest.approx(1.1534, abs=1e-4)
+        assert analytic.final_time(0.7053, 0.25) == pytest.approx(16.3309, abs=1e-3)
 
     def test_matches_grid_final_time(self):
         p, alpha, n = 0.7361, 0.5, 37
         dtau = 1.0 / (n * p ** (2.0 / alpha))
-        assert n * dtau == pytest.approx(fronttrack.final_time(p, alpha), rel=1e-12)
+        assert n * dtau == pytest.approx(analytic.final_time(p, alpha), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(errors.InvalidInputError):
-            fronttrack.final_time(0.0, 0.5)
+            analytic.final_time(0.0, 0.5)
         with pytest.raises(errors.InvalidInputError):
-            fronttrack.final_time(1.0, 1.5)
+            analytic.final_time(1.0, 1.5)
 
     def test_rejects_infinite_coefficient(self):
         # p**(-2/alpha) would be 0.0
         with pytest.raises(errors.InvalidInputError, match="front coefficient"):
-            fronttrack.final_time(math.inf, 0.5)
+            analytic.final_time(math.inf, 0.5)
