@@ -10,15 +10,12 @@ residual is the search.
 The balance is the sum of two per-phase terms,
 S = (lambda2/(p**2 Gamma(alpha))) J2 - (lambda1/(p**2 Gamma(alpha))) J1,
 where J1 is the liquid flux and J2 the solid flux, each integrated over the
-front's own time s with the weight rows its own stepper uses: the liquid
-product-trapezoidally from level 0, the solid with the split start (two
-right-endpoint half-steps over the first interval), whose flux sample 0 is
-the quotient at the half level s = 1/(2n).  scheme.flux_terms forms each
-term, beside the stepper's time rules.  A term depends only on its own
-phase's grid, which depends on p only through kappa_i/p**2, so front
-searches that share a dict of terms keyed by scheme.phase_key (the cells
-of a table) advance each distinct phase grid once.  A candidate whose two
-terms are both new advances its two grids in one level loop
+front's own time s with the weight rows its own stepper uses
+(scheme.flux_terms, beside the stepper's time rules).  A term depends only
+on its own phase's grid, which depends on p only through kappa_i/p**2, so
+front searches that share a dict of terms keyed by scheme.phase_key (the
+cells of a table) advance each distinct phase grid once.  A candidate
+whose two terms are both new advances its two grids in one level loop
 (scheme.advance_pair).
 """
 

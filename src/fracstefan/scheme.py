@@ -28,61 +28,17 @@ datum, and every later step and the interface balance integrate the first
 interval the same way.  The half level is the solid's history row 0, its
 first memory sample; the liquid's is level 0, which is zero, and its first
 step stays a single product-trapezoidal step.  Rows j >= 1 are levels j,
-so one weight row and one history sum serve both.  Every history row is
-solved by a step whose coefficients _phase_coeffs sets, row 0 among them:
-the solid's half-step, and for the liquid the identity that holds level 0.
-The stepper solves it as the first system of its first block of levels.
+so one weight row and one history sum serve both (_phase_coeffs).
 
-One level loop (_advance) is the stepper.  advance_phase runs it over one
-grid, and advance_pair over a candidate's liquid and solid at once, side by
-side in one joint row [liquid 0..m1 | solid 0..m2].  The two front nodes
-hold the melting value 0 and get identity rows, so the joint matrix is
-block diagonal and one factorization and one scan per level solve both
-phases, each to the bits of its own advance.  The loop stores the second
-differences of each history row once, after the row is solved, and reads
-every memory weight from one lag table (fracquad.lag_table, cached per
-(n, alpha, dtau) with its first-interval weights).  It factors per block
-of levels, of _BLOCK_VALUES * (grids) // (joint row's unknowns) levels, so
-a pair's block arrays are about twice a lone grid's.  The matrix of a step
-does not depend on the solution, so as arrays over the block it spreads
-each phase's coefficients over the joint row, forms the off-diagonals and
-the dominance count (_rows) and the Thomas pivots and multipliers,
-eliminating one row of every level's system per vector operation
-(_factor).  Per phase (_memory_terms), on that phase's own blocks
-(_blocks), it sums the part of the block's memory history that was solved
-before the block ahead, with one BLAS matrix product per run of the
-block's levels (_runs) whose weights are one matrix of windows of the
-table (_run_weights; the splitting of Hairer, Lubich & Schlichte 1985,
-SIAM J. Sci. Stat. Comput. 6, with a dense product in place of their
-FFT).  Per level it adds the history rows solved within the block, whose
-weights are a view of the table (_level_weights), adds the advective
-history, a running vector updated once per solved row (its weights do
-not depend on the target level), folds in the boundary values and
-substitutes forward and back by recursive doubling (_scan; Stone 1973,
-J. ACM 20): each sweep is one vector multiply-add per offset
-s = 1, 2, 4, ... below the larger phase's unknown count.  In a pair every
-longer product spans a front row or reads a front node's 0, and adds an
-exact zero.  The scan's coefficients are products of the Thomas
-multipliers, which depend only on the matrix, so they are formed per
-chunk of the block's levels, each offset's as one contiguous vector over
-the chunk's full rows (_coefficients).  The right-hand side, the
-differences and the advective update run once per level on the joint
-row (_differences), into preallocated vectors.  One advance costs
-O(n**2 * m), in the memory products.  The assemble_phase{1,2}_step /
-thomas_solve pair performs the same arithmetic one step at a time, from
-differences rebuilt from the history rows and full weight rows
-(_step_weights) read from a lag table of its own run, and serves as its
-stepwise oracle.  _first_interval alone writes each phase's
-first-interval rule, the solid's split start among them, for
-_step_weights and the windows; _step_weights also serves
-_phase_coeffs and the interface balance's flux integral (flux_terms,
-which fronttrack calls, so the half level's geometry stays here).
-
-One row builder (_rows) serves every implicit step, the stepper's blocks
-(the solid's half-step among them) and the oracle's, and one
-factorization (_factor) and one substitution (_scan) every solve:
-thomas_solve factors one system as a block of one, checks its pivots for
-zeros and scans, for every system of the oracle, row 0's among them.
+One level loop (_advance) is the stepper: advance_phase runs it over one
+grid, advance_pair over a candidate's liquid and solid side by side in one
+joint row.  It reads every memory weight from one lag table
+(fracquad.lag_table), and one advance costs O(n**2 * m), in the memory
+products.  The assemble_phase{1,2}_step / thomas_solve pair performs the
+same arithmetic one step at a time, from differences rebuilt from the
+history rows and full weight rows (_step_weights), and serves as its
+stepwise oracle.  _first_interval alone writes each phase's first-interval
+rule, the solid's split start among them.
 """
 
 from __future__ import annotations
@@ -123,17 +79,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Values in each array the stepper holds for many levels at once (256 KiB
-# of doubles): a block of a phase's memory sums holds this many // (m - 1)
-# levels, a run of its weight rows this many // (block end + 1), a block of
-# the systems this many * (grids) // (joint row's unknowns) levels (so a
-# pair's hold up to about twice as many values), and a chunk of the scan
-# coefficients this many // (offsets * unknowns) levels, with the offsets
-# below the larger phase's unknowns and a full joint row per offset and
-# sweep.  A block's set-up keeps at most five block-sized arrays alive at
-# once (_rows, then _factor's pivots and multipliers), its level loop four
-# (sub, pivot, mult and the advective factors), beside the scan
-# coefficients' buffer of at most 2 * max(_BLOCK_VALUES, offsets * unknowns)
-# (a chunk holds at least one level).
+# of doubles), which sizes _blocks, _runs and _advance's blocks and chunks.
+# A block's set-up keeps at most five block-sized arrays alive at once
+# (_rows, then _factor's pivots and multipliers), its level loop four (sub,
+# pivot, mult and the advective factors), beside the scan coefficients'
+# buffer of at most 2 * max(_BLOCK_VALUES, offsets * unknowns) values (a
+# chunk holds at least one level).
 _BLOCK_VALUES = 1 << 15
 
 
@@ -391,8 +342,7 @@ def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
     """The memory weights c[j], j = 0..k+1, of the grid's step to level k+1, read from table.
 
     c[0] and c[1]'s addend are _first_interval's, c[1..k] the last k
-    interior weights and c[k+1] pref.  The stepper reads the same weights
-    as windows of the table (_run_weights, _level_weights).
+    interior weights and c[k+1] pref.
     """
     c = np.empty(k + 2)
     c[0], extra = _first_interval(grid, table, k)
@@ -411,8 +361,7 @@ def _levels(n: int, block: int) -> list:
 def _blocks(grid: PhaseGrid) -> list:
     """A grid's blocks of levels k, whose memory sums of the steps to k+1 are split together.
 
-    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1;
-    advance_phase also factors each block's systems together.
+    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1.
     """
     return _levels(grid.mesh.n, _BLOCK_VALUES // (grid.m - 1))
 
@@ -532,11 +481,9 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
 def assemble_phase1_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     """Implicit system advancing the liquid grid to time level k+1.
 
-    Its memory sum is split as advance_phase splits it, into the rows solved
-    before the step's block of levels, summed by one matrix product over the
-    step's run of levels, and the block's own rows (_blocks, _runs), so that
-    it carries the stepper's bits.  The cost of a call and the rounding of
-    its right-hand side therefore depend on _BLOCK_VALUES.  A system (or,
+    Its memory sum is split as the stepper splits it (_memory_terms), so
+    that it carries the stepper's bits.  The cost of a call and the rounding
+    of its right-hand side therefore depend on _BLOCK_VALUES.  A system (or,
     on the solid, a half level) that is not finite raises InvalidStateError
     naming the phase and the level, with no numpy warning (np.errstate).
     """
@@ -690,10 +637,10 @@ def _memory_terms(grid: PhaseGrid, rfac: float, table: LagTable, d2, out):
     out as it is (zero).  The k-th step after it is the step from level k:
     its memory c[:k+1] @ d2[:k+1] is split at the first level of its block
     (_blocks): the rows before the block are summed for a run of levels at
-    once (_runs), one matrix product with the run's weights (_run_weights),
-    and the block's own rows per level (_level_weights).  So d2 must hold
-    rows 0..k by then.  Each level's product, sum and scaling are written
-    into preallocated vectors.
+    once (_runs), one matrix product with the run's weights (_run_weights;
+    the splitting of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
+    Comput. 6, with a dense product in place of their FFT), and the block's
+    own rows per level (_level_weights).  So d2 must hold rows 0..k by then.
     """
     yield
     scratch, level = np.empty(grid.mesh.n), np.empty_like(out)
@@ -725,42 +672,29 @@ def _failure(grid: PhaseGrid, half):
 def _advance(grids) -> None:
     """Populate rows 1..n of one grid, or of a liquid and a solid grid, in place.
 
-    The grids' rows stand side by side in one joint row (module docstring),
-    whose unknowns are every node but its two ends.  In a pair the two front
-    nodes get identity rows (diagonal 1, off-diagonals and right-hand side
-    0); every product across them is +-0, so while the values are finite
-    each grid's rows are the bits it gets alone.  Per node, the time and
-    implicit memory coefficients and the advective factors are the node's
-    phase's, and 1, 0 and 0 on the front nodes.  Each phase keeps its own
-    memory split (_memory_terms) and its own stored second differences.
+    The grids' rows stand side by side in one joint row [liquid 0..m1 |
+    solid 0..m2], whose unknowns are every node but its two ends.  In a pair
+    the two front nodes hold the melting value 0 and get identity rows
+    (diagonal 1, off-diagonals and right-hand side 0), so the joint matrix
+    is block diagonal: every product across them is +-0, and while the
+    values are finite each grid's rows are the bits it gets alone.
 
-    The steps are taken per history row j (row 0 the solid's half level or
-    the liquid's level 0, row j >= 1 level j), with the coefficients that
-    _phase_coeffs sets for each row, copied into per-phase columns of the
-    loop's tables.  Per block of _BLOCK_VALUES * len(grids) // (unknowns)
-    levels, whose first block also solves row 0, it forms the rows (_rows),
-    pivots and multipliers (_factor) and, per chunk of _BLOCK_VALUES //
-    (offsets * unknowns) of its steps, the scan coefficients
-    (_coefficients), with the offsets below reach, the larger phase's
-    unknown count.  The diagonal t + 2r is formed once per history row and
-    phase column, in the time coefficients' table, and spread over the
-    joint row per block, so a block's set-up holds at most five block-sized
-    arrays at once: the spread advective factors, which become sub, the
-    spread implicit coefficients, which _rows overwrites as scratch, the
-    diagonal, sup and the dominance excess; then sub, sup, diag, pivot and
-    mult.  The boundary folds are read per block as Python floats.
+    A step's matrix does not depend on the solution, so per block of
+    _BLOCK_VALUES * len(grids) // (unknowns) levels, the first also solving
+    history row 0, it forms the rows (_rows), pivots and multipliers
+    (_factor) of all its steps, and per chunk their scan coefficients
+    (_coefficients).  Per step it forms the right-hand side in place from the
+    initial term, each phase's memory term (_memory_terms), the advective
+    sum and the boundary values, substitutes (_scan) and stores the solved
+    row's differences (_differences), each phase's second differences
+    apart.  The advective sum is a running vector, updated once per solved
+    row: its weights do not depend on the target level.
 
-    Per step it forms the right-hand side (initial term, memory term, the
-    running advective sum, boundary values) in place, substitutes (_scan)
-    and writes the solved row's differences (_differences), whose second
-    differences each grid stores through a view sliced once per advance.
-    It raises ZeroPivotError naming the phase of the first zero pivot and
-    logs each phase's dominance count.  Non-finite values, which no warning
-    reports, raise InvalidStateError naming the phase that holds them at the
-    earliest level (_failure).  An overflow in one phase of a pair turns the
-    other's rows to nan at the same level (0 * inf across the front rows),
-    so on a tie it names the phase that holds an infinity there, and else
-    the liquid.
+    It raises as advance_pair says and logs each phase's dominance count.  An
+    overflow in one phase of a pair turns the other's rows to nan at the
+    same level (0 * inf across the front rows), so at a tie for the earliest
+    non-finite level (_failure) it names the phase that holds an infinity
+    there, and else the liquid.
     """
     n = grids[0].mesh.n
     table = lag_table(n - 1, grids[0].params.alpha, 1.0 / n)
@@ -928,7 +862,8 @@ def recover_physical(grid: PhaseGrid) -> RecoveredField:
 def flux_terms(grid: PhaseGrid, levels) -> list:
     """A phase's front flux integrated in time up to each of levels (>= 1), without Gamma(alpha).
 
-    The interface balance's term of one phase (fronttrack).  The flux is
+    The interface balance's term of one phase, for fronttrack; it lives
+    here with the half level's geometry.  The flux is
     the one-sided difference quotient of the recovered temperature at the
     front per history row: flux[j] is level j's for j >= 1, flux[0] the
     solid's at its half level s = 1/(2n), integrated with the phase's rows
