@@ -162,21 +162,22 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
             = lambda2 theta_inf W2'/(sqrt(kappa2) W2) - lambda1 W1'/(sqrt(kappa1) (W1 - 1)),
 
     with Wi and Wi' the profile and slope orders of _similarity(p, 1,
-    kappa_i), closed forms included at alpha = 1.  Raises
-    DegenerateInputError when a denominator sits within roundoff of its
-    singular value, and propagates NonConvergenceError from the series.
+    kappa_i), closed forms included at alpha = 1; with kappa1 = kappa2 each
+    is evaluated once for both phases.  Raises DegenerateInputError when a
+    denominator sits within roundoff of its singular value, and propagates
+    NonConvergenceError from the series.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
     a, k1, k2 = params.alpha, params.kappa1, params.kappa2
-    den1 = _similarity(p, 1.0, k1, a) - 1.0
-    den2 = _similarity(p, 1.0, k2, a)
+    w1 = _similarity(p, 1.0, k1, a)
+    den1, den2 = w1 - 1.0, w1 if k2 == k1 else _similarity(p, 1.0, k2, a)
     if abs(den1) < _SINGULAR_TOL or abs(den2) < _SINGULAR_TOL:
         raise DegenerateInputError(
             f"front equation degenerate at p={p}: denominators {den1:.3e}, {den2:.3e}"
         )
     w1_num = _similarity(p, 1.0, k1, a, slope=True)
-    w2_num = _similarity(p, 1.0, k2, a, slope=True)
+    w2_num = w1_num if k2 == k1 else _similarity(p, 1.0, k2, a, slope=True)
     lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
     rhs = (params.lambda2 / math.sqrt(k2)) * params.theta_inf * w2_num / den2 \
         - (params.lambda1 / math.sqrt(k1)) * w1_num / den1

@@ -1,4 +1,4 @@
-"""The verdict of tools/ab.py, on synthetic paired samples (no subprocess)."""
+"""The verdict and the value change of tools/ab.py, on synthetic inputs (no subprocess)."""
 
 import importlib.util
 from pathlib import Path
@@ -57,3 +57,13 @@ def test_higher_is_better_flips_the_sides():
     judged = ab.verdict([v + 0.2 for v in OTHER], OTHER, 0.1, better="higher")
     assert judged.wins == (10, 0)
     assert judged.gain and judged.within
+
+
+def _outcome_line(value: float) -> str:
+    """A WRIGHT outcome line that holds value."""
+    return f"{value.hex()} {(1e-16).hex()} 30"
+
+
+def test_value_change_is_absolute_and_relative_to_at_least_one():
+    assert ab.value_change(_outcome_line(0.25), _outcome_line(0.5)) == (0.25, 0.25)
+    assert ab.value_change(_outcome_line(-300.0), _outcome_line(-200.0)) == (100.0, 0.5)

@@ -48,6 +48,15 @@ class TestTranscendentalResidual:
         with pytest.raises(errors.InvalidInputError):
             analytic.transcendental_residual(0.0, params_for(0, 0.5))
 
+    @pytest.mark.parametrize("row, series", [(0, 2), (1, 2), (2, 4)])
+    def test_one_profile_and_slope_per_distinct_kappa(self, row, series, monkeypatch):
+        # rows 0 and 1 have kappa1 = kappa2, so both phases share their two series
+        calls = []
+        wright = specfun.wright
+        monkeypatch.setattr(specfun, "wright", lambda *args: calls.append(args) or wright(*args))
+        analytic.transcendental_residual(0.5, params_for(row, 0.5))
+        assert len(calls) == series
+
     def test_alpha_one_matches_wright_route_near_one(self):
         # the erfc dispatch and the series route agree at the root
         for row in range(len(ROWS)):

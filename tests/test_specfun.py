@@ -1,5 +1,6 @@
 """Wright series and reciprocal gamma."""
 
+import functools
 import math
 import os
 import struct
@@ -164,9 +165,10 @@ class TestWright:
 
 def _reference_series(z, g, d):
     """wright_series as it was before the coefficient tables: 1/Gamma
-    recomputed for every term, at the fixed tolerance 1e-13 and cap 700.
-    The reference for TestCoefficientTable."""
-    tol, max_terms = 1e-13, 700
+    recomputed for every term, stopped by three consecutive terms below the
+    relative tolerance 1e-13, cap 700.  The double-precision reference for
+    TestCoefficientTable."""
+    tol, max_terms, stop_run = 1e-13, 700, 3
     if z == 0.0 and math.isfinite(specfun.reciprocal_gamma(d)):
         return specfun.WrightResult(specfun.reciprocal_gamma(d), 0.0, 1)
 
@@ -199,7 +201,7 @@ def _reference_series(z, g, d):
         if mag <= threshold:
             run += 1
             run_bound = max(run_bound, mag)
-            if run >= specfun._STOP_RUN:
+            if run >= stop_run:
                 if peak * sys.float_info.epsilon > specfun._CANCEL_TOL * max(abs(total), 1.0):
                     raise errors.NonConvergenceError(
                         f"Wright series cancels below roundoff at z={z:.6g}, "
@@ -221,14 +223,51 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def _outcome(series, args):
-    """A result or NonConvergenceError as a tuple that compares floats bit for bit;
-    args is the tuple (z, gamma, delta)."""
-    try:
-        value, bound, terms = series(*args)
-    except errors.NonConvergenceError as exc:
-        return (type(exc), str(exc), _bits(exc.partial), _bits(exc.last_term), exc.terms)
-    return (_bits(value), _bits(bound), terms)
+def _per_term_sum(z, g, d, terms):
+    """The first terms terms of the series by wright_series's recurrence, with
+    1/Gamma recomputed for every term and no term at a pole."""
+    total, pw = 0.0, 1.0
+    for k in range(terms):
+        if k > 0:
+            pw *= z / k
+        x = g * k + d
+        nearest = round(x)
+        if not (nearest <= 0 and abs(x - nearest) < specfun._POLE_TOL):
+            total += pw * specfun.reciprocal_gamma(x)
+    return total
+
+
+def _agrees_with_reference(args):
+    """wright_series at args (z, gamma, delta) against _reference_series: both
+    return or both raise NonConvergenceError; when both return, the values lie
+    within the sum of their term_bounds, and the value is bit for bit the
+    per-term sum of as many terms."""
+    outcomes = []
+    for series in (specfun.wright_series, _reference_series):
+        try:
+            outcomes.append(series(*args))
+        except errors.NonConvergenceError:
+            outcomes.append(None)
+    got, ref = outcomes
+    assert (got is None) == (ref is None), args
+    if got is not None:
+        assert abs(got.value - ref.value) <= got.term_bound + ref.term_bound, args
+        assert _bits(got.value) == _bits(_per_term_sum(*args, got.terms)), args
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_coefficients(g, d):
+    with mp.workdps(50):
+        return [mp.rgamma(mp.mpf(g) * k + mp.mpf(d)) / mp.factorial(k) for k in range(400)]
+
+
+def _exact_error(value, z, g, d):
+    """|value - W(z; g, d)|, the series summed to 400 terms at 50 digits: enough
+    for |z| <= 20 at the closed-form route's orders."""
+    with mp.workdps(50):
+        zm = mp.mpf(z)
+        exact = mp.fsum(c * zm ** k for k, c in enumerate(_exact_coefficients(g, d)))
+        return float(abs(mp.mpf(value) - exact))
 
 
 # up to and past the cancellation guard (|z| about 12 at gamma = -1/2)
@@ -243,14 +282,16 @@ ORDERS += [(-0.5, 1.0), (-0.5, 0.5)]
 class TestCoefficientTable:
     @pytest.mark.parametrize("gamma, delta", ORDERS)
     def test_bit_identical_to_per_term_loop(self, gamma, delta):
+        # the table's factors are the per-term 1/Gamma; the sum's length is its
+        # own, so against the reference the values agree within the bounds
         for z in GUARD_ZS:
-            args = (z, gamma, delta)
-            assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args), z
+            _agrees_with_reference((z, gamma, delta))
 
     def test_gamma_of_huge_order_overflows_past_the_stopping_term(self):
         # gamma*k overflows from k = 180 on, long after this sum has stopped
         args = (1.0, 1e306, 1.0)
-        assert _outcome(specfun.wright_series, args) == _outcome(_reference_series, args)
+        _agrees_with_reference(args)
+        assert specfun.wright(*args) == 1.0
 
     @pytest.mark.parametrize("gamma, delta", [
         (math.inf, 1.0), (0.5, math.inf), (0.5, math.nan),
@@ -282,6 +323,24 @@ class TestCoefficientTable:
 ROUTE_ORDERS = ORDERS[:6]
 
 
+class TestTermBound:
+    @pytest.mark.parametrize("gamma, delta", ROUTE_ORDERS)
+    def test_route_orders_within_term_bound_of_50_digit_sum(self, gamma, delta):
+        # z in [-20, 0] by 0.5; past the cancellation guard (|z| about 15 at
+        # alpha = 0.75, 20 at 0.5) the sums are rejected, not wrong
+        accepted = 0
+        for i in range(41):
+            z = -0.5 * i
+            try:
+                result = specfun.wright_series(z, gamma, delta)
+            except errors.NonConvergenceError as exc:
+                assert "cancels below roundoff" in str(exc), z
+                continue
+            assert _exact_error(result.value, z, gamma, delta) <= result.term_bound, z
+            accepted += 1
+        assert accepted >= 30
+
+
 class TestDoubleRange:
     """Where 1/Gamma(gamma*k + delta) leaves double range the sum stops with
     NonConvergenceError; an underflowed z**k / k! gives a zero term."""
@@ -297,16 +356,18 @@ class TestDoubleRange:
                 assert "no finite coefficient" not in str(exc), z
 
     @pytest.mark.parametrize("z, gamma, delta", [
-        (-41.25, -0.375, 0.625),  # alpha = 0.75
-        (-124.75, -0.25, 0.75),  # alpha = 0.5
+        (-52.25, -0.375, 0.625),  # alpha = 0.75
+        (-152.25, -0.25, 0.75),  # alpha = 0.5
     ])
     def test_route_orders_first_lose_a_coefficient(self, z, gamma, delta):
-        # on the 0.25 grid of z, the first argument whose sum reaches a term
-        # beyond double range; the one before it stops in the cancellation guard
-        with pytest.raises(errors.NonConvergenceError, match="no finite coefficient"):
+        # on the 0.25 grid of z, the first argument whose sum ends on a term
+        # beyond double range; the one before it sums the same whole table, and
+        # the cancellation guard decides before the table's end
+        with pytest.raises(errors.NonConvergenceError, match="no finite coefficient") as lost:
             specfun.wright_series(z, gamma, delta)
-        with pytest.raises(errors.NonConvergenceError, match="cancels below roundoff"):
+        with pytest.raises(errors.NonConvergenceError, match="cancels below roundoff") as info:
             specfun.wright_series(z + 0.25, gamma, delta)
+        assert info.value.terms == lost.value.terms
 
     def test_gives_up_long_sums_near_gamma_minus_one(self):
         # this range is narrowed on purpose: the sum needs 283 terms and
@@ -319,9 +380,13 @@ class TestDoubleRange:
         assert info.value.terms == 250 and math.isfinite(info.value.partial)
 
     def test_underflowed_power_gives_zero_terms(self):
-        # z**k / k! underflows from k = 2; the value keeps its bits
-        assert _outcome(specfun.wright_series, (1e-300, -0.25, 0.75)) == (
-            _bits(0.8160489390982628), _bits(7.247970571262588e-16), 4)
+        # z**k / k! underflows from k = 2, and no term past the first reaches the
+        # tail: the value is the reference's (four terms) bit for bit, and
+        # within term_bound of the 50-digit sum
+        args = (1e-300, -0.25, 0.75)
+        result = specfun.wright_series(*args)
+        assert result.value == _reference_series(*args).value
+        assert _exact_error(result.value, *args) <= result.term_bound
 
     @pytest.mark.parametrize("gamma, delta", [(0.5, -180.5), (-0.25, -171.7)])
     @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5])

@@ -193,6 +193,13 @@ def wright_arguments(seed: int = 2025, orders: int = 200, per_order: int = 50) -
             "random gamma in (-1, 3)": sample}
 
 
+def value_change(this: str, other: str) -> tuple:
+    """The change in value between two WRIGHT outcome lines that both hold one:
+    |this - other|, absolute and relative to max(|other|, 1)."""
+    a, b = (float.fromhex(line.split()[0]) for line in (this, other))
+    return abs(a - b), abs(a - b) / max(abs(b), 1.0)
+
+
 def wright(args, trees: dict) -> None:
     """Compare the specfun.wright_series outcome of the two trees, bit for bit.
 
@@ -201,7 +208,8 @@ def wright(args, trees: dict) -> None:
     count, or the class of the error raised.  Per set it counts the
     arguments with the same bits, different bits, newly accepted (this tree
     returns, the other raises), newly rejected and rejected by both, with
-    the gamma range of each change.
+    the gamma range of each change, and gives the largest change in value
+    among the different bits (value_change; each maximum on its own).
     """
     sets = wright_arguments()
     cases = [case for group in sets.values() for case in group]
@@ -215,14 +223,19 @@ def wright(args, trees: dict) -> None:
     paired = zip(cases, outcomes["this"], outcomes["other"])
     for label, group in sets.items():
         gammas = {name: [] for name in OUTCOMES}
+        changes = [(0.0, 0.0)]
         for (_, gamma, _), a, b in itertools.islice(paired, len(group)):
             name = {(True, True): "same bits" if a == b else "different bits",
                     (True, False): "newly accepted", (False, True): "newly rejected",
                     (False, False): "rejected by both"}[" " in a, " " in b]  # an error has no space
             gammas[name].append(gamma)
+            if name == "different bits":
+                changes.append(value_change(a, b))
         counts = [f"{name} {len(values)}" + (f" (gamma in [{min(values):.4g}, {max(values):.4g}])"
                   if values and name in OUTCOMES[1:4] else "") for name, values in gammas.items()]
-        print(f"{label}, {len(group)} arguments: " + ", ".join(counts))
+        print(f"{label}, {len(group)} arguments: " + ", ".join(counts)
+              + "; largest change in value {:.3g} absolute, {:.3g} relative".format(
+                  *map(max, zip(*changes))))
 
 
 class Verdict(NamedTuple):
