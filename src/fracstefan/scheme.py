@@ -32,13 +32,14 @@ so one weight row and one history sum serve both (_phase_coeffs).
 
 One level loop (_advance) is the stepper: advance_phase runs it over one
 grid, advance_pair over a candidate's liquid and solid side by side in one
-joint row.  It reads every memory weight from one lag table
-(fracquad.lag_table), and one advance costs O(n**2 * m), in the memory
-products.  The assemble_phase{1,2}_step / thomas_solve pair performs the
-same arithmetic one step at a time, from differences rebuilt from the
-history rows and full weight rows (_step_weights), and serves as its
-stepwise oracle.  _first_interval alone writes each phase's first-interval
-rule, the solid's split start among them.
+joint row, laid out by one list, counts.  It reads every memory weight from
+one lag table (fracquad.lag_table), and one advance costs O(n**2 * m), in
+the memory products.  The assemble_phase{1,2}_step / thomas_solve pair
+performs the same arithmetic one step at a time, from differences rebuilt
+from the history rows and full weight rows (_step_weights), and serves as
+its stepwise oracle.  _plan alone writes where each memory sum splits, and
+_first_interval each phase's first-interval rule, the solid's split start
+among them.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Values in each array the stepper holds for many levels at once (256 KiB
-# of doubles), which sizes _blocks, _runs and _advance's blocks and chunks.
+# of doubles), which sizes _plan's blocks and runs and _advance's blocks and chunks.
 # A block's set-up keeps at most five block-sized arrays alive at once
 # (_rows, then _factor's pivots and multipliers), its level loop four (sub,
 # pivot, mult and the advective factors), beside the scan coefficients'
@@ -352,30 +353,24 @@ def _step_weights(grid: PhaseGrid, table: LagTable, k: int) -> np.ndarray:
     return c
 
 
-def _levels(n: int, block: int) -> list:
-    """Ranges of block levels, at least one, covering the levels 0..n-1."""
-    block = max(1, block)
-    return [range(start, min(start + block, n)) for start in range(0, n, block)]
+def _split(levels: range, size: int) -> list:
+    """Consecutive ranges of size levels, at least one, covering levels."""
+    size = max(1, size)
+    return [range(start, min(start + size, levels.stop))
+            for start in range(levels.start, levels.stop, size)]
 
 
-def _blocks(grid: PhaseGrid) -> list:
-    """A grid's blocks of levels k, whose memory sums of the steps to k+1 are split together.
+def _plan(grid: PhaseGrid) -> list:
+    """Where the memory sums of a grid's steps from levels k to k+1 split: (start, run) pairs.
 
-    Ranges of _BLOCK_VALUES // (m - 1) levels, at least one, covering 0..n-1.
+    The levels 0..n-1 fall into blocks of _BLOCK_VALUES // (m - 1) levels;
+    the sums of a block's levels split at its first level, start.  A block
+    falls into runs of _BLOCK_VALUES // (block end + 1) levels, whose weight
+    rows, of at most block end + 1 values each, are held at once.
     """
-    return _levels(grid.mesh.n, _BLOCK_VALUES // (grid.m - 1))
-
-
-def _runs(levels: range) -> list:
-    """The runs of a block of levels whose weight rows are held at once.
-
-    Ranges of _BLOCK_VALUES // (levels.stop + 1) levels, at least one,
-    covering the block: a weight row of the block has at most
-    levels.stop + 1 values.
-    """
-    run = max(1, _BLOCK_VALUES // (levels.stop + 1))
-    return [range(first, min(first + run, levels.stop))
-            for first in range(levels.start, levels.stop, run)]
+    return [(block.start, run)
+            for block in _split(range(grid.mesh.n), _BLOCK_VALUES // (grid.m - 1))
+            for run in _split(block, _BLOCK_VALUES // (block.stop + 1))]
 
 
 def _run_weights(grid: PhaseGrid, table: LagTable, run: range, start: int):
@@ -438,8 +433,9 @@ def _non_finite(grid: PhaseGrid, level) -> InvalidStateError:
 
 @np.errstate(all="ignore")
 def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
-    if k < 0 or k >= grid.mesh.n:
-        raise InvalidInputError(f"time index must lie in [0, {grid.mesh.n - 1}], got {k}")
+    if not (_is_integer(k) and 0 <= k < grid.mesh.n):
+        raise InvalidInputError(
+            f"time index must be an integer in [0, {grid.mesh.n - 1}], got {k!r}")
     if grid.filled_through < k:
         raise InvalidStateError(
             f"phase {grid.phase} grid holds rows through {grid.filled_through}, "
@@ -454,9 +450,7 @@ def _assemble_step(grid: PhaseGrid, k: int) -> TridiagonalSystem:
     d2, dc = _differences(np.vstack((first, grid.ubar[1:k + 1])))
     # the stepper's split of the memory sum at its block's first level, with
     # its product over the run of k, for the stepper's bits (_memory_terms)
-    levels = next(block for block in _blocks(grid) if k in block)
-    split = levels.start + 1
-    run = next(run for run in _runs(levels) if k in run)
+    split, run = next((start + 1, run) for start, run in _plan(grid) if k in run)
     table = lag_table(run.stop - 1, grid.params.alpha, 1.0 / grid.mesh.n)
     rows = [_step_weights(grid, table, j) for j in run]
     known = np.array([c[:split] for c in rows]) @ d2[:split]
@@ -635,25 +629,22 @@ def _memory_terms(grid: PhaseGrid, rfac: float, table: LagTable, d2, out):
 
     The first step solves history row 0, which has no history, and leaves
     out as it is (zero).  The k-th step after it is the step from level k:
-    its memory c[:k+1] @ d2[:k+1] is split at the first level of its block
-    (_blocks): the rows before the block are summed for a run of levels at
-    once (_runs), one matrix product with the run's weights (_run_weights;
-    the splitting of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
-    Comput. 6, with a dense product in place of their FFT), and the block's
-    own rows per level (_level_weights).  So d2 must hold rows 0..k by then.
+    its memory c[:k+1] @ d2[:k+1] is split at the start of its (start, run)
+    in _plan: the rows 0..start are summed for the run's levels at once, one
+    matrix product with the run's weights (_run_weights; the splitting of
+    Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6, with a
+    dense product in place of their FFT), and the rows after start per
+    level (_level_weights).  So d2 must hold rows 0..k by then.
     """
     yield
     scratch, level = np.empty(grid.mesh.n), np.empty_like(out)
-    for levels in _blocks(grid):
-        start = levels.start
-        for run in _runs(levels):
-            known = _run_weights(grid, table, run, start) @ d2[:start + 1]
-            for k, before in zip(run, known):
-                np.matmul(_level_weights(grid, table, start, k, scratch), d2[start + 1:k + 1],
-                          level)
-                np.add(before, level, level)
-                np.multiply(rfac, level, out)
-                yield
+    for start, run in _plan(grid):
+        known = _run_weights(grid, table, run, start) @ d2[:start + 1]
+        for k, before in zip(run, known):
+            np.matmul(_level_weights(grid, table, start, k, scratch), d2[start + 1:k + 1], level)
+            np.add(before, level, level)
+            np.multiply(rfac, level, out)
+            yield
 
 
 def _failure(grid: PhaseGrid, half):
@@ -698,37 +689,30 @@ def _advance(grids) -> None:
     """
     n = grids[0].mesh.n
     table = lag_table(n - 1, grids[0].params.alpha, 1.0 / n)
-    # each grid's first node in the joint row, and its unknowns among the joint row's
-    starts = list(accumulate([grid.m + 1 for grid in grids[:-1]], initial=0))
-    interiors = [slice(o, o + grid.m - 1) for grid, o in zip(grids, starts)]
-    size = interiors[-1].stop
-    # per phase column of the tables below, its unknowns; the front nodes take the last
-    spans = list(enumerate(interiors)) + [(len(grids), slice(interiors[0].stop,
-                                                             interiors[-1].start))]
+    # per entry of the joint row, its unknowns: each grid's interior nodes
+    # and, between a pair's two grids, their two front nodes
+    counts = [2] * (2 * len(grids) - 1)
+    counts[::2] = [grid.m - 1 for grid in grids]
+    offsets = list(accumulate(counts, initial=0))
+    interiors = [slice(offsets[e], offsets[e + 1]) for e in range(0, len(counts), 2)]
+    size = offsets[-1]
     row = np.empty(size + 2)  # the joint history row being solved
     initial, qfac, memory = np.zeros(size), np.zeros(size), np.zeros(size)
     rhs, adv, product, d2, dc = np.zeros((5, size))
-    # per history row j and phase column: time coefficient, implicit memory
+    # per history row j and entry: time coefficient, implicit memory
     # coefficient and advective time factor; per grid its (left, right) boundary values
-    time = np.ones((n + 1, len(grids) + 1))
-    implicit, advective = np.zeros((2, n + 1, len(grids) + 1))
+    time = np.ones((n + 1, len(counts)))
+    implicit, advective = np.zeros((2, n + 1, len(counts)))
     edges, stores, sums = [None] * len(grids), [], []
     for i, (grid, interior) in enumerate(zip(grids, interiors)):
-        (time[:, i], implicit[:, i], advective[:, i], edges[i], rfac, qfac[interior],
-         initial[interior]) = _phase_coeffs(grid)
+        (time[:, 2 * i], implicit[:, 2 * i], advective[:, 2 * i], edges[i], rfac,
+         qfac[interior], initial[interior]) = _phase_coeffs(grid)
         # the grid's rows, its stored second differences, their newest row and its values
         stores.append((grid.ubar, np.empty((n + 1, grid.m - 1)), d2[interior],
                        row[1:-1][interior]))
         sums.append(_memory_terms(grid, rfac, table, stores[-1][1], memory[interior]))
-    diagonal = np.add(time, 2.0 * implicit, out=time)  # per row and column, t + 2r
+    diagonal = np.add(time, 2.0 * implicit, out=time)  # per row and entry, t + 2r
     left_edge, right_edge = edges[0][:, 0], edges[-1][:, 1]
-
-    def spread(coefficients):
-        """A block's table of per-column coefficients, spread over the joint row's unknowns."""
-        out = np.empty((len(coefficients), size))
-        for i, unknowns in spans:
-            out[:, unknowns] = coefficients[:, i, None]
-        return out
 
     # every scan product at an offset of the larger phase's unknown count or
     # more spans a front row or reads a front node's 0: it adds an exact zero
@@ -738,13 +722,13 @@ def _advance(grids) -> None:
     buffer = np.empty(2 * chunk * width)
     scan = _scan_views(row[1:-1], reach)
     violations = [0] * len(grids)
-    for levels in _levels(n, _BLOCK_VALUES * len(grids) // size):
+    for levels in _split(range(n), _BLOCK_VALUES * len(grids) // size):
         rows = range(levels.start + 1 if levels.start else 0, levels.stop + 1)
         part = slice(rows.start, rows.stop)
-        q = spread(advective[part])
+        q = np.repeat(advective[part], counts, axis=1)
         q *= qfac
-        diag = spread(diagonal[part])
-        sub, sup, count = _rows(spread(implicit[part]), q, diag)
+        diag = np.repeat(diagonal[part], counts, axis=1)
+        sub, sup, count = _rows(np.repeat(implicit[part], counts, axis=1), q, diag)
         violations = [v + int(count[interior].sum())
                       for v, interior in zip(violations, interiors)]
         left = (sub[:, 0] * left_edge[part]).tolist()
@@ -752,7 +736,7 @@ def _advance(grids) -> None:
         pivot, mult = _factor(sub, sup, diag)
         del sup, diag
         zero_row = _zero_rows(pivot)
-        gq = spread(advective[part])
+        gq = np.repeat(advective[part], counts, axis=1)
         for b, j in enumerate(rows):
             if zero_row[b] >= 0:
                 grid, interior = next((grid, interior) for grid, interior in zip(grids, interiors)
@@ -788,8 +772,8 @@ def _advance(grids) -> None:
                 "diagonal dominance violated %d times while advancing phase %d (p=%.6g)",
                 count, grid.phase, grid.p,
             )
-    halves = [first[o:o + grid.m + 1] if grid.phase == 2 else None
-              for grid, o in zip(grids, starts)]
+    halves = [first[interior.start:interior.stop + 2] if grid.phase == 2 else None
+              for grid, interior in zip(grids, interiors)]
     failed = [_failure(grid, half) for grid, half in zip(grids, halves)]
     if min(failed)[0] < math.inf:
         grid = grids[failed.index(min(failed))]

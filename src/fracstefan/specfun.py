@@ -149,6 +149,13 @@ def wright_series(z: float, gamma: float, delta: float) -> WrightResult:
     about -171.5, at z = 0 too), gamma*k + delta overflows, or _MAX_TERMS
     terms after the first do not reach the tail.  Below the cancellation
     limit digits are still lost, so term_bound covers the sum's roundoff.
+
+    The last case gives up on sums whose terms stay above _TAIL past
+    _MAX_TERMS terms, whatever their value, though it is a finite double:
+    W(z; 0, 1) = exp(z) from z of about 245 (about 4e106), W(z; -1/8, 1)
+    from z of about 160 (about -1.6e83), and near gamma = -1 at smaller
+    |z|.  The closed-form route never reaches them: it sums z <= 0 only
+    (analytic).
     """
     problems = []
     if not math.isfinite(z):

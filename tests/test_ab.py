@@ -1,4 +1,5 @@
-"""The verdict and the value change of tools/ab.py, on synthetic inputs (no subprocess)."""
+"""The verdict, the value change and the output change of tools/ab.py, on synthetic
+inputs (no subprocess)."""
 
 import importlib.util
 from pathlib import Path
@@ -67,3 +68,13 @@ def _outcome_line(value: float) -> str:
 def test_value_change_is_absolute_and_relative_to_at_least_one():
     assert ab.value_change(_outcome_line(0.25), _outcome_line(0.5)) == (0.25, 0.25)
     assert ab.value_change(_outcome_line(-300.0), _outcome_line(-200.0)) == (100.0, 0.5)
+
+
+def test_output_change_is_largest_relative_change_and_differing_hashes():
+    other = {"p": {"a": 0.5, "b": 2.0}, "S": 1.0, "gaps": {"a": 3},
+             "csv_sha256": {"t1.csv": "ab", "t2.csv": "cd"}}
+    this = {"p": {"a": 0.5, "b": 2.5}, "S": 0.9, "gaps": {"a": 3},
+            "csv_sha256": {"t1.csv": "ab", "t2.csv": "ce"}}
+    assert ab.output_change(this, other) == (0.25, 1)
+    assert ab.output_change(other, other) == (0.0, 0)
+    assert ab.output_change({"p": {"a": 0.0}}, {"p": {"a": 0.0, "b": 1.0}}) == (0.0, 1)

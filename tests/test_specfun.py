@@ -130,6 +130,15 @@ class TestWright:
             specfun.wright_series(600.0, 0.0, 1.0)
         assert info.value.terms == 701
 
+    def test_sums_give_up_inside_double_range(self):
+        # W(z; 0, 1) = exp(z): at z = 200 the sum ends within term_bound of
+        # exp(200) in 576 terms; at z = 250 its terms are still above the
+        # tail after 700, although exp(250) is a finite double
+        result = specfun.wright_series(200.0, 0.0, 1.0)
+        assert abs(result.value - math.exp(200.0)) <= result.term_bound
+        with pytest.raises(errors.NonConvergenceError, match="not converged after 700 terms"):
+            specfun.wright_series(250.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("z, gamma", [(180.0, -0.375), (290.0, -0.25)])
     def test_nonconvergence_when_sum_overflows(self, z, gamma):
         # the terms stay finite but their sum does not; an infinite sum used

@@ -15,6 +15,7 @@ import argparse
 import importlib.util
 import itertools
 import json
+import math
 import os
 import random
 import statistics
@@ -256,6 +257,21 @@ def verdict(this: list, other: list, bound: float, better: str = "lower") -> Ver
     return Verdict(won, 10 * won[0] >= 9 * len(this) and gap > q3 - q1, -gap <= bound * abs(median))
 
 
+def output_change(this, other) -> tuple:
+    """How far two workload outputs lie apart: (the largest relative change
+    |this - other| / |other| over their numeric leaves, the number of their
+    other leaves, the hashes, that differ).  A leaf on one side only differs."""
+    if isinstance(this, dict) and isinstance(other, dict):
+        changes = [output_change(this.get(key), other.get(key))
+                   for key in this.keys() | other.keys()]
+        return max((c[0] for c in changes), default=0.0), sum(c[1] for c in changes)
+    if all(isinstance(v, (int, float)) for v in (this, other)):
+        if this == other:
+            return 0.0, 0
+        return (abs(this - other) / abs(other) if other else math.inf), 0
+    return 0.0, int(this != other)
+
+
 def bench(args, trees: dict) -> None:
     """A/B the benchmark pass by pass: single passes of one workload in two checkouts.
 
@@ -263,7 +279,8 @@ def bench(args, trees: dict) -> None:
     (measure_setup) and one untraced pass in its child mode (run_pass, the
     pair's index as --pass-index).  Per end-to-end metric of BENCHMARK.json it
     prints the report and the verdict over the pairs in which both passes
-    passed, then whether their outputs agree and each checkout's failures.
+    passed, then whether their outputs agree, with their largest change over
+    those pairs (output_change), and each checkout's failures.
     """
     modules = {name: importlib.util.module_from_spec(importlib.util.spec_from_file_location(
         f"perfbench_run_{name}", root / "perfbench" / "run.py")) for name, root in trees.items()}
@@ -288,7 +305,10 @@ def bench(args, trees: dict) -> None:
               f"a gain {'would' if judged.gain else 'would not'} pass the claim rule; "
               f"{'within' if judged.within else 'OUTSIDE'} the {bound} bound", flush=True)
     same = sum(a["outputs"] == b["outputs"] for a, b in passed)
-    print(f"outputs: the same in {same} of the {len(passed)} pairs in which both checkouts passed")
+    changes = [output_change(a["outputs"], b["outputs"]) for a, b in passed] or [(0.0, 0)]
+    print(f"outputs: the same in {same} of the {len(passed)} pairs in which both checkouts "
+          f"passed; largest relative change of a number {max(c[0] for c in changes):.3g}, "
+          f"most hashes that differ in a pair {max(c[1] for c in changes)}")
     for name, values in results.items():
         failures = [failure for result in values for failure in result["failures"]]
         print(f"failed passes, {name}: {len(failures)}" + "".join(f"\n  {f}" for f in failures))
