@@ -184,37 +184,49 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
     return lhs - rhs
 
 
-def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> float:
-    """Bisect the transcendental residual to the front coefficient.
+def _bisection(f, lo, hi, width=0.0):
+    """The bisection of both routes: (p, f(p), lo, hi) at lo, at hi, then at each midpoint.
 
-    Deterministic; returns the bracket midpoint once its width is <= _ROOT_TOL.
-    Raises NoSignChangeError when the endpoints do not straddle a root.
+    (lo, hi) is the bracket once p's half is kept: the half whose ends'
+    residuals differ in sign by math.copysign, which no product can
+    underflow.  Raises InvalidInputError unless 0 < lo < hi < inf, and
+    NoSignChangeError after the two ends if they share a sign.  Ends once
+    the bracket is no wider than width or a midpoint falls on an end.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = float(lo), float(hi)
     if not 0.0 < lo < hi < math.inf:
-        raise InvalidInputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
-    f_lo = transcendental_residual(lo, params)
-    if f_lo == 0.0:
-        return lo
-    f_hi = transcendental_residual(hi, params)
-    if f_hi == 0.0:
-        return hi
+        raise InvalidInputError(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+    f_lo = f(lo)
+    yield lo, f_lo, lo, hi
+    f_hi = f(hi)
+    yield hi, f_hi, lo, hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(
-            f"residual does not change sign on [{lo}, {hi}]: "
-            f"{f_lo:+.6e} vs {f_hi:+.6e}"
-        )
-    while hi - lo > _ROOT_TOL:
+            f"residual does not change sign on [{lo}, {hi}]: {f_lo:+.6e} vs {f_hi:+.6e}")
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket exhausted at double precision
-            break
-        f_mid = transcendental_residual(mid, params)
-        if f_mid == 0.0:
-            return mid
+            return
+        f_mid = f(mid)
         if math.copysign(1.0, f_lo) == math.copysign(1.0, f_mid):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
+        yield mid, f_mid, lo, hi
+
+
+def solve_p_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> float:
+    """Bisect the transcendental residual to the front coefficient.
+
+    Deterministic; returns a point of exact zero, else the bracket
+    midpoint once its width is <= _ROOT_TOL or it holds no further double.
+    Raises NoSignChangeError when the endpoints do not straddle a root.
+    """
+    lo, hi = bracket
+    for p, residual, lo, hi in _bisection(lambda p: transcendental_residual(p, params),
+                                         lo, hi, _ROOT_TOL):
+        if residual == 0.0:
+            return p
     return 0.5 * (lo + hi)
 
 

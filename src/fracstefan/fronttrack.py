@@ -33,6 +33,7 @@ from .analytic import (
     DEFAULT_MAX_ITER,
     MeshConfig,
     PhysicalParams,
+    _bisection,
     _is_integer,
 )
 from .errors import (
@@ -40,7 +41,6 @@ from .errors import (
     GridMismatchError,
     InvalidInputError,
     InvalidStateError,
-    NoSignChangeError,
 )
 from .scheme import (
     PhaseGrid,
@@ -179,24 +179,22 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
                     bracket=DEFAULT_BRACKET, eps: float = DEFAULT_EPS,
                     max_iter: int = DEFAULT_MAX_ITER,
                     phase_terms: dict | None = None) -> FrontSolveResult:
-    """Bisection on the front residual.
+    """Bisection on the front residual, by analytic._bisection.
 
     Follows the classic recipe: evaluate both endpoints first (either may
     already satisfy |1 - S| < eps and end the search), require a sign
-    change, then halve.  Hitting max_iter returns converged=False rather
-    than raising.  Every candidate is solved by one call of
-    _solve_candidate.  The returned p is always the last candidate, so the
-    search keeps only that candidate's grids and returns them as
-    result.grids.
+    change, then halve.  Hitting max_iter, or a bracket that holds no
+    further double, returns converged=False rather than raising;
+    iterations counts the midpoints.  Every candidate is solved by one
+    call of _solve_candidate.  The returned p is always the last
+    candidate, so the search keeps only that candidate's grids and returns
+    them as result.grids.
 
     phase_terms is the store of per-phase balance terms that
     _solve_candidate reads and fills.  Searches that share one dict (the
     cells of a table) advance each distinct phase grid once between them;
     such a search returns grids=None.  None gives the search a fresh dict.
     """
-    p_a, p_b = float(bracket[0]), float(bracket[1])
-    if not 0.0 < p_a < p_b < math.inf:
-        raise InvalidInputError(f"bracket must satisfy 0 < p_a < p_b < inf, got {bracket}")
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
     if not _is_integer(max_iter) or max_iter < 1:
@@ -217,27 +215,8 @@ def bisection_solve(params: PhysicalParams, mesh: MeshConfig,
         logger.debug("front residual at p=%.8g: %+.6e", p, r)
         return r
 
-    r_a = evaluate(p_a)
-    if abs(r_a) < eps:
-        return FrontSolveResult(p_a, 1.0 - r_a, r_a, 0, history, True, grids)
-    r_b = evaluate(p_b)
-    if abs(r_b) < eps:
-        return FrontSolveResult(p_b, 1.0 - r_b, r_b, 0, history, True, grids)
-    if r_a * r_b >= 0.0:
-        raise NoSignChangeError(
-            f"front residual does not change sign on [{p_a}, {p_b}]: "
-            f"{r_a:+.6e} vs {r_b:+.6e}"
-        )
-
-    p_c, r_c = p_a, r_a
-    for iteration in range(1, max_iter + 1):
-        p_c = 0.5 * (p_a + p_b)
-        r_c = evaluate(p_c)
-        if abs(r_c) < eps:
-            return FrontSolveResult(p_c, 1.0 - r_c, r_c, iteration, history, True, grids)
-        if r_a * r_c > 0.0:
-            p_a, r_a = p_c, r_c
-        else:
-            p_b, r_b = p_c, r_c
-    return FrontSolveResult(p_c, 1.0 - r_c, r_c, max_iter, history, False, grids)
-
+    for p, r, _, _ in _bisection(evaluate, *bracket):
+        iterations = max(len(history) - 2, 0)
+        if abs(r) < eps or iterations == max_iter:
+            break
+    return FrontSolveResult(p, 1.0 - r, r, iterations, history, abs(r) < eps, grids)

@@ -88,6 +88,28 @@ class TestSolvePExact:
         with pytest.raises(errors.NoSignChangeError):
             analytic.solve_p_exact(params_for(0, 1.0), bracket=(1.5, 2.0))
 
+    @pytest.mark.parametrize("root, calls", [(0.5, 1), (2.0, 2), (1.25, 3)],
+                             ids=["lo", "hi", "midpoint"])
+    def test_exact_zero_is_returned(self, monkeypatch, root, calls):
+        seen = []
+        monkeypatch.setattr(analytic, "transcendental_residual",
+                            lambda p, params: (seen.append(p), p - root)[1])
+        assert analytic.solve_p_exact(params_for(0, 0.5), bracket=(0.5, 2.0)) == root
+        assert len(seen) == calls
+
+    def test_bracket_collapsed_above_the_tolerance(self, monkeypatch):
+        # near 1e10 doubles lie 2**-19 (about 1.9e-6) apart, far above _ROOT_TOL:
+        # the search ends when the midpoint falls on an end, and solves no point twice
+        seen = []
+        root = 1e10 + 1e-6
+        monkeypatch.setattr(analytic, "transcendental_residual",
+                            lambda p, params: (seen.append(p), p - root)[1])
+        lo, hi = 1e10, 1e10 + 8 * math.ulp(1e10)
+        p = analytic.solve_p_exact(params_for(0, 0.5), bracket=(lo, hi))
+        assert hi - lo > 1e4 * analytic._ROOT_TOL
+        assert len(seen) == 5 and len(set(seen)) == len(seen)
+        assert p in (1e10, 1e10 + math.ulp(1e10))
+
     def test_rejects_infinite_bracket_end(self):
         # checked before the residual is evaluated at either end
         with pytest.raises(errors.InvalidInputError, match="bracket"):
@@ -150,6 +172,8 @@ class TestTemperatures:
             analytic.u2_exact(s - 0.1, 1.0, sol_classic)
         with pytest.raises(errors.DomainError):
             analytic.u1_exact(0.1, 0.0, sol_classic)
+        with pytest.raises(errors.DomainError, match="tau must be > 0"):
+            analytic.u2_exact(s + 0.1, 0.0, sol_classic)
 
     @pytest.mark.parametrize("row", range(len(ROWS)))
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -186,6 +210,13 @@ class TestTemperatures:
         sol = analytic.ExactSolution(1e-20, analytic.PhysicalParams(alpha=alpha))
         with pytest.raises(errors.DegenerateInputError, match="liquid"):
             analytic.u1_exact(0.0, 1.0, sol)
+
+    def test_degenerate_solid_front_value(self):
+        # erfc(p / (2 sqrt(kappa2))) is about 1e-97 at kappa2 = 1e-3
+        params = analytic.PhysicalParams(alpha=1.0, kappa2=1e-3)
+        sol = analytic.ExactSolution(0.9397, params)
+        with pytest.raises(errors.DegenerateInputError, match="solid"):
+            analytic.u2_exact(2.0, 1.0, sol)
 
     def test_front_values_evaluated_once(self, monkeypatch):
         calls = []

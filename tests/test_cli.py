@@ -368,6 +368,44 @@ class TestMain:
         assert cli.main(argv) == 3
         assert "sign" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ("alpha 0.5\n", ["exact"], "1: expected key=value, got 'alpha 0.5'"),
+        ("extra_rows = 1,1,1\n", ["tables"], "expected 4 values per row, got 3"),
+        (None, ["numeric", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (None, ["convergence", "--levels", "1"], "levels must be >= 2, got 1"),
+    ], ids=["line-without-equals", "extra-row-of-three", "max-iter-0", "one-level"])
+    def test_rejected_input_exit_code(self, tmp_path, capsys, config, argv, message):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("command, stream, message", [
+        ("numeric", "out", "converged = False"),
+        ("profiles", "err", "solver error: front search not converged after 2 iterations"),
+    ])
+    def test_unconverged_search_exit_code(self, tmp_path, capsys, command, stream, message):
+        argv = [command, *TINY_ARGV, "--eps", "1e-15", "--max-iter", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 3
+        assert message in getattr(capsys.readouterr(), stream)
+
+    def test_profiles_without_closed_form_root_leave_exact_cells_empty(self, tmp_path, capsys,
+                                                                       caplog):
+        # at this mesh the grid's root is about 0.917, the closed form's 0.940
+        argv = ["profiles", *TINY_ARGV, "--p-max", "0.93", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        warned = [record.getMessage() for record in caplog.records
+                  if record.levelname == "WARNING"]
+        assert len(warned) == 1
+        assert warned[0].startswith("transcendental solution unavailable, exact columns empty")
+        _, rows = read_csv(tmp_path / "profiles.csv")
+        exact = [row[2] for row in rows if row[4] == "exact"]
+        assert exact and set(exact) == {""}
+        assert "p_exact" not in capsys.readouterr().out
+
     def test_overflowing_far_field_exit_code(self, capsys):
         argv = ["numeric", "--alpha", "0.5", "--theta-inf=-1.7e308", "--m1", "10", "--m2", "40",
                 "--n", "20"]
@@ -538,6 +576,15 @@ class TestMain:
         attached = capsys.readouterr().out
         assert cli.main(["exact", f"--theta-inf={plain}"]) == 0
         assert attached == capsys.readouterr().out
+
+    def test_non_number_after_setting_flag_stays_its_own_token(self, capsys):
+        argv = ["exact", "--alpha", "-v", "--theta-inf", "-1e-3"]
+        assert cli._attach_negative_values(argv) == [
+            "exact", "--alpha", "-v", "--theta-inf=-1e-3"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
 
     def test_malformed_profile_times_flag_exit_code(self, capsys):
         # parsed by argparse like every other flag: usage, then the flag's error

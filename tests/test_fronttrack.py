@@ -313,6 +313,27 @@ class TestBisectionSolve:
         assert not result.converged
         assert result.iterations == 7
 
+    def test_residuals_whose_product_underflows_keep_their_signs(self, monkeypatch):
+        # r_a * r_b underflows to -0.0 for residuals near 1e-200
+        replace_candidate_solve(monkeypatch, lambda p: 1e-200 * (0.9 - p))
+        result = fronttrack.bisection_solve(
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-300)
+        assert result.converged and result.p == 0.9 and result.iterations == 54
+
+    def test_exhausted_bracket_ends_the_search(self, monkeypatch):
+        # the root lies between two doubles: the bracket collapses before max_iter,
+        # and no candidate is solved twice
+        captured = []
+        replace_candidate_solve(monkeypatch,
+                                lambda p: (captured.append(p), 0.7 - p + 1e-17)[1])
+        result = fronttrack.bisection_solve(
+            params_for(0, 0.5), MESH, bracket=(0.1, 2.0), eps=1e-300, max_iter=60)
+        assert not result.converged
+        assert result.iterations == 54 and len(captured) == 56
+        assert len(set(captured)) == len(captured)
+        assert [p for p, _ in result.history] == captured
+        assert result.p == captured[-1] and abs(result.p - 0.7) <= math.ulp(0.7)
+
     def test_validation(self):
         with pytest.raises(errors.InvalidInputError):
             fronttrack.bisection_solve(params_for(0, 0.5), MESH, bracket=(2.0, 0.1))

@@ -238,6 +238,9 @@ class TestAssembly:
         g1 = scheme.make_phase_grid(1, 0.8, SMALL_MESH, params_for(0, 0.5))
         with pytest.raises(errors.InvalidInputError):
             scheme.assemble_phase2_step(g1, 0)
+        g2 = scheme.make_phase_grid(2, 0.8, SMALL_MESH, params_for(0, 0.5))
+        with pytest.raises(errors.InvalidInputError, match="expected a phase-1 grid"):
+            scheme.assemble_phase1_step(g2, 0)
         # a float index is refused as trap_weights refuses one, in either phase
         for phase, assemble in ((1, scheme.assemble_phase1_step),
                                 (2, scheme.assemble_phase2_step)):
@@ -395,6 +398,14 @@ class TestThomasSolve:
                         for name, length in zip(("sub", "diag", "sup", "rhs"), lengths))
         with pytest.raises(errors.InvalidInputError,
                            match=rf"of length size = {size}, got {got}$"):
+            scheme.thomas_solve(system)
+
+    @pytest.mark.parametrize("size", [0, 2.0])
+    def test_rejects_size_other_than_positive_integer(self, size):
+        system = scheme.TridiagonalSystem(sub=np.ones(2), diag=np.full(2, 4.0), sup=np.ones(2),
+                                          rhs=np.ones(2), size=size)
+        with pytest.raises(errors.InvalidInputError,
+                           match=rf"^system size must be an integer >= 1, got {size!r}$"):
             scheme.thomas_solve(system)
 
     def test_rejects_non_vector_diagonal(self):
