@@ -164,8 +164,9 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
     with Wi and Wi' the profile and slope orders of _similarity(p, 1,
     kappa_i), closed forms included at alpha = 1; with kappa1 = kappa2 each
     is evaluated once for both phases.  Raises DegenerateInputError when a
-    denominator sits within roundoff of its singular value, and propagates
-    NonConvergenceError from the series.
+    denominator sits within roundoff of its singular value or the residual
+    is NaN (both right-hand terms overflow to one infinity), and propagates
+    NonConvergenceError from the series; an infinite residual keeps its sign.
     """
     if not p > 0.0:
         raise InvalidInputError(f"front coefficient must be > 0, got {p}")
@@ -181,7 +182,9 @@ def transcendental_residual(p: float, params: PhysicalParams) -> float:
     lhs = p * math.gamma(1.0 + a / 2.0) / math.gamma(1.0 - a / 2.0)
     rhs = (params.lambda2 / math.sqrt(k2)) * params.theta_inf * w2_num / den2 \
         - (params.lambda1 / math.sqrt(k1)) * w1_num / den1
-    return lhs - rhs
+    if math.isnan(residual := lhs - rhs):
+        raise DegenerateInputError(f"front equation has no sign at p={p}: residual {residual}")
+    return residual
 
 
 def _bisection(f, lo, hi, width=0.0):

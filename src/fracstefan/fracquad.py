@@ -50,34 +50,28 @@ SERIES_LAG = 1415
 class MemoryWeights:
     """Weights c[j], j = 0..k+1, targeting time level k+1."""
 
-    k: int
-    alpha: float
-    dtau: float
     c: np.ndarray = field(repr=False)
 
 
 def _interior_factor(lag: np.ndarray, alpha: float) -> np.ndarray:
     """(lag+1)**(alpha+1) + (lag-1)**(alpha+1) - 2*lag**(alpha+1), stably."""
-    lag = np.asarray(lag, dtype=np.float64)
     ap1 = alpha + 1.0
     out = np.empty_like(lag)
     direct = lag < SERIES_LAG
-    if direct.any():
-        s = lag[direct]
-        out[direct] = (s + 1.0) ** ap1 + (s - 1.0) ** ap1 - 2.0 * s ** ap1
-    if not direct.all():
-        big = lag[~direct]
-        h2 = 1.0 / (big * big)
-        # 2 * sum_{m>=1} binom(alpha+1, 2m) h**(2m); h <= 1/SERIES_LAG so
-        # five terms leave the tail far below double precision.
-        coef = ap1 * alpha / 2.0
-        acc = coef * h2
-        hpow = h2
-        for m in range(2, 6):
-            coef *= (ap1 - 2.0 * m + 2.0) * (ap1 - 2.0 * m + 1.0) / ((2.0 * m - 1.0) * 2.0 * m)
-            hpow = hpow * h2
-            acc = acc + coef * hpow
-        out[~direct] = big ** ap1 * (2.0 * acc)
+    s = lag[direct]
+    out[direct] = (s + 1.0) ** ap1 + (s - 1.0) ** ap1 - 2.0 * s ** ap1
+    big = lag[~direct]
+    h2 = 1.0 / (big * big)
+    # 2 * sum_{m>=1} binom(alpha+1, 2m) h**(2m); h <= 1/SERIES_LAG so
+    # five terms leave the tail far below double precision.
+    coef = ap1 * alpha / 2.0
+    acc = coef * h2
+    hpow = h2
+    for m in range(2, 6):
+        coef *= (ap1 - 2.0 * m + 2.0) * (ap1 - 2.0 * m + 1.0) / ((2.0 * m - 1.0) * 2.0 * m)
+        hpow = hpow * h2
+        acc = acc + coef * hpow
+    out[~direct] = big ** ap1 * (2.0 * acc)
     return out
 
 
@@ -172,7 +166,7 @@ def trap_weights(k: int, alpha: float, dtau: float) -> MemoryWeights:
     c[0] = table.pref * _first_factor(k, alpha)
     c[1:k + 1] = table.interior
     c[k + 1] = table.pref
-    return MemoryWeights(k=k, alpha=alpha, dtau=dtau, c=c)
+    return MemoryWeights(c=c)
 
 
 def half_weight(target: float, alpha: float, dtau: float) -> float:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import struct
 import sys
 from typing import NamedTuple
 
@@ -77,21 +76,16 @@ class WrightResult(NamedTuple):
     terms: int  # number of series terms summed
 
 
-def _doubles(values) -> memoryview:
-    """values as a read-only sequence of doubles, 8 bytes each, that bisect can search."""
-    values = list(values)
-    return memoryview(struct.pack(f"{len(values)}d", *values)).cast("d")
-
-
 @functools.lru_cache(maxsize=32)
 def _coefficients(gamma: float, delta: float) -> tuple:
-    """The order's table (factors, reach, hull_k, hull_log, turns).  factors[k] =
-    1/Gamma(gamma*k + delta), 0.0 at the poles, up to the first k where it or
-    gamma*k + delta is not finite.  K terms omit only terms below _TAIL while
-    log|z| <= reach[K]; reach never decreases, and stops short of the last
-    _SEEN - 1 lengths.  The largest term is at a vertex (hull_k, hull_log) of
-    the upper hull of log|c_k|, the next one once log|z| passes its turn."""
-    factors = []
+    """The order's table, five tuples (factors, reach, hull_k, hull_log, turns)
+    built in one pass over k.  factors[k] = 1/Gamma(gamma*k + delta), 0.0 at
+    the poles, up to the first k where it or gamma*k + delta is not finite.
+    K terms omit only terms below _TAIL while log|z| <= reach[K]; reach never
+    decreases, and stops short of the last _SEEN - 1 lengths.  The largest
+    term is at a vertex (hull_k, hull_log) of the upper hull of log|c_k|, the
+    next one once log|z| passes its turn."""
+    factors, logs, hull_k, hull_log = [], [], [], []
     for k in range(_MAX_TERMS + 1):
         x = gamma * k + delta
         if not math.isfinite(x):
@@ -101,26 +95,24 @@ def _coefficients(gamma: float, delta: float) -> tuple:
         if not math.isfinite(rg):
             break
         factors.append(rg)
-    logs = [math.log(abs(rg)) - math.lgamma(k + 1) if rg else -math.inf
-            for k, rg in enumerate(factors)]
-    # from the longest sum down, the least log|z| at which a later term meets the tail
-    tail, low, reach = math.log(_TAIL), math.inf, []
-    for k in range(len(logs) - 1, 0, -1):
-        low = min(low, (tail - logs[k]) / k)
-        reach.append(low)
-    reach.append(low if logs and logs[0] <= tail else -math.inf)  # term 0 is free of z
-    hull_k, hull_log = [], []
-    for k, a in enumerate(logs):
+        a = math.log(abs(rg)) - math.lgamma(k + 1) if rg else -math.inf
+        logs.append(a)
         while a > -math.inf and len(hull_k) > 1 and ((hull_log[-1] - hull_log[-2]) * (
                 k - hull_k[-1]) <= (a - hull_log[-1]) * (hull_k[-1] - hull_k[-2])):
             del hull_k[-1], hull_log[-1]
         if a > -math.inf:
             hull_k.append(k)
             hull_log.append(a)
+    # from the longest sum down, the least log|z| at which a later term meets the tail
+    tail, low, reach = math.log(_TAIL), math.inf, []
+    for k in range(len(logs) - 1, 0, -1):
+        low = min(low, (tail - logs[k]) / k)
+        reach.append(low)
+    reach.append(low if logs and logs[0] <= tail else -math.inf)  # term 0 is free of z
     turns = [(hull_log[i] - hull_log[i + 1]) / (hull_k[i + 1] - hull_k[i])
              for i in range(len(hull_k) - 1)]
-    return (tuple(factors), _doubles(reversed(reach[_SEEN - 1:])), _doubles(hull_k),
-            _doubles(hull_log), _doubles(turns))
+    return (tuple(factors), tuple(reversed(reach[_SEEN - 1:])), tuple(hull_k),
+            tuple(hull_log), tuple(turns))
 
 
 def _failure(what, z, gamma, delta, partial, last_term, terms, note=None):

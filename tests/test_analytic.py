@@ -48,6 +48,15 @@ class TestTranscendentalResidual:
         with pytest.raises(errors.InvalidInputError):
             analytic.transcendental_residual(0.0, params_for(0, 0.5))
 
+    def test_nan_residual_raises(self):
+        # both right-hand terms overflow to -inf: at p = 0.1 their difference is
+        # nan, which has no sign; an infinite residual keeps its sign
+        params = analytic.PhysicalParams(alpha=0.5, lambda1=1e308, lambda2=1e308,
+                                         theta_inf=-1e308)
+        with pytest.raises(errors.DegenerateInputError, match="p=0.1"):
+            analytic.transcendental_residual(0.1, params)
+        assert analytic.transcendental_residual(1.0, params) == math.inf
+
     @pytest.mark.parametrize("row, series", [(0, 2), (1, 2), (2, 4)])
     def test_one_profile_and_slope_per_distinct_kappa(self, row, series, monkeypatch):
         # rows 0 and 1 have kappa1 = kappa2, so both phases share their two series
@@ -109,6 +118,12 @@ class TestSolvePExact:
         assert hi - lo > 1e4 * analytic._ROOT_TOL
         assert len(seen) == 5 and len(set(seen)) == len(seen)
         assert p in (1e10, 1e10 + math.ulp(1e10))
+
+    def test_infinite_residual_keeps_its_sign(self):
+        # +inf above p = 1.5 is positive, as p - 0.7 is above 0.7
+        *_, (_, _, lo, hi) = analytic._bisection(lambda p: math.inf if p > 1.5 else p - 0.7,
+                                                 0.1, 2.0, analytic._ROOT_TOL)
+        assert abs(0.5 * (lo + hi) - 0.7) <= analytic._ROOT_TOL
 
     def test_rejects_infinite_bracket_end(self):
         # checked before the residual is evaluated at either end

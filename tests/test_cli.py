@@ -368,6 +368,16 @@ class TestMain:
         assert cli.main(argv) == 3
         assert "sign" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("alpha", ["0.25", "0.5", "1.0"])
+    def test_nan_residual_exit_code(self, capsys, alpha):
+        # the front equation's right-hand terms overflow to -inf, so the residual
+        # is nan at p = 0.1: the bisection used to read its sign bit and print a p
+        argv = ["exact", "--alpha", alpha, "--lambda1", "1e308", "--lambda2", "1e308",
+                "--theta-inf=-1e308"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "solver error" in err and "p_exact" not in out
+
     @pytest.mark.parametrize("config, argv, message", [
         ("alpha 0.5\n", ["exact"], "1: expected key=value, got 'alpha 0.5'"),
         ("extra_rows = 1,1,1\n", ["tables"], "expected 4 values per row, got 3"),

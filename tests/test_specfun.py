@@ -1,5 +1,6 @@
 """Wright series and reciprocal gamma."""
 
+import bisect
 import functools
 import math
 import os
@@ -287,6 +288,19 @@ ORDERS = [(-a / 2.0, d) for a in (0.25, 0.5, 0.75) for d in (1.0, 1.0 - a / 2.0)
 # every other term of gamma = -1/2 is a pole
 ORDERS += [(-0.5, 1.0), (-0.5, 0.5)]
 
+# the table contracts' arguments: z in [-60, 60] by 0.25 and a few tiny |z|, z = 0 left out
+TABLE_ZS = [z for z in np.arange(-60.0, 60.25, 0.25).tolist() if z] + [1e-300, -1e-12, 1e-6]
+TABLE_ORDERS = ORDERS[:6] + [(0.0, 1.0), (-0.5, 1.0), (0.3, 0.7)]
+
+
+def _table_terms(factors):
+    """The log|z| of TABLE_ZS and log|c_k| + k log|z|, one row per z, where
+    log|c_k| = log|factors[k]| - lgamma(k + 1) (-inf at a pole)."""
+    logs = np.array([math.log(abs(f)) - math.lgamma(k + 1) if f else -math.inf
+                     for k, f in enumerate(factors)])
+    log_zs = [math.log(abs(z)) for z in TABLE_ZS]
+    return log_zs, logs + np.outer(log_zs, np.arange(len(logs)))
+
 
 class TestCoefficientTable:
     @pytest.mark.parametrize("gamma, delta", ORDERS)
@@ -326,6 +340,23 @@ class TestCoefficientTable:
         for z in np.linspace(-3.0, -0.01, 200):
             specfun.wright(float(z), -0.25, 0.875)
         assert len(calls) <= 700 + 1
+
+    @pytest.mark.parametrize("gamma, delta", TABLE_ORDERS)
+    def test_reach_omits_only_terms_below_the_tail(self, gamma, delta):
+        # K = bisect_left(reach, log|z|) terms leave out only terms below _TAIL
+        factors, reach = specfun._coefficients(gamma, delta)[:2]
+        for log_z, row in zip(*_table_terms(factors)):
+            length = bisect.bisect_left(reach, log_z)
+            if length < len(reach):
+                assert (row[length:] < math.log(specfun._TAIL)).all(), (log_z, length)
+
+    @pytest.mark.parametrize("gamma, delta", TABLE_ORDERS)
+    def test_hull_gives_the_largest_term(self, gamma, delta):
+        # the hull vertex past the turns below log|z| is the table's largest log|term|
+        factors, _, hull_k, hull_log, turns = specfun._coefficients(gamma, delta)
+        for log_z, row in zip(*_table_terms(factors)):
+            i = bisect.bisect_left(turns, log_z)
+            assert abs(hull_log[i] + hull_k[i] * log_z - row.max()) <= 1e-12, log_z
 
 
 # the closed-form route's orders, gamma = -alpha/2 and delta in {1, 1 - alpha/2}
