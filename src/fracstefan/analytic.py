@@ -241,17 +241,20 @@ def solve_exact(params: PhysicalParams, bracket=DEFAULT_BRACKET) -> ExactSolutio
 def final_time(p: float, alpha: float) -> float:
     """Time at which the prescribed front reaches x = 1: p**(-2/alpha).
 
-    Raises DegenerateInputError when that time overflows a double.
+    Raises DegenerateInputError when that time is not a finite double > 0.
     """
     if not 0.0 < p < math.inf:
         raise InvalidInputError(f"front coefficient must be finite and > 0, got {p}")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     try:
-        return p ** (-2.0 / alpha)
-    except OverflowError as exc:
+        tau = p ** (-2.0 / alpha)
+    except OverflowError:
+        tau = math.inf
+    if not 0.0 < tau < math.inf:
         raise DegenerateInputError(
-            f"final time p**(-2/alpha) overflows a double (p={p}, alpha={alpha})") from exc
+            f"final time p**(-2/alpha) is not a finite double > 0 (p={p}, alpha={alpha})")
+    return tau
 
 
 def front_exact(tau: float, sol: ExactSolution) -> float:

@@ -1,5 +1,5 @@
-"""The verdict, the value change and the output change of tools/ab.py, on synthetic
-inputs (no subprocess)."""
+"""The verdict, the value change, the Wright outcome classes, the output change and
+the output comparison of tools/ab.py, on synthetic inputs (no subprocess)."""
 
 import importlib.util
 from pathlib import Path
@@ -78,3 +78,44 @@ def test_output_change_is_largest_relative_change_and_differing_hashes():
     assert ab.output_change(this, other) == (0.25, 1)
     assert ab.output_change(other, other) == (0.0, 0)
     assert ab.output_change({"p": {"a": 0.0}}, {"p": {"a": 0.0, "b": 1.0}}) == (0.0, 1)
+
+
+@pytest.mark.parametrize("this, other, name", [
+    (_outcome_line(0.5), _outcome_line(0.5), "same bits"),
+    (_outcome_line(0.5), _outcome_line(0.25), "different bits"),
+    (_outcome_line(0.5), "OverflowError", "newly accepted"),
+    ("SeriesNonConvergence", _outcome_line(0.5), "newly rejected"),
+    ("OverflowError", "OverflowError", "rejected by both"),
+    ("OverflowError", "SeriesNonConvergence", "rejected differently"),
+])
+def test_outcome_classifies_a_pair_of_lines(this, other, name):
+    assert ab.outcome(this, other) == name
+    assert name in ab.OUTCOMES
+
+
+def _trees_writing(this: dict, other: dict) -> tuple:
+    """Trees for outputs() and a digests() that gives every run this or other by tree."""
+    trees = {"this": Path("this"), "other": Path("other")}
+    return trees, lambda src, args: dict(this if src == trees["this"] else other)
+
+
+def test_outputs_lists_each_differing_or_lone_file_and_exits_1(monkeypatch, capsys):
+    trees, digests = _trees_writing({"a.csv": "1", "run.txt": "2", "<stdout>": "3"},
+                                    {"a.csv": "1", "run.txt": "9", "b.csv": "4"})
+    monkeypatch.setattr(ab, "digests", digests)
+    assert ab.outputs(None, trees) == 1
+    lines = capsys.readouterr().out.splitlines()
+    run = " ".join(ab.RUNS[0])
+    assert lines[2:5] == [f"DIFFERS  {run}  run.txt", f"DIFFERS  {run}  <stdout>",
+                          f"DIFFERS  {run}  b.csv"]
+    assert len(lines) == 2 + 3 * len(ab.RUNS) + 1
+    assert lines[-1] == f"outputs: {len(ab.RUNS)} of {4 * len(ab.RUNS)} identical"
+
+
+def test_outputs_of_identical_trees_exits_0(monkeypatch, capsys):
+    written = {"a.csv": "1", "<stdout>": "3"}
+    trees, digests = _trees_writing(written, written)
+    monkeypatch.setattr(ab, "digests", digests)
+    assert ab.outputs(None, trees) == 0
+    n = 2 * len(ab.RUNS)
+    assert capsys.readouterr().out.splitlines()[2:] == [f"outputs: {n} of {n} identical"]

@@ -487,10 +487,12 @@ class TestMain:
         assert f"candidate p={float(value):.8g}" in err and "time step" in err
 
     def test_overflowing_final_time_exit_code(self, capsys):
-        # the root is found (p ~ 0.63), and p**(-2/alpha) overflows a double
-        assert cli.main(["exact", "--alpha", "0.001"]) == 3
-        err = capsys.readouterr().err
-        assert "final time" in err and "alpha=0.001" in err
+        # the root is found (p ~ 0.63), and p**(-2/alpha) overflows a double;
+        # below alpha ~ 1.1e-308, -2/alpha is -inf and the power is inf
+        for alpha in ("0.001", "1e-309"):
+            assert cli.main(["exact", "--alpha", alpha]) == 3
+            err = capsys.readouterr().err
+            assert "final time" in err and f"alpha={alpha}" in err
 
     def test_overflowing_final_time_fills_table_cells(self, tmp_path, monkeypatch):
         # a search converged at p = 1e-60 has the final time 1e480 at alpha 0.25

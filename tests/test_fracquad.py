@@ -75,6 +75,23 @@ class TestTrapWeights:
             hat[j] = 1.0
             assert c[j] == pytest.approx(kernel_integral_pwl(hat, alpha, dtau), rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5])
+    def test_factors_match_high_precision_on_both_branches(self, alpha):
+        # both branches of both factors, up to lag 1414, where the direct
+        # formulas lost up to 7e-8 to cancellation at alpha = 0.01
+        import mpmath as mp
+
+        lags = [*range(1, 65), *range(1300, 1415)]
+        interior = fracquad._interior_factor(np.array(lags, dtype=float), alpha)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for lag, got in zip(lags, interior):
+                s = mp.mpf(lag)
+                exact = (s + 1) ** (a + 1) + (s - 1) ** (a + 1) - 2 * s ** (a + 1)
+                assert abs(got - exact) <= 1e-10 * exact, lag
+                exact = s ** (a + 1) - (s - a) * (s + 1) ** a
+                assert abs(fracquad._first_factor(lag, alpha) - exact) <= 1e-10 * exact, lag
+
     def test_fractional_integral_of_power(self):
         # quadrature / Gamma(alpha) applied to t**beta approximates
         # Gamma(beta+1)/Gamma(beta+1+alpha) * t**(beta+alpha)

@@ -412,3 +412,8 @@ class TestFinalTime:
         # p**(-2/alpha) would be 0.0
         with pytest.raises(errors.InvalidInputError, match="front coefficient"):
             analytic.final_time(math.inf, 0.5)
+
+    def test_rejects_underflowing_time(self):
+        # 1.5**-2000 underflows to 0.0, which is no final time
+        with pytest.raises(errors.DegenerateInputError, match="final time"):
+            analytic.final_time(1.5, 1e-3)

@@ -75,9 +75,12 @@ def test_balance_takes_no_private_name_of_the_stepper():
     "import fracstefan.cli as cli; assert cli.main(['exact', '--alpha', '0.5']) == 0",
 ])
 def test_closed_form_route_loads_no_numpy(code):
-    # numpy loads with the first grid module, when a grid name is first used
-    out = run_fresh(f"{code}; import sys; print('numpy' in sys.modules)")
-    assert out.splitlines()[-1] == "False"
+    # numpy loads with the first grid module, when a grid name is first used;
+    # nothing else outside the standard library loads either
+    out = run_fresh(f"import sys; before = set(sys.modules); {code}; "
+                    "print('numpy' in sys.modules, sorted({name.partition('.')[0] for name in "
+                    "set(sys.modules) - before} - set(sys.stdlib_module_names) - {'fracstefan'}))")
+    assert out.splitlines()[-1] == "False []"
 
 
 def test_grid_bindings_resolve_before_any_command():

@@ -631,14 +631,14 @@ class TestAdvance:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_weight_rows_match_per_step_weights(self, alpha):
         # every reader of a phase's weight row gives the rule's bits, across
-        # SERIES_LAG (1415), where the interior factor switches to its
+        # SERIES_LAG (32), where the interior factor switches to its
         # series: trap_weights (a table of the step alone; the liquid's
         # rule), _step_weights (the oracle's and the balance's full rows,
         # from the grid's table) and the stepper's windows (_run_weights for
         # c[:start+1] of its run, _level_weights for its block's own rows,
         # the new level's weight c[k+1] in the implicit coefficient).  The
         # solid's rule is split_rule, from trap_weights and half_weight alone
-        ks = (0, 1, 2, 1413, 1414, 1415, 1416, 2000)
+        ks = (0, 1, 2, 31, 32, 33, 1413, 1414, 1415, 1416, 2000)
         mesh = scheme.MeshConfig(m1=2, m2=2, n=2001)
         ds = 1.0 / mesh.n
         params = params_for(0, alpha)

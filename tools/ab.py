@@ -1,8 +1,8 @@
-"""Alternating A/B comparisons of two fracstefan trees, each run in fresh interpreters.
+"""A/B comparisons of two fracstefan trees, each run in fresh interpreters.
 
     python3 tools/ab.py advance --against PARENT/src [--pair] [--meshes M] [--phases 1,2]
-    python3 tools/ab.py import --against PARENT/src [--rounds 15]
     python3 tools/ab.py wright --against PARENT/src
+    python3 tools/ab.py outputs --against PARENT/src
     python3 tools/ab.py bench --against PARENT --workload tables [--pairs 10] [--seed 1]
 
 --against names the other tree and --src this one (default: this checkout's
@@ -12,6 +12,7 @@ src); bench runs this checkout against the checkout at --against.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -21,7 +22,7 @@ import random
 import statistics
 import subprocess
 import sys
-import time
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,38 +120,6 @@ def advance(args, trees: dict) -> None:
                   f"grids {'agree' if agree else 'DIFFER'}", flush=True)
 
 
-SETUP = ("import time; start = time.perf_counter(); import fracstefan.cli as cli; "
-         "cli.build_parser(); print(time.perf_counter() - start)")
-LOADED = ("import sys; before = set(sys.modules); import fracstefan.cli; "
-          "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
-          " - set(sys.stdlib_module_names) - {'fracstefan'})))")
-EXACT = ("-m", "fracstefan.cli", "exact", "--alpha", "0.5")
-
-
-def import_(args, trees: dict) -> None:
-    """Time the command line's import cost per tree and round, and list what it loads.
-
-    set-up is `import fracstefan.cli` plus build_parser(), timed inside the
-    interpreter as perfbench's setup_s times it; exact is a whole `exact`
-    process, timed from outside.  It first lists each tree's third-party
-    top-level modules that `import fracstefan.cli` loads.
-    """
-    header(trees, f"{args.rounds} rounds; median [quartiles]")
-    for name, src in trees.items():
-        loaded = run(src, ["-c", LOADED]).strip() or "none"
-        print(f"third-party modules after `import fracstefan.cli`, {name}: {loaded}")
-
-    def exact(name, _):
-        start = time.perf_counter()
-        run(trees[name], EXACT)
-        return time.perf_counter() - start
-
-    for label, measure in (("set-up (import cli + build_parser)",
-                            lambda name, _: float(run(trees[name], ["-c", SETUP]))),
-                           ("exact (whole process)", exact)):
-        print(f"{label}: {report(alternate(args.rounds, measure), spec='.1f')}", flush=True)
-
-
 # reads "z gamma delta" lines (float.hex) on stdin, writes one outcome per line
 WRIGHT = """
 import sys
@@ -166,7 +135,8 @@ for line in sys.stdin:
         out.append(f"{value.hex()} {bound.hex()} {terms}")
 sys.stdout.write("\\n".join(out) + "\\n")
 """
-OUTCOMES = ("same bits", "different bits", "newly accepted", "newly rejected", "rejected by both")
+OUTCOMES = ("same bits", "different bits", "newly accepted", "newly rejected",
+            "rejected differently", "rejected by both")
 
 
 def wright_arguments(seed: int = 2025, orders: int = 200, per_order: int = 50) -> dict:
@@ -194,6 +164,17 @@ def wright_arguments(seed: int = 2025, orders: int = 200, per_order: int = 50) -
             "random gamma in (-1, 3)": sample}
 
 
+def outcome(this: str, other: str) -> str:
+    """The one of OUTCOMES that a pair of WRIGHT outcome lines, this tree's and
+    the other's, falls in; an error line (no space) is the error's class."""
+    accepted = " " in this, " " in other
+    if accepted == (True, True):
+        return "same bits" if this == other else "different bits"
+    if accepted == (False, False):
+        return "rejected by both" if this == other else "rejected differently"
+    return "newly accepted" if accepted[0] else "newly rejected"
+
+
 def value_change(this: str, other: str) -> tuple:
     """The change in value between two WRIGHT outcome lines that both hold one:
     |this - other|, absolute and relative to max(|other|, 1)."""
@@ -207,10 +188,9 @@ def wright(args, trees: dict) -> None:
     One interpreter per tree sums the series at every wright_arguments
     argument.  An outcome is the bits of value and term_bound with the term
     count, or the class of the error raised.  Per set it counts the
-    arguments with the same bits, different bits, newly accepted (this tree
-    returns, the other raises), newly rejected and rejected by both, with
-    the gamma range of each change, and gives the largest change in value
-    among the different bits (value_change; each maximum on its own).
+    arguments in each of OUTCOMES (outcome), with the gamma range of each
+    change, and gives the largest change in value among the different bits
+    (value_change; each maximum on its own).
     """
     sets = wright_arguments()
     cases = [case for group in sets.values() for case in group]
@@ -226,17 +206,90 @@ def wright(args, trees: dict) -> None:
         gammas = {name: [] for name in OUTCOMES}
         changes = [(0.0, 0.0)]
         for (_, gamma, _), a, b in itertools.islice(paired, len(group)):
-            name = {(True, True): "same bits" if a == b else "different bits",
-                    (True, False): "newly accepted", (False, True): "newly rejected",
-                    (False, False): "rejected by both"}[" " in a, " " in b]  # an error has no space
+            name = outcome(a, b)
             gammas[name].append(gamma)
             if name == "different bits":
                 changes.append(value_change(a, b))
         counts = [f"{name} {len(values)}" + (f" (gamma in [{min(values):.4g}, {max(values):.4g}])"
-                  if values and name in OUTCOMES[1:4] else "") for name, values in gammas.items()]
+                  if values and name in OUTCOMES[1:5] else "") for name, values in gammas.items()]
         print(f"{label}, {len(group)} arguments: " + ", ".join(counts)
               + "; largest change in value {:.3g} absolute, {:.3g} relative".format(
                   *map(max, zip(*changes))))
+
+
+RUNS = (
+    ("tables", "--m1", "50", "--m2", "250", "--n", "200"),
+    ("profiles", "--alpha", "0.5"),
+    ("profiles", "--alpha", "1.0", "--lambda2", "2.0"),
+    ("convergence", "--alpha", "0.5", "--m1", "10", "--m2", "50", "--n", "40"),
+    ("convergence", "--alpha", "1.0", "--m1", "10", "--m2", "50", "--n", "40"),
+    ("tables", "--m1", "20", "--m2", "100", "--n", "80", "--config", "run.cfg"),
+    ("numeric", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
+    ("numeric", "--alpha", "1.0", "--m1", "20", "--m2", "100", "--n", "80"),
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "1600"),
+    ("profiles", "--alpha", "0.25", "--m1", "20", "--m2", "100", "--n", "80"),
+    # two sample times inside (0, tau_n], tau_n about 2.9
+    ("profiles", "--alpha", "0.75", "--lambda2", "2.0", "--m1", "20", "--m2", "100", "--n", "80",
+     "--profile-times", "0.5,2"),
+    ("exact", "--alpha", "0.75"),
+    ("numeric", "--alpha", "0.75", "--m1", "20", "--m2", "100", "--n", "4", "--p-max", "10"),
+    # both phases span three of the stepper's blocks of levels (330 each at m = 100)
+    ("numeric", "--alpha", "0.5", "--m1", "100", "--m2", "100", "--n", "800"),
+    # a solid truncated at L = 3, whose width L - s**(alpha/2) nears L - 1
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "100", "--n", "80", "--ratio", "3"),
+    # a solid of 599 unknowns, whose scan runs ten offsets, up to 512
+    ("numeric", "--alpha", "0.5", "--m1", "20", "--m2", "600", "--n", "40"),
+    # a liquid larger than the solid: the pair's scan offsets stop below the liquid's unknowns
+    ("numeric", "--alpha", "0.5", "--m1", "300", "--m2", "40", "--n", "120"),
+    # the alpha = 1 closed forms at large arguments: a root at small diffusivities,
+    # and a solid far field with erfc arguments up to about 16
+    ("exact", "--alpha", "1.0", "--kappa1", "0.1", "--kappa2", "0.1"),
+    ("profiles", "--alpha", "1.0", "--kappa2", "0.1", "--m1", "20", "--m2", "100", "--n", "80"),
+    # one phase: the solid is all zeros, so a signed zero from its start would print -0
+    ("profiles", "--alpha", "0.5", "--theta-inf", "0", "--m1", "20", "--m2", "100", "--n", "80"),
+)
+
+#: Two extra table rows that share phase grids with the built-in ones: the
+#: first shares kappa1 with rows 0 and 1 but has a new kappa2, the second
+#: shares both kappas with row 0 and differs in lambda1.
+CONFIG = "extra_rows = 1,1,1,2 ; 2,1,1,1\n"
+
+
+def digests(src: Path, args: tuple) -> dict:
+    """The SHA-256 of each output of one CLI run by file name: each *.csv and
+    run.txt it writes, then its <stdout> and <stderr> (the logged warnings)."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "run.cfg").write_text(CONFIG, encoding="utf-8")
+        out = subprocess.run([sys.executable, "-m", "fracstefan.cli", *args, "--out", "out"],
+                             cwd=tmp, env=env, capture_output=True, check=True)
+        out_dir = Path(tmp, "out")
+        files = {path.name: path.read_bytes()
+                 for path in sorted(out_dir.glob("*.csv")) + sorted(out_dir.glob("run.txt"))}
+    files.update({"<stdout>": out.stdout, "<stderr>": out.stderr})
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+def outputs(args, trees: dict) -> int:
+    """Compare every output of a fixed set of CLI runs (RUNS) between the two trees, bytewise.
+
+    Each run is `python3 -m fracstefan.cli ...` in a temporary directory of
+    its own, which also holds the config file run.cfg (CONFIG) for the runs
+    that name it.  It prints each output whose SHA-256 differs, or that only
+    one tree wrote, and how many are identical; it returns 1 when any differs.
+    """
+    header(trees)
+    same = total = 0
+    for run_args in RUNS:
+        this, other = (digests(trees[name], run_args) for name in ("this", "other"))
+        for file in {**this, **other}:
+            total += 1
+            if this.get(file) == other.get(file):
+                same += 1
+            else:
+                print(f"DIFFERS  {' '.join(run_args)}  {file}", flush=True)
+    print(f"outputs: {same} of {total} identical")
+    return int(same < total)
 
 
 class Verdict(NamedTuple):
@@ -333,8 +386,8 @@ def main(argv=None) -> int:
     sub.add_argument("--rounds", type=int, default=7, help="rounds per mesh and phase")
     sub.add_argument("--alpha", default="0.5", help="comma-separated orders (default: 0.5)")
     sub.add_argument("--p", default="0.74", help="comma-separated p values (default: 0.74)")
-    mode(import_, "import").add_argument("--rounds", type=int, default=15, help="rounds")
     mode(wright, "wright")
+    mode(outputs, "outputs")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sub = mode(bench, "bench", parents=())
     sub.set_defaults(metrics=spec["end_to_end"], seconds=1, tiny=False)  # run_pass reads both
@@ -344,8 +397,7 @@ def main(argv=None) -> int:
     sub.add_argument("--seed", type=int, default=1, help="workload seed (default: 1)")
     args = parser.parse_args(argv)
     this = ROOT if args.function is bench else args.src
-    args.function(args, {"this": this.resolve(), "other": args.against.resolve()})
-    return 0
+    return args.function(args, {"this": this.resolve(), "other": args.against.resolve()}) or 0
 
 
 if __name__ == "__main__":
